@@ -10,7 +10,6 @@ from .errors import MetricBundleError
 from .evolution import EvolutionBundle, closed_form_metric, integrate
 from .matops import DEFAULT_TOL, Tolerance
 from .model import (
-    HamiltonianSpec,
     IntegratorConfig,
     MetricInit,
     OperatorSpec,
@@ -29,7 +28,6 @@ __all__ = [
     "integrate",
     "DEFAULT_TOL",
     "Tolerance",
-    "HamiltonianSpec",
     "IntegratorConfig",
     "MetricInit",
     "OperatorSpec",

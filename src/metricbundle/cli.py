@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -35,12 +36,7 @@ from .errors import (
 )
 from .evolution import bundle_to_json_dict, integrate
 from .matops import DEFAULT_TOL, sorted_eigenvalues
-from .model import (
-    IntegratorConfig,
-    Scenario,
-    load_scenario,
-    scenario_to_json_dict,
-)
+from .model import Scenario, load_scenario, scenario_to_json_dict
 from .verify import render_table, run_suite
 from .zoo import DEMO_PREFIX, builtin_models, get_demo
 
@@ -78,39 +74,19 @@ def _resolve_scenario(ref: str, args) -> Scenario:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    t0 = scenario.t0 if getattr(args, "t0", None) is None else args.t0
-    t1 = scenario.t1 if getattr(args, "t1", None) is None else args.t1
-    step = scenario.integrator.step if getattr(args, "step", None) is None else args.step
-    if (t0, t1, step) == (scenario.t0, scenario.t1, scenario.integrator.step):
-        return scenario
-    integrator = IntegratorConfig(
-        method=scenario.integrator.method,
-        step=step,
-        max_steps=scenario.integrator.max_steps,
-    )
-    return Scenario(
-        hamiltonian=scenario.hamiltonian,
-        metric_init=scenario.metric_init,
-        psi0=scenario.psi0,
-        observables=scenario.observables,
-        t0=t0,
-        t1=t1,
-        integrator=integrator,
-        name=scenario.name,
-        expected_failures=scenario.expected_failures,
-    )
+    changes = {key: getattr(args, key) for key in ("t0", "t1")
+               if getattr(args, key, None) is not None}
+    if getattr(args, "step", None) is not None:
+        changes["integrator"] = dataclasses.replace(scenario.integrator, step=args.step)
+    return dataclasses.replace(scenario, **changes) if changes else scenario
 
 
 def _expectations(scenario: Scenario, bundle):
-    values = {}
-    for name, obs in scenario.observables.items():
-        col = np.empty(bundle.n_nodes, dtype=complex)
-        for i in range(bundle.n_nodes):
-            col[i] = rep.expectation_schrodinger(
-                bundle, i, obs.assemble(bundle.ts[i])
-            )
-        values[name] = col
-    return values
+    nodes = np.arange(bundle.n_nodes)
+    return {
+        name: rep.expectation_schrodinger(bundle, nodes, obs.assemble_many(bundle.ts))
+        for name, obs in scenario.observables.items()
+    }
 
 
 def _write_trajectory_csv(path, scenario: Scenario, bundle) -> None:

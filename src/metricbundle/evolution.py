@@ -26,10 +26,6 @@ from .model import Scenario, resolve_initial_metric
 
 __all__ = [
     "EvolutionBundle",
-    "rhs_state",
-    "rhs_metric",
-    "rhs_right_prop",
-    "rhs_left_prop",
     "rhs_vielbein",
     "integrate",
     "closed_form_metric",
@@ -43,23 +39,8 @@ BLOWUP_LIMIT = 1e12
 _UL, _G, _E = 0, 1, 2
 
 
-def rhs_state(h, psi):
-    return -1j * (h @ psi)
-
-
-def rhs_metric(h, g):
-    return 1j * (g @ h - h.conj().T @ g)
-
-
-def rhs_right_prop(h, u):
-    return -1j * (h @ u)
-
-
-def rhs_left_prop(h, u):
-    return 1j * (u @ h)
-
-
 def rhs_vielbein(h, e):
+    """Right-multiplied flow i E H; broadcasts over leading axes of e."""
     return 1j * (e @ h)
 
 
@@ -97,7 +78,7 @@ def _rhs(h, psi, u_r, rge):
     """All channel derivatives from one shared Hamiltonian sample."""
     dpsi = -1j * (h @ psi)
     du_r = -1j * (h @ u_r)
-    drge = 1j * (rge @ h)  # right-multiplied channels U_L, G, E
+    drge = rhs_vielbein(h, rge)  # right-multiplied channels U_L, G, E
     drge[_G] -= 1j * (h.conj().T @ rge[_G])
     return dpsi, du_r, drge
 
@@ -193,10 +174,13 @@ def integrate(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> EvolutionBund
     )
 
 
-def closed_form_metric(bundle: EvolutionBundle, index: int) -> np.ndarray:
-    """Transported metric adj(U_L) G(t0) U_L, an integration-free cross-check."""
+def closed_form_metric(bundle: EvolutionBundle, index) -> np.ndarray:
+    """Transported metric adj(U_L) G(t0) U_L, an integration-free cross-check.
+
+    index may be an index array; the result then has a leading node axis.
+    """
     u_l = bundle.u_l[index]
-    return u_l.conj().T @ bundle.g0 @ u_l
+    return u_l.conj().swapaxes(-1, -2) @ bundle.g0 @ u_l
 
 
 def _encode_complex_array(a: np.ndarray) -> list:

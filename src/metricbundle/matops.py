@@ -4,6 +4,10 @@ All physics layers funnel their linear algebra through this module so that
 tolerances and failure modes (singular propagator, non-positive metric, ...)
 are decided in exactly one place. Matrices are plain square complex numpy
 arrays; vectors are 1-d complex arrays. Every function is pure.
+
+The kernels also take stacks of matrices, shape (nodes, d, d), and return one
+value per matrix. A stack is validated once; when a matrix in it fails a
+check, the error describes the first failing matrix in index order.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ __all__ = [
     "SIGMA_Z",
     "as_matrix",
     "as_vector",
-    "mul",
+    "as_stack",
     "adjoint",
     "commutator",
     "inverse",
@@ -76,11 +80,9 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a square, finite, complex 2-d array."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim != 2:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise DimensionMismatchError(f"{name} contains non-finite entries")
-    return m
+    return as_stack(m, name)
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
@@ -92,52 +94,70 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return m
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite complex array of square matrices, (..., d, d)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
+    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+        raise DimensionMismatchError(f"{name} contains non-finite entries")
+    return m
 
 
-def mul(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a @ b
+def _first(bad: np.ndarray):
+    """Index of the first flagged matrix in a stack (in index order), or None."""
+    flagged = np.flatnonzero(bad)
+    return np.unravel_index(flagged[0], bad.shape) if flagged.size else None
+
+
+def frobenius(a):
+    """Frobenius norm: a float for a vector or matrix, an array for a stack."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a))
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
+    return as_stack(a).conj().swapaxes(-1, -2)
 
 
 def commutator(a, b) -> np.ndarray:
-    return mul(a, b) - mul(b, a)
+    return a @ b - b @ a
 
 
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Matrix inverse, refusing condition numbers above the configured cap."""
-    a = as_matrix(a)
+    a = as_stack(a)
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > tol.condition_cap:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (svals[..., -1] <= 0) | (svals[..., 0] / svals[..., -1] > tol.condition_cap)
+    first = _first(bad)
+    if first is not None:
+        s = svals[first]
         raise SingularMatrixError(
             f"condition number exceeds cap {tol.condition_cap:.1e} "
-            f"(sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e})"
+            f"(sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
         )
     return np.linalg.inv(a)
 
 
-def hermitian_deviation(a) -> float:
+def hermitian_deviation(a):
     """Relative Frobenius distance of a from its own adjoint."""
-    a = as_matrix(a)
-    return frobenius(a - a.conj().T) / max(1.0, frobenius(a))
+    a = as_stack(a)
+    return frobenius(a - a.conj().swapaxes(-1, -2)) / np.maximum(1.0, frobenius(a))
 
 
 def _require_hermitian(g: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
-    if hermitian_deviation(g) > tol.atol + tol.rtol:
+    deviation = np.asarray(hermitian_deviation(g))
+    first = _first(deviation > tol.atol + tol.rtol)
+    if first is not None:
         raise NotHermitianError(
-            f"{what}: hermitian deviation {hermitian_deviation(g):.3e} "
+            f"{what}: hermitian deviation {deviation[first]:.3e} "
             f"exceeds {tol.atol + tol.rtol:.3e}"
         )
     # Symmetrize so downstream LAPACK calls see an exactly Hermitian input.
-    return 0.5 * (g + g.conj().T)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def cholesky_upper(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -158,7 +178,7 @@ def cholesky_upper(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues with algebraic multiplicity, no ordering guarantee."""
-    a = as_matrix(a)
+    a = as_stack(a)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -166,25 +186,25 @@ def eigenvalues(a) -> np.ndarray:
 
 
 def sorted_eigenvalues(a) -> np.ndarray:
-    """Eigenvalues sorted lexicographically by (real, imag)."""
+    """Eigenvalues sorted lexicographically by (real, imag), per matrix."""
     vals = eigenvalues(a)
-    return vals[np.lexsort((vals.imag, vals.real))]
+    return np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), axis=-1)
 
 
-def eigenvalue_match_distance(a, b) -> float:
+def eigenvalue_match_distance(a, b):
     """Max pairwise distance after sorted lexicographic matching."""
     va = sorted_eigenvalues(a)
     vb = sorted_eigenvalues(b)
-    if va.shape != vb.shape:
+    if va.shape[-1] != vb.shape[-1]:
         raise DimensionMismatchError("spectra have different sizes")
-    return float(np.max(np.abs(va - vb)))
+    return np.max(np.abs(va - vb), axis=-1)
 
 
-def min_eig_hermitian(g, tol: Tolerance = DEFAULT_TOL) -> float:
+def min_eig_hermitian(g, tol: Tolerance = DEFAULT_TOL):
     """Smallest eigenvalue of a Hermitian matrix (positive-definiteness monitor)."""
-    g = as_matrix(g, "metric")
+    g = as_stack(g, "metric")
     h = _require_hermitian(g, tol, "min_eig_hermitian")
     try:
-        return float(np.linalg.eigvalsh(h)[0])
+        return np.min(np.linalg.eigvalsh(h), axis=-1)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc

@@ -21,6 +21,8 @@ verbatim and floats survive JSON via repr.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -47,7 +49,6 @@ from .matops import (
 __all__ = [
     "ProfileTerm",
     "OperatorSpec",
-    "HamiltonianSpec",
     "MetricInit",
     "IntegratorConfig",
     "Scenario",
@@ -101,6 +102,20 @@ class OperatorSpec:
             out += profile.eval_profile(term.expr, t) * term.matrix
         return out
 
+    def assemble_many(self, ts) -> np.ndarray:
+        """M(t) at each of the times ts, shape (len(ts), dim, dim).
+
+        A constant operator gives its one matrix broadcast over the times,
+        without copies.
+        """
+        if self._constant is not None:
+            return np.broadcast_to(self._constant, (len(ts), self.dim, self.dim))
+        out = np.zeros((len(ts), self.dim, self.dim), dtype=complex)
+        for term in self.terms:
+            coeffs = np.array([profile.eval_profile(term.expr, t) for t in ts], dtype=float)
+            out += coeffs[:, None, None] * term.matrix
+        return out
+
     def differentiate(self) -> "OperatorSpec":
         """Analytic d/dt, term by term, via AST differentiation."""
         terms = []
@@ -121,9 +136,6 @@ class OperatorSpec:
         )
 
 
-HamiltonianSpec = OperatorSpec
-
-
 def constant_operator(matrix) -> OperatorSpec:
     return OperatorSpec([ProfileTerm.parse("1", matrix)])
 
@@ -140,6 +152,20 @@ class MetricInit:
             raise SchemaError("explicit metric requires a matrix", "/metric/matrix")
 
 
+def _require_finite_number(value, pointer: str) -> None:
+    """Reject bools, non-numbers and numbers with no finite float value."""
+    try:
+        ok = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise SchemaError(f"must be a finite number, got {value!r}", pointer)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"  # rk4 | rk4_richardson
@@ -149,10 +175,15 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk4_richardson"):
             raise SchemaError(f"unknown method {self.method!r}", "/integrator/method")
+        _require_finite_number(self.step, "/integrator/step")
         if self.step <= 0:
             raise SchemaError("step must be positive", "/integrator/step")
-        if self.max_steps < 1:
-            raise SchemaError("max_steps must be positive", "/integrator/max_steps")
+        if (
+            not isinstance(self.max_steps, numbers.Integral)
+            or isinstance(self.max_steps, bool)
+            or self.max_steps < 1
+        ):
+            raise SchemaError("max_steps must be a positive integer", "/integrator/max_steps")
 
 
 @dataclass(frozen=True)
@@ -178,6 +209,8 @@ class Scenario:
                 raise DimensionMismatchError(f"observable {obs_name!r} dimension mismatch")
         if self.metric_init.matrix is not None and self.metric_init.matrix.shape[0] != dim:
             raise DimensionMismatchError("metric matrix dimension mismatch")
+        _require_finite_number(self.t0, "/t0")
+        _require_finite_number(self.t1, "/t1")
         if not self.t1 > self.t0:
             raise SchemaError("t1 must exceed t0", "/t1")
 
@@ -391,8 +424,6 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     if not isinstance(metric_doc, dict) or "mode" not in metric_doc:
         raise SchemaError('metric must be {"mode": ...}', "/metric")
     mode = metric_doc["mode"]
-    if mode not in ("identity", "explicit", "stationary"):
-        raise SchemaError(f"unknown metric mode {mode!r}", "/metric/mode")
     matrix = None
     if mode == "explicit":
         if "matrix" not in metric_doc:
@@ -414,8 +445,7 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     }
 
     for key in ("t0", "t1"):
-        if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
-            raise SchemaError("must be a number", f"/{key}")
+        _require_finite_number(doc[key], f"/{key}")
 
     integ_doc = doc["integrator"]
     if not isinstance(integ_doc, dict):

@@ -9,6 +9,10 @@ A fourth tag, NAIVE, marks operators transported with the conventional
 adj(U) O U rule. It is kept deliberately distinct: for non-Hermitian
 dynamics that transport is NOT a similarity transformation and breaks
 commutation relations, which is exactly what the diagnostic is for.
+
+Every transport and check takes a grid node index or an index array; with an
+array the operators carry a leading node axis and each check returns one
+value per node.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, TagMismatchError
 from .evolution import EvolutionBundle
-from .matops import DEFAULT_TOL, Tolerance, as_matrix, commutator, frobenius, inverse
+from .matops import DEFAULT_TOL, Tolerance, adjoint, as_stack, commutator, frobenius, inverse
 
 __all__ = [
     "RepresentationTag",
@@ -59,8 +63,8 @@ class TaggedState:
 @dataclass(frozen=True)
 class TaggedOperator:
     rep: RepresentationTag
-    matrix: np.ndarray
-    time: float
+    matrix: np.ndarray  # (dim, dim), or (nodes, dim, dim) with one time per node
+    time: float | np.ndarray
 
 
 def _require(op: TaggedOperator, tag: RepresentationTag, what: str) -> None:
@@ -68,29 +72,40 @@ def _require(op: TaggedOperator, tag: RepresentationTag, what: str) -> None:
         raise TagMismatchError(f"{what} requires a {tag.value}-tagged operator, got {op.rep.value}")
 
 
-def expectation_schrodinger(bundle: EvolutionBundle, index: int, obs) -> complex:
-    """dual . O . ket at a grid node, with dual = adj(psi) G(t)."""
-    obs = as_matrix(obs, "observable")
+def _time(bundle: EvolutionBundle, index):
+    t = bundle.ts[index]
+    return float(t) if np.ndim(t) == 0 else t
+
+
+def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
+    """dual . O . ket at grid node(s), with dual = adj(psi) G(t).
+
+    With an index array, obs is one matrix or one per node, and the result is
+    one value per node.
+    """
+    obs = as_stack(obs, "observable")
     psi = bundle.psi[index]
-    if obs.shape[0] != psi.shape[0]:
+    if obs.shape[-1] != psi.shape[-1]:
         raise DimensionMismatchError("observable dimension mismatch")
-    return complex(psi.conj() @ bundle.g[index] @ obs @ psi)
+    # Left to right, ((adj(psi) G) O) psi, as row times matrices times column.
+    values = (psi.conj()[..., None, :] @ bundle.g[index] @ obs @ psi[..., :, None])[..., 0, 0]
+    return complex(values) if values.ndim == 0 else values
 
 
-def to_heisenberg(obs_s: TaggedOperator, bundle: EvolutionBundle, index: int) -> TaggedOperator:
+def to_heisenberg(obs_s: TaggedOperator, bundle: EvolutionBundle, index) -> TaggedOperator:
     """Similarity transport U_L O_S U_R; isospectral with the input."""
     _require(obs_s, RepresentationTag.S, "to_heisenberg")
     return TaggedOperator(
         RepresentationTag.H,
         bundle.u_l[index] @ obs_s.matrix @ bundle.u_r[index],
-        float(bundle.ts[index]),
+        _time(bundle, index),
     )
 
 
 def to_heisenberg_like(
     obs_s: TaggedOperator,
     bundle: EvolutionBundle,
-    index: int,
+    index,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TaggedOperator:
     """Vielbein transport E O_S inv(E); singular near an exceptional point."""
@@ -99,7 +114,7 @@ def to_heisenberg_like(
     return TaggedOperator(
         RepresentationTag.HL,
         e @ obs_s.matrix @ inverse(e, tol),
-        float(bundle.ts[index]),
+        _time(bundle, index),
     )
 
 
@@ -119,20 +134,23 @@ def heisenberg_like_state(bundle: EvolutionBundle) -> TaggedState:
     return TaggedState(RepresentationTag.HL, ket, ket.conj(), float(bundle.ts[0]))
 
 
-def _bilinear(state: TaggedState, op: TaggedOperator, tag: RepresentationTag) -> complex:
+def _bilinear(state: TaggedState, op: TaggedOperator, tag: RepresentationTag):
     if state.rep is not tag or op.rep is not tag:
         raise TagMismatchError(
             f"expectation requires matching {tag.value} tags, "
             f"got state={state.rep.value}, operator={op.rep.value}"
         )
-    return complex(state.dual @ op.matrix @ state.ket)
+    # Row times matrix times column, as for a single node, so that a stack
+    # gives per node the same rounding as one node on its own.
+    values = (state.dual[None, :] @ op.matrix @ state.ket[:, None])[..., 0, 0]
+    return complex(values) if values.ndim == 0 else values
 
 
-def expectation_heisenberg(state: TaggedState, op: TaggedOperator) -> complex:
+def expectation_heisenberg(state: TaggedState, op: TaggedOperator):
     return _bilinear(state, op, RepresentationTag.H)
 
 
-def expectation_heisenberg_like(state: TaggedState, op: TaggedOperator) -> complex:
+def expectation_heisenberg_like(state: TaggedState, op: TaggedOperator):
     return _bilinear(state, op, RepresentationTag.HL)
 
 
@@ -152,12 +170,12 @@ def hermitized_hamiltonian(h_s, e, de_dt, tol: Tolerance = DEFAULT_TOL) -> np.nd
     returned norm is a pure numerical residual.
     """
     e_inv = inverse(e, tol)
-    return e @ as_matrix(h_s) @ e_inv + 1j * as_matrix(de_dt) @ e_inv
+    return e @ as_stack(h_s) @ e_inv + 1j * as_stack(de_dt) @ e_inv
 
 
 def commutator_transport_check(
-    oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index: int
-) -> float:
+    oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index
+):
     """Relative gap between transported commutator and commutator of transports."""
     for op in (oa_s, ob_s):
         _require(op, RepresentationTag.S, "commutator_transport_check")
@@ -165,32 +183,32 @@ def commutator_transport_check(
     ob_h = to_heisenberg(ob_s, bundle, index).matrix
     comm_s = TaggedOperator(RepresentationTag.S, commutator(oa_s.matrix, ob_s.matrix), oa_s.time)
     transported = to_heisenberg(comm_s, bundle, index).matrix
-    scale = max(1.0, frobenius(oa_h) * frobenius(ob_h))
+    scale = np.maximum(1.0, frobenius(oa_h) * frobenius(ob_h))
     return frobenius(commutator(oa_h, ob_h) - transported) / scale
 
 
 def naive_dagger_transport(
-    obs_s: TaggedOperator, bundle: EvolutionBundle, index: int
+    obs_s: TaggedOperator, bundle: EvolutionBundle, index
 ) -> TaggedOperator:
     """Conventional adj(U) O_S U transport, kept as a diagnostic picture."""
     _require(obs_s, RepresentationTag.S, "naive_dagger_transport")
     u = bundle.u_r[index]
     return TaggedOperator(
         RepresentationTag.NAIVE,
-        u.conj().T @ obs_s.matrix @ u,
-        float(bundle.ts[index]),
+        adjoint(u) @ obs_s.matrix @ u,
+        _time(bundle, index),
     )
 
 
 def naive_commutator_residual(
-    oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index: int
-) -> float:
+    oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index
+):
     """As commutator_transport_check but with the conventional transport."""
     for op in (oa_s, ob_s):
         _require(op, RepresentationTag.S, "naive_commutator_residual")
     u = bundle.u_r[index]
     oa_n = naive_dagger_transport(oa_s, bundle, index).matrix
     ob_n = naive_dagger_transport(ob_s, bundle, index).matrix
-    transported = u.conj().T @ commutator(oa_s.matrix, ob_s.matrix) @ u
-    scale = max(1.0, frobenius(oa_n) * frobenius(ob_n))
+    transported = adjoint(u) @ commutator(oa_s.matrix, ob_s.matrix) @ u
+    scale = np.maximum(1.0, frobenius(oa_n) * frobenius(ob_n))
     return frobenius(commutator(oa_n, ob_n) - transported) / scale

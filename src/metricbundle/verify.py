@@ -10,10 +10,11 @@ those are reported but do not count as suite failures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .matops import (
     SIGMA_Y,
     SIGMA_Z,
     Tolerance,
+    adjoint,
     eigenvalue_match_distance,
     frobenius,
     hermitian_deviation,
@@ -112,11 +114,11 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def _sample_indices(n_nodes: int, stride: int) -> list[int]:
+def _sample_indices(n_nodes: int, stride: int) -> np.ndarray:
     idx = list(range(0, n_nodes, max(1, stride)))
     if idx[-1] != n_nodes - 1:
         idx.append(n_nodes - 1)
-    return idx
+    return np.array(idx)
 
 
 def _pauli_pairs(dim: int):
@@ -129,30 +131,6 @@ def _pauli_pairs(dim: int):
     ]
 
 
-class _Suite:
-    def __init__(self, results: list[CheckResult], expected: tuple[str, ...], scale: float):
-        self.results = results
-        self.expected = expected
-        self.scale = scale
-
-    def add(self, name: str, context: str, check_budget: float, compute: Callable[[], float]):
-        check_budget *= self.scale
-        expected_fail = any(name.startswith(p) for p in self.expected)
-        try:
-            residual = float(compute())
-        except MetricBundleError as exc:
-            self.results.append(
-                CheckResult(name, float("inf"), check_budget, False, context,
-                            expected_fail, error=f"{type(exc).__name__}: {exc}")
-            )
-            return
-        context = getattr(compute, "context", "") or context
-        self.results.append(
-            CheckResult(name, residual, check_budget, residual <= check_budget,
-                        context, expected_fail)
-        )
-
-
 def run_suite(
     bundle: EvolutionBundle,
     scenario: Scenario,
@@ -160,155 +138,145 @@ def run_suite(
     node_stride: int = 10,
     tolerance_scale: float = 1.0,
 ) -> VerificationReport:
-    """Run every identity check on a bundle; never aborts on a failing check."""
+    """Run every identity check on a bundle; never aborts on a failing check.
+
+    Each check family is evaluated once on the stacked sampled nodes, as one
+    residual per node; the report keeps the largest and the first node that
+    attains it.
+    """
     span = float(bundle.ts[-1] - bundle.ts[0])
     base = budget(bundle.step, span, bundle.dim)
-    indices = _sample_indices(bundle.n_nodes, node_stride)
+    nodes = _sample_indices(bundle.n_nodes, node_stride)
+    over_nodes = f"max over {len(nodes)} nodes"
     results: list[CheckResult] = []
-    suite = _Suite(results, scenario.expected_failures, tolerance_scale)
+
+    def add(name, check_budget, residuals, at=nodes, context=over_nodes):
+        check_budget *= tolerance_scale
+        expected_fail = any(name.startswith(p) for p in scenario.expected_failures)
+        try:
+            values = residuals()
+        except MetricBundleError as exc:
+            results.append(
+                CheckResult(name, float("inf"), check_budget, False, context,
+                            expected_fail, error=f"{type(exc).__name__}: {exc}")
+            )
+            return
+        worst = int(np.argmax(values))
+        residual = float(values[worst])
+        results.append(
+            CheckResult(name, residual, check_budget, residual <= check_budget,
+                        f"node {at[worst]}", expected_fail)
+        )
+
+    ts = bundle.ts[nodes]
+    u_l, u_r, g, e = bundle.u_l[nodes], bundle.u_r[nodes], bundle.g[nodes], bundle.e[nodes]
     eye = np.eye(bundle.dim)
 
-    def max_over_nodes(fn):
-        worst, worst_idx = -float("inf"), indices[0]
-        for i in indices:
-            value = fn(i)
-            if value > worst:
-                worst, worst_idx = value, i
-        return worst, worst_idx
-
-    def add_nodewise(name, check_budget, fn):
-        def compute():
-            worst, worst_idx = max_over_nodes(fn)
-            compute.context = f"node {worst_idx}"
-            return worst
-
-        compute.context = ""
-        suite.add(name, f"max over {len(indices)} nodes", check_budget, compute)
+    def s_op(matrix, times=ts):
+        return rep.TaggedOperator(rep.RepresentationTag.S, matrix, times)
 
     # Propagator inverse identity.
-    add_nodewise("propagator_inverse_left", base,
-                 lambda i: frobenius(bundle.u_l[i] @ bundle.u_r[i] - eye))
-    add_nodewise("propagator_inverse_right", base,
-                 lambda i: frobenius(bundle.u_r[i] @ bundle.u_l[i] - eye))
+    add("propagator_inverse_left", base, lambda: frobenius(u_l @ u_r - eye))
+    add("propagator_inverse_right", base, lambda: frobenius(u_r @ u_l - eye))
 
     # Metric health and cross-checks.
-    add_nodewise("metric_hermitian", base * HERMITICITY_BUDGET_FACTOR,
-                 lambda i: hermitian_deviation(bundle.g[i]))
-    add_nodewise("metric_positive_definite", 0.0,
-                 lambda i: -min_eig_hermitian(bundle.g[i], tol))
-    add_nodewise("metric_closed_form", base,
-                 lambda i: frobenius(bundle.g[i] - closed_form_metric(bundle, i)))
-    add_nodewise("vielbein_reconstructs_metric", base,
-                 lambda i: frobenius(bundle.e[i].conj().T @ bundle.e[i] - bundle.g[i]))
-    add_nodewise("vielbein_transport", base,
-                 lambda i: frobenius(bundle.e[i] - bundle.e[0] @ bundle.u_l[i]))
-    add_nodewise("state_propagator", base,
-                 lambda i: frobenius(bundle.psi[i] - bundle.u_r[i] @ bundle.psi[0]))
+    add("metric_hermitian", base * HERMITICITY_BUDGET_FACTOR, lambda: hermitian_deviation(g))
+    add("metric_positive_definite", 0.0, lambda: -min_eig_hermitian(g, tol))
+    add("metric_closed_form", base, lambda: frobenius(g - closed_form_metric(bundle, nodes)))
+    add("vielbein_reconstructs_metric", base, lambda: frobenius(adjoint(e) @ e - g))
+    add("vielbein_transport", base, lambda: frobenius(e - bundle.e[0] @ u_l))
+    add("state_propagator", base,
+        lambda: frobenius((bundle.psi[nodes] - u_r @ bundle.psi[0])[..., None]))
 
-    norm0 = rep.expectation_schrodinger(bundle, 0, eye)
-    add_nodewise("norm_conservation", base,
-                 lambda i: abs(rep.expectation_schrodinger(bundle, i, eye) - norm0))
+    def norm_drift():
+        norms = rep.expectation_schrodinger(bundle, nodes, eye)
+        return np.abs(norms - norms[0])  # nodes[0] is node 0
+
+    add("norm_conservation", base, norm_drift)
+
+    # Shared inputs are evaluated once, on first use; an evaluation error is
+    # then reported by every check that needs the input.
+    h_s = functools.cache(lambda: scenario.hamiltonian.assemble_many(ts))
 
     # Zero-gauge generator residual: both terms are built from the same
     # integrated vielbein, so the cancellation is exact up to rounding.
-    def hflat(i):
-        h = scenario.hamiltonian.assemble(bundle.ts[i])
-        de_dt = rhs_vielbein(h, bundle.e[i])
-        return frobenius(rep.hermitized_hamiltonian(h, bundle.e[i], de_dt, tol))
+    add("hermitized_generator_gauge", base, lambda: frobenius(
+        rep.hermitized_hamiltonian(h_s(), e, rhs_vielbein(h_s(), e), tol)))
 
-    add_nodewise("hermitized_generator_gauge", base, hflat)
+    # Heisenberg equation of motion vs a central finite difference of the
+    # transported operator (independent of the commutator path), at the
+    # sampled nodes where the difference fits on the grid; zero elsewhere.
+    delta_nodes = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
+    delta = delta_nodes * bundle.step
+    fd_budget = base + EOM_FD_COEFF * delta**2
+    inner = (nodes >= delta_nodes) & (nodes + delta_nodes < bundle.n_nodes)
+    below, above = nodes[inner] - delta_nodes, nodes[inner] + delta_nodes
+    # Every node a per-observable check reads, and where each lies in it.
+    grid = np.union1d(nodes, np.concatenate([below, above]))
+    at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
 
     # Cross-picture expectation values and spectra, per observable.
     state_h = rep.heisenberg_state(bundle)
     state_hl = rep.heisenberg_like_state(bundle)
+
+    def observable_checks(obs_name, obs):
+        o_grid = functools.cache(lambda: obs.assemble_many(bundle.ts[grid]))
+        o_h_grid = functools.cache(lambda: rep.to_heisenberg(
+            s_op(o_grid(), bundle.ts[grid]), bundle, grid).matrix)
+
+        def o_s():
+            return s_op(o_grid()[at_nodes])
+
+        def o_h():
+            return rep.TaggedOperator(rep.RepresentationTag.H, o_h_grid()[at_nodes], ts)
+
+        def exp_gap_h():
+            return np.abs(rep.expectation_schrodinger(bundle, nodes, o_s().matrix)
+                          - rep.expectation_heisenberg(state_h, o_h()))
+
+        def exp_gap_hl():
+            o_hl = rep.to_heisenberg_like(o_s(), bundle, nodes, tol)
+            return np.abs(rep.expectation_schrodinger(bundle, nodes, o_s().matrix)
+                          - rep.expectation_heisenberg_like(state_hl, o_hl))
+
+        def eom_fd():
+            fd = (o_h_grid()[at_above] - o_h_grid()[at_below]) / (2 * delta)
+            t = ts[inner]
+            h_h = rep.to_heisenberg(s_op(h_s()[inner], t), bundle, nodes[inner])
+            dt_s = s_op(obs.differentiate().assemble_many(t), t)
+            dt_h = rep.to_heisenberg(dt_s, bundle, nodes[inner])
+            obs_h = rep.TaggedOperator(rep.RepresentationTag.H, o_h().matrix[inner], t)
+            residuals = np.zeros(len(nodes))
+            residuals[inner] = frobenius(fd - rep.heisenberg_rhs(obs_h, h_h, dt_h))
+            return residuals
+
+        add(f"expectation_s_vs_h[{obs_name}]", base, exp_gap_h)
+        add(f"expectation_s_vs_hl[{obs_name}]", base, exp_gap_hl)
+        add(f"isospectral_h[{obs_name}]", base,
+            lambda: eigenvalue_match_distance(o_h().matrix, o_s().matrix))
+        add(f"isospectral_hl[{obs_name}]", base,
+            lambda: eigenvalue_match_distance(
+                rep.to_heisenberg_like(o_s(), bundle, nodes, tol).matrix, o_s().matrix))
+        add(f"heisenberg_eom_fd[{obs_name}]", fd_budget, eom_fd)
+
     for obs_name, obs in scenario.observables.items():
-        def exp_gap_h(i, obs=obs):
-            o = obs.assemble(bundle.ts[i])
-            tagged = rep.TaggedOperator(rep.RepresentationTag.S, o, bundle.ts[i])
-            o_h = rep.to_heisenberg(tagged, bundle, i)
-            return abs(rep.expectation_schrodinger(bundle, i, o)
-                       - rep.expectation_heisenberg(state_h, o_h))
-
-        def exp_gap_hl(i, obs=obs):
-            o = obs.assemble(bundle.ts[i])
-            tagged = rep.TaggedOperator(rep.RepresentationTag.S, o, bundle.ts[i])
-            o_hl = rep.to_heisenberg_like(tagged, bundle, i, tol)
-            return abs(rep.expectation_schrodinger(bundle, i, o)
-                       - rep.expectation_heisenberg_like(state_hl, o_hl))
-
-        def spectra_h(i, obs=obs):
-            o = obs.assemble(bundle.ts[i])
-            tagged = rep.TaggedOperator(rep.RepresentationTag.S, o, bundle.ts[i])
-            return eigenvalue_match_distance(rep.to_heisenberg(tagged, bundle, i).matrix, o)
-
-        def spectra_hl(i, obs=obs):
-            o = obs.assemble(bundle.ts[i])
-            tagged = rep.TaggedOperator(rep.RepresentationTag.S, o, bundle.ts[i])
-            return eigenvalue_match_distance(
-                rep.to_heisenberg_like(tagged, bundle, i, tol).matrix, o
-            )
-
-        add_nodewise(f"expectation_s_vs_h[{obs_name}]", base, exp_gap_h)
-        add_nodewise(f"expectation_s_vs_hl[{obs_name}]", base, exp_gap_hl)
-        add_nodewise(f"isospectral_h[{obs_name}]", base, spectra_h)
-        add_nodewise(f"isospectral_hl[{obs_name}]", base, spectra_hl)
-
-        # Heisenberg equation of motion vs a central finite difference of the
-        # transported operator (independent of the commutator path).
-        delta_nodes = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
-        delta = delta_nodes * bundle.step
-        fd_budget = base + EOM_FD_COEFF * delta**2
-
-        def eom_fd(i, obs=obs, dn=delta_nodes, d=delta):
-            if i - dn < 0 or i + dn >= bundle.n_nodes:
-                return 0.0
-            d_obs = obs.differentiate()
-
-            def o_h(j):
-                tagged = rep.TaggedOperator(
-                    rep.RepresentationTag.S, obs.assemble(bundle.ts[j]), bundle.ts[j]
-                )
-                return rep.to_heisenberg(tagged, bundle, j).matrix
-
-            fd = (o_h(i + dn) - o_h(i - dn)) / (2 * d)
-            t = bundle.ts[i]
-            h_h = rep.TaggedOperator(
-                rep.RepresentationTag.H,
-                bundle.u_l[i] @ scenario.hamiltonian.assemble(t) @ bundle.u_r[i],
-                t,
-            )
-            dt_h = rep.TaggedOperator(
-                rep.RepresentationTag.H,
-                bundle.u_l[i] @ d_obs.assemble(t) @ bundle.u_r[i],
-                t,
-            )
-            obs_h = rep.TaggedOperator(rep.RepresentationTag.H, o_h(i), t)
-            return frobenius(fd - rep.heisenberg_rhs(obs_h, h_h, dt_h))
-
-        add_nodewise(f"heisenberg_eom_fd[{obs_name}]", fd_budget, eom_fd)
+        observable_checks(obs_name, obs)
 
     # Commutator transport for operator pairs (2-level systems only).
     for pair_name, a, b in _pauli_pairs(bundle.dim):
-        def comm(i, a=a, b=b):
-            oa = rep.TaggedOperator(rep.RepresentationTag.S, a, bundle.ts[i])
-            ob = rep.TaggedOperator(rep.RepresentationTag.S, b, bundle.ts[i])
-            return rep.commutator_transport_check(oa, ob, bundle, i)
-
-        add_nodewise(f"commutator_transport[{pair_name}]", base, comm)
+        add(f"commutator_transport[{pair_name}]", base,
+            lambda a=a, b=b: rep.commutator_transport_check(s_op(a), s_op(b), bundle, nodes))
 
     # Conventional-transport negative control: for a genuinely non-Hermitian
     # Hamiltonian this check is EXPECTED to fail (that is the point).
     if bundle.dim == 2:
-        def naive_control():
-            t_target = min(bundle.ts[0] + 1.0, bundle.ts[-1])
-            i = min(int(round((t_target - bundle.ts[0]) / bundle.step)), bundle.n_nodes - 1)
-            oa = rep.TaggedOperator(rep.RepresentationTag.S, SIGMA_X, bundle.ts[i])
-            ob = rep.TaggedOperator(rep.RepresentationTag.S, SIGMA_Y, bundle.ts[i])
-            naive_control.context = f"node {i}"
-            return rep.naive_commutator_residual(oa, ob, bundle, i)
-
-        naive_control.context = ""
-        suite.add("conventional_dagger_transport", "su(2) pair near t0+1", base, naive_control)
+        t_target = min(bundle.ts[0] + 1.0, bundle.ts[-1])
+        i = min(int(round((t_target - bundle.ts[0]) / bundle.step)), bundle.n_nodes - 1)
+        near = np.array([i])
+        add("conventional_dagger_transport", base,
+            lambda: rep.naive_commutator_residual(
+                s_op(SIGMA_X, bundle.ts[near]), s_op(SIGMA_Y, bundle.ts[near]), bundle, near),
+            at=near, context="su(2) pair near t0+1")
 
     summary = {
         "total": len(results),

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import SchemaError
 from .matops import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .model import (
-    HamiltonianSpec,
     IntegratorConfig,
     MetricInit,
     OperatorSpec,
@@ -46,7 +45,7 @@ def _base_kwargs(t0, t1, step):
     )
 
 
-def _dimer_hamiltonian(s: float, gamma: float) -> HamiltonianSpec:
+def _dimer_hamiltonian(s: float, gamma: float) -> OperatorSpec:
     return OperatorSpec(
         [
             ProfileTerm.parse(repr(float(s)), SIGMA_X),

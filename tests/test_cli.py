@@ -12,7 +12,12 @@ from metricbundle.cli import (
     EXIT_VERIFY,
     main,
 )
-from metricbundle.model import load_scenario, save_scenario, scenario_from_json_dict
+from metricbundle.model import (
+    load_scenario,
+    save_scenario,
+    scenario_from_json_dict,
+    scenario_to_json_dict,
+)
 from metricbundle.zoo import get_demo
 
 
@@ -98,6 +103,44 @@ class TestVerify:
         assert run("verify", str(path)) == EXIT_SCENARIO
         err = capsys.readouterr().err
         assert "broken phase" in err and "error[schema]:" in err
+
+
+class TestMalformedTimes:
+    # (field, value, extra flags): a scenario field set to value, or flags alone.
+    MALFORMED = [
+        ("step", float("nan"), ()),
+        ("step", "0.01", ()),
+        ("step", float("inf"), ()),
+        ("step", True, ()),
+        ("max_steps", "10", ()),
+        ("max_steps", True, ()),
+        ("max_steps", 2.5, ()),
+        ("t0", float("-inf"), ()),
+        ("t1", float("inf"), ()),
+        (None, None, ("--t1", "inf")),
+        (None, None, ("--step", "inf")),
+        (None, None, ("--t0=-inf",)),
+    ]
+
+    @pytest.mark.parametrize("field, value, flags", MALFORMED)
+    def test_is_schema_error(self, tmp_path, capsys, field, value, flags):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=1.0))
+        if field in ("step", "max_steps"):
+            doc["integrator"][field] = value
+        elif field is not None:
+            doc[field] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("evolve", str(path), "-o", str(tmp_path / "x.csv"), *flags) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_step_longer_than_span_is_one_step(self, tmp_path):
+        out = tmp_path / "x.csv"
+        flags = ("--t1", "1", "--step", "5")
+        assert run("evolve", "demo:hermitian-rabi", "-o", str(out), *flags) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 3  # header and two nodes
 
 
 class TestSpectrum:

@@ -7,15 +7,11 @@ from scipy.linalg import expm
 from conftest import G_PT
 from metricbundle.errors import NonFiniteError, StepLimitExceededError
 from metricbundle.evolution import (
+    _rhs,
     bundle_from_json_dict,
     bundle_to_json_dict,
     closed_form_metric,
     integrate,
-    rhs_left_prop,
-    rhs_metric,
-    rhs_right_prop,
-    rhs_state,
-    rhs_vielbein,
 )
 from metricbundle.matops import SIGMA_X, SIGMA_Z
 from metricbundle.model import IntegratorConfig
@@ -24,28 +20,36 @@ from metricbundle.zoo import get_demo
 H_PT = SIGMA_X + 0.5j * SIGMA_Z
 
 
+def channel_rates(h, psi=(1.0, 0.0), u_r=None, u_l=None, g=None, e=None):
+    """d/dt of (psi, U_R, U_L, G, E) from the integrator's one RHS definition."""
+    eye = np.eye(2, dtype=complex)
+    rge = np.stack([eye if m is None else np.asarray(m, dtype=complex) for m in (u_l, g, e)])
+    dpsi, du_r, drge = _rhs(h, np.asarray(psi, dtype=complex), eye if u_r is None else u_r, rge)
+    return dpsi, du_r, drge[0], drge[1], drge[2]
+
+
 class TestRightHandSides:
     def test_state(self):
-        psi = np.array([1.0, 0.0], dtype=complex)
-        assert np.array_equal(rhs_state(SIGMA_X, psi), np.array([0.0, -1j]))
+        dpsi = channel_rates(SIGMA_X)[0]
+        assert np.array_equal(dpsi, np.array([0.0, -1j]))
 
     def test_metric_hermitian_h_identity_metric_is_static(self):
-        assert np.array_equal(rhs_metric(SIGMA_X, np.eye(2)), np.zeros((2, 2)))
+        assert np.array_equal(channel_rates(SIGMA_X)[3], np.zeros((2, 2)))
 
     def test_metric_stationary_pt(self):
         # G_PT intertwines H and adj(H), so the metric flow vanishes on it.
-        assert np.max(np.abs(rhs_metric(H_PT, G_PT))) <= 1e-15
+        assert np.max(np.abs(channel_rates(H_PT, g=G_PT)[3])) <= 1e-15
 
     def test_metric_generic(self):
-        g = np.eye(2, dtype=complex)
         expected = 1j * (H_PT - H_PT.conj().T)
-        assert np.allclose(rhs_metric(H_PT, g), expected)
+        assert np.allclose(channel_rates(H_PT)[3], expected)
 
     def test_propagators_are_opposite_sided(self):
         u = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        assert np.allclose(rhs_right_prop(H_PT, u), -1j * H_PT @ u)
-        assert np.allclose(rhs_left_prop(H_PT, u), 1j * u @ H_PT)
-        assert np.allclose(rhs_vielbein(H_PT, u), rhs_left_prop(H_PT, u))
+        _, du_r, du_l, _, de = channel_rates(H_PT, u_r=u, u_l=u, e=u)
+        assert np.allclose(du_r, -1j * H_PT @ u)
+        assert np.allclose(du_l, 1j * u @ H_PT)
+        assert np.array_equal(de, du_l)
 
 
 class TestAgainstMatrixExponential:

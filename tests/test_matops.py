@@ -19,10 +19,11 @@ from metricbundle.matops import (
     cholesky_upper,
     eigenvalue_match_distance,
     eigenvalues,
+    frobenius,
     hermitian_deviation,
     inverse,
     min_eig_hermitian,
-    mul,
+    sorted_eigenvalues,
 )
 from conftest import COS_ALPHA, G_PT, SIN_ALPHA
 
@@ -35,19 +36,15 @@ def random_matrix(seed: int, dim: int = 3) -> np.ndarray:
 class TestMul:
     def test_identity(self):
         a = random_matrix(1, 2)
-        assert np.allclose(mul(np.eye(2), a), a)
+        assert np.allclose(np.eye(2) @ a, a)
 
     def test_inverse_product(self):
         a = np.array([[2.0, 1.0], [0.5, 3.0]], dtype=complex)
-        assert np.linalg.norm(mul(a, inverse(a)) - np.eye(2)) <= 1e-12
+        assert np.linalg.norm(a @ inverse(a) - np.eye(2)) <= 1e-12
 
     def test_pauli_product(self):
         # sigma_x sigma_z = -i sigma_y, by direct expansion
-        assert np.allclose(mul(SIGMA_X, SIGMA_Z), -1j * SIGMA_Y)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            mul(np.eye(2), np.eye(3))
+        assert np.allclose(SIGMA_X @ SIGMA_Z, -1j * SIGMA_Y)
 
 
 class TestAdjoint:
@@ -155,6 +152,36 @@ class TestMinEigHermitian:
             min_eig_hermitian(SIGMA_X + 1j * SIGMA_Z)
 
 
+class TestStacks:
+    """A (nodes, d, d) stack gives, per matrix, what the kernel gives for that matrix."""
+
+    @pytest.mark.parametrize("kernel", [
+        frobenius,
+        hermitian_deviation,
+        inverse,
+        sorted_eigenvalues,
+        lambda m: min_eig_hermitian(adjoint(m) @ m),
+        lambda m: eigenvalue_match_distance(m, 2 * m),
+    ])
+    def test_matches_per_matrix(self, kernel):
+        stack = np.stack([random_matrix(seed) + 3 * np.eye(3) for seed in range(5)])
+        stacked = kernel(stack)
+        for k, m in enumerate(stack):
+            assert np.allclose(stacked[k], kernel(m), rtol=1e-14, atol=0.0)
+
+    def test_error_describes_first_bad_matrix(self):
+        singular = np.stack([np.eye(2), np.diag([3.0, 0.0]), np.diag([2.0, 0.0])])
+        with pytest.raises(SingularMatrixError, match=r"sigma_min=0\.000e\+00, sigma_max=3\.000e\+00"):
+            inverse(singular)
+        skew = np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], [[1.0, 4.0], [0.0, 1.0]]])
+        with pytest.raises(NotHermitianError, match=r"deviation 1\.155e\+00"):
+            min_eig_hermitian(skew)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            inverse(np.ones((3, 2, 4)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000), dim=st.integers(1, 6))
 def test_similarity_preserves_spectrum(seed, dim):
@@ -182,7 +209,7 @@ def test_cholesky_reconstructs_random_pd(seed, dim):
 @given(seed=st.integers(0, 10_000))
 def test_adjoint_product_rule(seed):
     a, b = random_matrix(seed), random_matrix(seed + 1)
-    assert np.allclose(adjoint(mul(a, b)), mul(adjoint(b), adjoint(a)), atol=1e-13)
+    assert np.allclose(adjoint(a @ b), adjoint(b) @ adjoint(a), atol=1e-13)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from metricbundle.evolution import bundle_from_json_dict, bundle_to_json_dict, integrate
+from metricbundle.model import (
+    IntegratorConfig,
+    MetricInit,
+    OperatorSpec,
+    ProfileTerm,
+    Scenario,
+    constant_operator,
+)
 from metricbundle.verify import (
     BUDGET_ROUNDING_COEFF,
     BUDGET_STEP_COEFF,
@@ -11,7 +20,7 @@ from metricbundle.verify import (
     render_table,
     run_suite,
 )
-from metricbundle.zoo import get_demo
+from metricbundle.zoo import builtin_models, get_demo
 
 EPS = float(np.finfo(float).eps)
 
@@ -141,3 +150,118 @@ class TestReportShape:
         for c in tight.checks:
             if c.budget > 0:
                 assert by_name[c.name].budget == pytest.approx(100.0 * c.budget)
+
+
+class TestErrorPath:
+    def test_singular_vielbein_is_reported_at_its_first_node(self):
+        scenario = get_demo("pt-dimer-unbroken", t1=0.5, step=0.01)  # nodes 0, 10, ..., 50
+        bundle = integrate(scenario)
+        e = bundle.e.copy()
+        e[20] = np.diag([3.0, 0.0])
+        e[40] = np.diag([2.0, 0.0])
+        clean = {c.name: c for c in run_suite(bundle, scenario).checks}
+        report = run_suite(dataclasses.replace(bundle, e=e), scenario)
+
+        error = ("SingularMatrixError: condition number exceeds cap 1.0e+12 "
+                 "(sigma_min=0.000e+00, sigma_max=3.000e+00)")
+        inverts_e = ("expectation_s_vs_hl", "isospectral_hl", "hermitized_generator_gauge")
+        reads_e = ("vielbein_reconstructs_metric", "vielbein_transport")
+        errored = [c for c in report.checks if c.name.startswith(inverts_e)]
+        assert len(errored) == 2 * len(scenario.observables) + 1
+        for c in errored:
+            assert (c.residual, c.passed, c.context, c.error) == (
+                float("inf"), False, "max over 6 nodes", error), c.name
+        for c in report.checks:
+            if c.name in reads_e:
+                assert not c.passed and not c.error and c.context in ("node 20", "node 40")
+            elif not c.name.startswith(inverts_e):
+                assert c == clean[c.name]
+
+
+def _pt_chain(n: int = 8, gamma: float = 0.4) -> Scenario:
+    hopping = np.diag(np.ones(n - 1), 1)
+    hopping = hopping + hopping.T
+    gain_loss = np.zeros((n, n), dtype=complex)
+    gain_loss[0, 0], gain_loss[-1, -1] = 1j, -1j
+    position = np.diag(np.arange(n) - (n - 1) / 2)
+    weights = np.linspace(1.0, 2.0, n)
+    return Scenario(
+        hamiltonian=OperatorSpec([
+            ProfileTerm.parse("-1.0", hopping),
+            ProfileTerm.parse(repr(gamma), gain_loss),
+        ]),
+        metric_init=MetricInit("stationary"),
+        psi0=(weights / np.linalg.norm(weights)).astype(complex),
+        observables={
+            "position": constant_operator(position),
+            "drifting": OperatorSpec([
+                ProfileTerm.parse("cos(t)", position),
+                ProfileTerm.parse("sin(2 * t)", hopping),
+            ]),
+        },
+        t0=0.0,
+        t1=0.75,
+        integrator=IntegratorConfig(step=1e-3),
+        name=f"pt-chain-{n}",
+    )
+
+
+def per_node_reference(bundle, scenario, node_stride=10):
+    """Worst residual and node of four check families, one node at a time."""
+    n = bundle.n_nodes
+    nodes = list(range(0, n, node_stride))
+    if nodes[-1] != n - 1:
+        nodes.append(n - 1)
+    eye = np.eye(bundle.dim)
+    dn = max(1, min(node_stride, (n - 1) // 2))
+
+    def spectral_distance(a, b):
+        return np.max(np.abs(np.sort_complex(np.linalg.eigvals(a))
+                             - np.sort_complex(np.linalg.eigvals(b))))
+
+    def o_h(obs, j):
+        return bundle.u_l[j] @ obs.assemble(bundle.ts[j]) @ bundle.u_r[j]
+
+    def eom_fd(i, obs, d_obs):
+        if i - dn < 0 or i + dn >= n:
+            return 0.0
+        fd = (o_h(obs, i + dn) - o_h(obs, i - dn)) / (2 * dn * bundle.step)
+        u_l, u_r, t = bundle.u_l[i], bundle.u_r[i], bundle.ts[i]
+        h_h = u_l @ scenario.hamiltonian.assemble(t) @ u_r
+        o = o_h(obs, i)
+        return np.linalg.norm(fd - (1j * (h_h @ o - o @ h_h) + u_l @ d_obs.assemble(t) @ u_r))
+
+    families = {
+        "propagator_inverse_left":
+            lambda i: np.linalg.norm(bundle.u_l[i] @ bundle.u_r[i] - eye),
+        "metric_positive_definite":
+            lambda i: -np.linalg.eigvalsh(0.5 * (bundle.g[i] + bundle.g[i].conj().T))[0],
+    }
+    for name, obs in scenario.observables.items():
+        families[f"isospectral_hl[{name}]"] = lambda i, obs=obs: spectral_distance(
+            bundle.e[i] @ obs.assemble(bundle.ts[i]) @ np.linalg.inv(bundle.e[i]),
+            obs.assemble(bundle.ts[i]))
+        families[f"heisenberg_eom_fd[{name}]"] = (
+            lambda i, obs=obs, d_obs=obs.differentiate(): eom_fd(i, obs, d_obs))
+
+    worst = {}
+    for name, residual in families.items():
+        value, at = -float("inf"), nodes[0]
+        for i in nodes:
+            r = residual(i)
+            if r > value:
+                value, at = r, i
+        worst[name] = (value, f"node {at}")
+    return worst
+
+
+@pytest.mark.parametrize("name", [*sorted(builtin_models()), "pt-chain-8"])
+def test_stacked_checks_match_per_node_loop(name):
+    scenario = _pt_chain() if name == "pt-chain-8" else get_demo(name, t1=0.75)
+    bundle = integrate(scenario)
+    checks = {c.name: c for c in run_suite(bundle, scenario).checks}
+    for name, (residual, context) in per_node_reference(bundle, scenario).items():
+        c = checks[name]
+        assert not c.error, name
+        assert abs(c.residual - residual) <= 1e-12 * max(1.0, abs(residual)), name
+        assert c.context == context, name
