@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -129,6 +130,12 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 < args.tolerance_scale < math.inf:
+        _error("usage", f"--tolerance-scale must be finite and > 0, got {args.tolerance_scale}")
+        return EXIT_USAGE
+    if args.node_stride < 1:
+        _error("usage", f"--node-stride must be at least 1, got {args.node_stride}")
+        return EXIT_USAGE
     scenario = _resolve_scenario(args.scenario, args)
     bundle = integrate(scenario, DEFAULT_TOL)
     report = run_suite(
@@ -160,10 +167,10 @@ def _cmd_spectrum(args) -> int:
         times = [float(x) for x in args.times.split(",") if x.strip()]
     except ValueError as exc:
         raise SchemaError(f"bad --times value: {exc}", "") from exc
-    rows = []
-    for t in times:
-        vals = sorted_eigenvalues(obs.assemble(t))
-        rows.append((t, vals))
+    bad = [t for t in times if not math.isfinite(t)]
+    if bad:
+        raise SchemaError(f"bad --times value: {bad[0]!r} is not finite", "")
+    rows = zip(times, sorted_eigenvalues(obs.assemble_many(times)))
     if args.output:
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -185,17 +192,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    overrides = {}
-    for key in ("s", "gamma"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.step is not None:
-        overrides["step"] = args.step
-    if args.t0 is not None:
-        overrides["t0"] = args.t0
-    if args.t1 is not None:
-        overrides["t1"] = args.t1
+    overrides = {
+        key: getattr(args, key)
+        for key in ("s", "gamma", "step", "t0", "t1")
+        if getattr(args, key) is not None
+    }
     scenario = get_demo(args.name, **overrides)
     doc = json.dumps(scenario_to_json_dict(scenario), indent=2) + "\n"
     if args.output:

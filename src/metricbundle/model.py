@@ -10,7 +10,7 @@ A scenario file is a single JSON document; complex numbers are always
       "psi0": [[1,0],[0,0]],
       "observables": {"sigma_z": <matrix>, "driven": [{"coeff": ..., "matrix": ...}]},
       "t0": 0.0, "t1": 10.0,
-      "integrator": {"method": "rk4", "step": 0.001},
+      "integrator": {"method": "rk4", "step": 0.001},   # "rk4" is the only method
       "name": optional, "expected_failures": optional [check-name prefixes]
     }
 
@@ -20,6 +20,7 @@ verbatim and floats survive JSON via repr.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -88,32 +89,22 @@ class OperatorSpec:
                 raise DimensionMismatchError("term matrices must share one dimension")
         self.terms = terms
         self.dim = dim
-        self._constant = None
-        if all(isinstance(t.expr, profile.Const) for t in terms):
-            self._constant = sum(
-                t.expr.value * t.matrix for t in terms  # type: ignore[union-attr]
-            )
 
     def assemble(self, t: float) -> np.ndarray:
-        if self._constant is not None:
-            return self._constant
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for term in self.terms:
-            out += profile.eval_profile(term.expr, t) * term.matrix
-        return out
+        """M(t) at one time: assemble_many at that time."""
+        return self.assemble_many([t])[0]
 
     def assemble_many(self, ts) -> np.ndarray:
         """M(t) at each of the times ts, shape (len(ts), dim, dim).
 
-        A constant operator gives its one matrix broadcast over the times,
-        without copies.
+        Each term's profile is evaluated once over all the times. A constant
+        operator gives its one matrix broadcast over the times, without copies.
         """
-        if self._constant is not None:
+        if self.is_constant():
             return np.broadcast_to(self._constant, (len(ts), self.dim, self.dim))
         out = np.zeros((len(ts), self.dim, self.dim), dtype=complex)
         for term in self.terms:
-            coeffs = np.array([profile.eval_profile(term.expr, t) for t in ts], dtype=float)
-            out += coeffs[:, None, None] * term.matrix
+            out += profile.eval_profile(term.expr, ts)[:, None, None] * term.matrix
         return out
 
     def differentiate(self) -> "OperatorSpec":
@@ -125,7 +116,13 @@ class OperatorSpec:
         return OperatorSpec(terms)
 
     def is_constant(self) -> bool:
-        return self._constant is not None
+        """True when no term depends on t (e.g. "-1.0" or "2^3", not only literals)."""
+        return not any(profile.contains_time(t.expr) for t in self.terms)
+
+    @functools.cached_property
+    def _constant(self) -> np.ndarray:
+        # Evaluated on first use, so a term that fails to evaluate fails there.
+        return sum(profile.eval_profile(t.expr, 0.0) * t.matrix for t in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorSpec):
@@ -168,12 +165,12 @@ def _require_finite_number(value, pointer: str) -> None:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"  # rk4 | rk4_richardson
+    method: str = "rk4"  # the only method: classic fourth-order Runge-Kutta
     step: float = 1e-3
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk4_richardson"):
+        if self.method != "rk4":
             raise SchemaError(f"unknown method {self.method!r}", "/integrator/method")
         _require_finite_number(self.step, "/integrator/step")
         if self.step <= 0:

@@ -17,9 +17,11 @@ folded at parse time so differentiation stays in the language.
 
 from __future__ import annotations
 
-import math
+import operator
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     EvalError,
@@ -38,11 +40,13 @@ __all__ = [
     "Call",
     "parse_profile",
     "eval_profile",
+    "contains_time",
     "print_profile",
     "differentiate",
 ]
 
-FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh}
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,7 @@ class _Parser:
 
 
 def _fold_integer_exponent(node: ProfileExpr, offset: int) -> int:
-    if _contains_time(node):
+    if contains_time(node):
         raise ProfileSyntaxError("exponent must not depend on t", offset)
     value = eval_profile(node, 0.0)
     rounded = round(value)
@@ -208,14 +212,15 @@ def _fold_integer_exponent(node: ProfileExpr, offset: int) -> int:
     return int(rounded)
 
 
-def _contains_time(node: ProfileExpr) -> bool:
+def contains_time(node: ProfileExpr) -> bool:
+    """True when the expression depends on t."""
     match node:
         case TimeVar():
             return True
         case Neg(arg=a) | Call(arg=a) | Pow(base=a):
-            return _contains_time(a)
+            return contains_time(a)
         case BinOp(left=l, right=r):
-            return _contains_time(l) or _contains_time(r)
+            return contains_time(l) or contains_time(r)
         case _:
             return False
 
@@ -224,50 +229,55 @@ def parse_profile(text: str) -> ProfileExpr:
     return _Parser(text).parse()
 
 
-def eval_profile(node: ProfileExpr, t: float) -> float:
-    if not math.isfinite(t):
-        raise EvalError("t must be finite", 0)
-    return _eval(node, t)
+def eval_profile(node: ProfileExpr, t):
+    """Value of node at t: a float for a float t, an array for an array of times.
+
+    A float is evaluated as a one-element array. When some times fail, the
+    EvalError is that of the first failing time, at the first failing node in
+    evaluation order (children left to right, then the node itself).
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    faults: list = []
+    _fault(faults, ~np.isfinite(times), "t must be finite", 0)
+    with np.errstate(all="ignore"):
+        out = np.broadcast_to(_eval(node, times, faults), times.shape)
+    if faults:
+        raise EvalError(*min(faults)[2:])
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _eval(node: ProfileExpr, t: float) -> float:
+def _eval(node: ProfileExpr, t: np.ndarray, faults: list):
+    """Values over the times t; failing checks are recorded in faults."""
     match node:
         case Const(value=v):
-            return v
+            out = np.float64(v)
         case TimeVar():
-            return t
+            out = t
         case Neg(arg=a):
-            return -_eval(a, t)
+            out = -_eval(a, t, faults)
         case BinOp(op=op, left=l, right=r, offset=offset):
-            lv, rv = _eval(l, t), _eval(r, t)
-            if op == "+":
-                out = lv + rv
-            elif op == "-":
-                out = lv - rv
-            elif op == "*":
-                out = lv * rv
-            else:
-                if rv == 0.0:
-                    raise EvalError("division by zero", offset)
-                out = lv / rv
+            lv, rv = _eval(l, t, faults), _eval(r, t, faults)
+            if op == "/":
+                _fault(faults, rv == 0.0, "division by zero", offset)
+            out = _BINOPS[op](lv, rv)
         case Pow(base=b, exponent=n, offset=offset):
-            bv = _eval(b, t)
-            if bv == 0.0 and n < 0:
-                raise EvalError("zero raised to a negative power", offset)
-            try:
-                out = bv**n
-            except OverflowError as exc:
-                raise EvalError(f"overflow in power: {exc}", offset) from exc
-        case Call(func=f, arg=a, offset=offset):
-            try:
-                out = FUNCTIONS[f](_eval(a, t))
-            except (OverflowError, ValueError) as exc:
-                raise EvalError(f"{f}: {exc}", offset) from exc
+            bv = _eval(b, t, faults)
+            if n < 0:
+                _fault(faults, bv == 0.0, "zero raised to a negative power", offset)
+            out = bv**n
+        case Call(func=f, arg=a):
+            out = FUNCTIONS[f](_eval(a, t, faults))
         case _:
             raise TypeError(f"not a profile node: {node!r}")
-    if not math.isfinite(out):
-        raise EvalError("non-finite value", getattr(node, "offset", 0))
+    _fault(faults, ~np.isfinite(out), "non-finite value", getattr(node, "offset", 0))
     return out
+
+
+def _fault(faults: list, mask, message: str, offset: int) -> None:
+    """Record a failing check as (first failing time, evaluation order, error)."""
+    # A 0-d mask comes from a subtree without t; it fails at every time, index 0.
+    if mask.any():
+        faults.append((int(np.argmax(mask)), len(faults), message, offset))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}

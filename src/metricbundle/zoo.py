@@ -9,6 +9,7 @@ phase, no positive-definite stationary metric).
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 import numpy as np
@@ -168,4 +169,8 @@ def get_demo(name: str, **overrides) -> Scenario:
             f"unknown demo model {name!r}; available: {', '.join(sorted(models))}",
             "/name",
         )
-    return models[name](**overrides)
+    factory = models[name]
+    unknown = sorted(set(overrides) - set(inspect.signature(factory).parameters))
+    if unknown:
+        raise SchemaError(f"demo {name!r} takes no parameter {unknown[0]!r}", "")
+    return factory(**overrides)

@@ -93,6 +93,25 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert "error[verify]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tolerance-scale", "inf"),
+        ("--tolerance-scale", "-inf"),
+        ("--tolerance-scale", "nan"),
+        ("--tolerance-scale", "0"),
+        ("--tolerance-scale", "-1"),
+        ("--node-stride", "0"),
+        ("--node-stride", "-5"),
+    ])
+    def test_invalid_suite_settings_are_usage_errors(self, capsys, monkeypatch, flag, value):
+        def no_integration(*args):
+            raise AssertionError("integrated before validating the flags")
+
+        monkeypatch.setattr("metricbundle.cli.integrate", no_integration)
+        assert run("verify", "demo:pt-dimer-unbroken", f"{flag}={value}") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]:") and err.count("\n") == 1
+        assert flag in err
+
     def test_stationary_metric_on_broken_phase_is_exit_2(self, tmp_path, capsys):
         scenario = get_demo("pt-dimer-unbroken")
         path = tmp_path / "bad.json"
@@ -165,6 +184,19 @@ class TestSpectrum:
         assert [float(r["ev0_re"]) for r in rows] == [-1.0, -1.0]
         assert [float(r["ev1_re"]) for r in rows] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scenario, observable", [
+        ("demo:hermitian-rabi", "sigma_z"),
+        ("demo:time-dependent-observable", "rotating"),
+    ])
+    def test_nonfinite_time_is_schema_error(self, capsys, scenario, observable, value):
+        code = run("spectrum", scenario, "--observable", observable, "--times", f"0,{value}")
+        assert code == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[schema]:") and captured.err.count("\n") == 1
+        assert "not finite" in captured.err
+
     def test_unknown_observable(self, capsys):
         code = run(
             "spectrum", "demo:pt-dimer-unbroken", "--observable", "nope", "--times", "0"
@@ -196,6 +228,14 @@ class TestDemo:
 
     def test_unknown_demo_name(self, capsys):
         assert run("demo", "no-such-model") == EXIT_SCENARIO
+
+    @pytest.mark.parametrize("name", ["hermitian-rabi", "pt-ep"])
+    def test_parameter_the_demo_does_not_take(self, capsys, name):
+        assert run("demo", name, "--gamma", "1") == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[schema]:") and captured.err.count("\n") == 1
+        assert "'gamma'" in captured.err
 
 
 class TestUsage:

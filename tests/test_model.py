@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import G_PT
 from metricbundle.errors import (
+    EvalError,
     NoPositiveDefiniteSolutionError,
     SchemaError,
 )
@@ -48,6 +49,21 @@ class TestAssemble:
         for t in (0.0, 0.3, 2.0):
             separate = OperatorSpec([a]).assemble(t) + OperatorSpec([b]).assemble(t)
             assert np.array_equal(joint.assemble(t), separate)
+
+    def test_time_free_expressions_are_constant(self):
+        spec = OperatorSpec(
+            [ProfileTerm.parse("-1.0", SIGMA_X), ProfileTerm.parse("2^3 / 4", SIGMA_Z)]
+        )
+        assert spec.is_constant()
+        many = spec.assemble_many(np.linspace(0.0, 1.0, 5))
+        assert many.strides[0] == 0  # one matrix broadcast over the times
+        assert np.array_equal(many[3], -SIGMA_X + 2.0 * SIGMA_Z)
+        assert not OperatorSpec([ProfileTerm.parse("0 * t", SIGMA_X)]).is_constant()
+
+    def test_constant_term_that_fails_fails_where_used(self):
+        spec = OperatorSpec([ProfileTerm.parse("1 / (1 - 1)", SIGMA_X)])
+        with pytest.raises(EvalError):
+            spec.assemble(0.0)
 
     def test_differentiate(self):
         spec = OperatorSpec([ProfileTerm.parse("sin(t)", SIGMA_X)])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,27 @@ class TestEval:
         with pytest.raises(EvalError):
             eval_profile(parse_profile("t"), math.inf)
 
+    def test_float_in_float_out_array_in_array_out(self):
+        node = parse_profile("2*t")
+        assert type(eval_profile(node, 1.5)) is float
+        assert type(eval_profile(node, np.float64(1.5))) is float
+        values = eval_profile(node, np.array([0.0, 1.5]))
+        assert isinstance(values, np.ndarray) and values.tolist() == [0.0, 3.0]
+
+    def test_constant_over_times_has_their_shape(self):
+        assert eval_profile(parse_profile("2"), np.zeros(3)).tolist() == [2.0, 2.0, 2.0]
+
+    def test_array_error_is_that_of_first_failing_time(self):
+        # exp overflows from t=1 on; the division (earlier in evaluation
+        # order) fails only at t=2. The first failing time decides.
+        node = parse_profile("1/(t - 2) + exp(1000*t)")
+        with pytest.raises(EvalError) as err:
+            eval_profile(node, np.array([0.0, 1.0, 2.0]))
+        assert str(err.value) == "non-finite value (at offset 12)"
+        with pytest.raises(EvalError) as err:
+            eval_profile(node, np.array([0.0, 2.0, 1.0]))
+        assert str(err.value) == "division by zero (at offset 1)"
+
 
 # AST strategy for the round-trip property
 def _exprs():
@@ -124,6 +146,39 @@ def _exprs():
 @given(node=_exprs())
 def test_print_parse_round_trip(node):
     assert parse_profile(print_profile(node)) == node
+
+
+_times = st.lists(
+    st.one_of(
+        st.floats(-20.0, 20.0, allow_nan=False),
+        st.sampled_from([0.0, 1.0, -1.0]),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _eval_or_error(node, t):
+    try:
+        return eval_profile(node, t)
+    except EvalError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_exprs(), times=_times)
+def test_array_evaluation_matches_each_time(node, times):
+    # Printing and parsing back gives every node its source offset.
+    node = parse_profile(print_profile(node))
+    each = [_eval_or_error(node, t) for t in times]
+    whole = _eval_or_error(node, np.array(times))
+    errors = [v for v in each if isinstance(v, EvalError)]
+    if errors:
+        assert isinstance(whole, EvalError)
+        assert (whole.offset, str(whole)) == (errors[0].offset, str(errors[0]))
+    else:
+        assert whole.tolist() == each
 
 
 @settings(max_examples=100, deadline=None)
