@@ -24,6 +24,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--node-stride", type=int, default=10)
     args = parser.parse_args()
+    if args.node_stride < 1:
+        print(f"error: --node-stride must be at least 1, got {args.node_stride}", file=sys.stderr)
+        return 2
 
     unexpected = 0
     for name in sorted(builtin_models()):

@@ -7,7 +7,8 @@ Subcommands:
     demo NAME [-o OUT] [overrides]               emit a built-in scenario file
 
 SCENARIO is a JSON file path or "demo:<name>". Exit codes: 0 success,
-1 usage error, 2 scenario validation error, 3 numerical failure,
+1 usage error, 2 scenario validation error, 3 numerical failure (blow-up,
+singular matrix, step limit, eigen-convergence or Cholesky failure),
 4 unexpected verification failure. Diagnostics go to stderr with an
 "error[CODE]:" prefix. Set METRICBUNDLE_LOG to quiet|info|debug.
 """
@@ -28,9 +29,11 @@ import numpy as np
 
 from . import representations as rep
 from .errors import (
+    EigenConvergenceError,
     MetricBundleError,
     NoPositiveDefiniteSolutionError,
     NonFiniteError,
+    NotPositiveDefiniteError,
     SchemaError,
     SingularMatrixError,
     StepLimitExceededError,
@@ -167,6 +170,8 @@ def _cmd_spectrum(args) -> int:
         times = [float(x) for x in args.times.split(",") if x.strip()]
     except ValueError as exc:
         raise SchemaError(f"bad --times value: {exc}", "") from exc
+    if not times:
+        raise SchemaError(f"bad --times value: no times in {args.times!r}", "")
     bad = [t for t in times if not math.isfinite(t)]
     if bad:
         raise SchemaError(f"bad --times value: {bad[0]!r} is not finite", "")
@@ -269,7 +274,13 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _error("schema", str(exc))
         return EXIT_SCENARIO
-    except (NonFiniteError, SingularMatrixError, StepLimitExceededError) as exc:
+    except (
+        NonFiniteError,
+        SingularMatrixError,
+        StepLimitExceededError,
+        EigenConvergenceError,
+        NotPositiveDefiniteError,
+    ) as exc:
         _error("numeric", f"{type(exc).__name__}: {exc}")
         return EXIT_NUMERIC
     except MetricBundleError as exc:

@@ -33,7 +33,10 @@ import numpy as np
 from . import profile
 from .errors import (
     DimensionMismatchError,
+    EigenConvergenceError,
     NoPositiveDefiniteSolutionError,
+    NotHermitianError,
+    NotPositiveDefiniteError,
     SchemaError,
 )
 from .matops import (
@@ -221,109 +224,93 @@ def solve_stationary_metric(
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """Hermitian positive-definite G with G H == adj(H) G, trace-normalized.
 
-    Solved as a nullspace problem in the entries of G. Among Hermitian
-    nullspace elements the solution closest to identity in Frobenius norm is
-    preferred; when that candidate is not positive-definite but H has a real,
-    non-degenerate spectrum, the eigenbasis construction
-    G = adj(inv(V)) inv(V) is used instead. Returns (G, metadata); metadata
-    carries nullspace dimension and a non-uniqueness flag.
+    Solved in the eigenbasis of H (Mostafazadeh, arXiv:0810.5643). With
+    H = V diag(lam) W and W = inv(V), the substitution G = adj(W) X W turns
+    the equation into X_jk (lam_k - conj(lam_j)) = 0. For a real spectrum the
+    Hermitian solutions are therefore the Hermitian X that are block-diagonal
+    over clusters of equal eigenvalues, equal to within
+    max(atol, rtol * max(1, ||H||_F)): one free m x m block per eigenvalue of
+    multiplicity m, a nullspace of real dimension sum m^2. Among them the
+    solution closest to identity in Frobenius norm is preferred; when that
+    candidate is not positive-definite the eigenbasis construction
+    G = adj(W) W (X = I) is used instead. Costs one n x n eigendecomposition
+    plus a linear solve in sum m^2 unknowns.
+    Returns (G, metadata); metadata carries the nullspace dimension, a
+    non-uniqueness flag and the construction used.
 
     Raises NoPositiveDefiniteSolutionError when no positive-definite solution
-    exists (broken phase) or only a singular one does (degenerate, e.g. at an
-    exceptional point).
+    exists (complex spectrum: broken phase) or only a singular one does
+    (coalescing eigenvectors, degenerate=True: e.g. an exceptional point), and
+    EigenConvergenceError when a LAPACK routine fails.
     """
     h = as_matrix(h, "hamiltonian")
-    n = h.shape[0]
     scale = max(1.0, frobenius(h))
-
-    # Row-major vec: vec(G H) = (I (x) H^T) vec(G); vec(H^dag G) = (H^dag (x) I) vec(G).
-    eye = np.eye(n)
-    lin = np.kron(eye, h.T) - np.kron(h.conj().T, eye)
-    _, svals, vh = np.linalg.svd(lin)
-    null_tol = max(tol.atol, tol.rtol * (svals[0] if svals.size else 1.0))
-    null_vecs = [vh[i].conj() for i in range(n * n) if i >= len(svals) or svals[i] <= null_tol]
-    if not null_vecs:
-        raise NoPositiveDefiniteSolutionError(
-            "stationarity equation has no nontrivial solution"
+    cluster_tol = max(tol.atol, tol.rtol * scale)
+    try:
+        vals, vecs = np.linalg.eig(h)
+        if np.max(np.abs(vals.imag)) > cluster_tol:
+            raise NoPositiveDefiniteSolutionError(
+                "spectrum is complex (broken phase); no positive-definite metric"
+            )
+        svals = np.linalg.svd(vecs, compute_uv=False)
+        if svals[-1] <= 0 or svals[0] / svals[-1] > 1e8:
+            raise NoPositiveDefiniteSolutionError(
+                "eigenvectors coalesce (exceptional point); metric is degenerate",
+                degenerate=True,
+            )
+        w = np.linalg.inv(vecs)
+        # Cluster label per eigenvalue: the sorted spectrum split at gaps > tol.
+        order = np.argsort(vals.real)
+        gaps = np.diff(vals.real[order]) > cluster_tol
+        cluster = np.empty(len(vals), dtype=int)
+        cluster[order] = np.concatenate(([0], np.cumsum(gaps)))
+        rows, cols = np.nonzero(cluster[:, None] == cluster[None, :])
+        # Rows of Q: an orthonormal basis of each cluster's left eigenspace
+        # (for a simple spectrum, the normalized rows of W). The solutions do
+        # not depend on that basis, and with it the normal equations below are
+        # no worse conditioned than P = Q adj(Q).
+        q = w / np.linalg.norm(w, axis=1, keepdims=True)
+        for c in np.flatnonzero(np.bincount(cluster) > 1):
+            members = cluster == c
+            q[members] = np.linalg.qr(w[members].conj().T)[0].conj().T
+        # Closest to identity: minimize ||adj(Q) X Q - I|| over X supported on
+        # the cluster blocks; the normal equations are (P X P)_jk = P_jk there.
+        # For a simple spectrum the matrix is |P|^2, elementwise.
+        p = q @ q.conj().T
+        x = np.zeros_like(p)
+        x[rows, cols] = np.linalg.solve(
+            p[np.ix_(rows, rows)] * p[np.ix_(cols, cols)].T, p[rows, cols]
         )
-
-    # The nullspace is closed under adjoint; extract a real basis of its
-    # Hermitian elements.
-    herm_candidates = []
-    for vec in null_vecs:
-        g = vec.reshape(n, n)
-        herm_candidates.append(0.5 * (g + g.conj().T))
-        herm_candidates.append(0.5j * (g - g.conj().T))
-    basis = _real_orthonormal_basis(herm_candidates, tol)
-    if not basis:
-        raise NoPositiveDefiniteSolutionError(
-            "no Hermitian solution of the stationarity equation"
-        )
-    nullspace_dim = len(basis)
-
-    # Least-squares projection of the identity onto the Hermitian nullspace;
-    # if positive-definite this is the closest-to-identity solution.
-    coeffs = [float(np.real(np.vdot(b, eye))) for b in basis]
-    candidate = sum(c * b for c, b in zip(coeffs, basis))
-    metadata = {"nullspace_dim": nullspace_dim, "unique": nullspace_dim == 1}
-
-    g = _accept_candidate(candidate, h, scale, tol)
-    if g is None:
-        g = _eigenbasis_metric(h, scale, tol)
-        metadata["construction"] = "eigenbasis"
-    else:
-        metadata["construction"] = "closest_to_identity"
-    return g, metadata
-
-
-def _real_orthonormal_basis(mats, tol: Tolerance):
-    """Orthonormal basis (real span) of a list of Hermitian matrices."""
-    basis: list[np.ndarray] = []
-    for m in mats:
-        for b in basis:
-            m = m - np.real(np.vdot(b, m)) * b
-        norm = frobenius(m)
-        if norm > max(tol.atol, 1e-10):
-            basis.append(m / norm)
-    return basis
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"stationary metric: {exc}") from exc
+    candidates = {"closest_to_identity": q.conj().T @ x @ q, "eigenbasis": w.conj().T @ w}
+    for construction, candidate in candidates.items():
+        g = _accept_candidate(candidate, h, scale, tol)
+        if g is not None:
+            return g, {
+                "nullspace_dim": len(rows),
+                "unique": len(rows) == 1,
+                "construction": construction,
+            }
+    raise NoPositiveDefiniteSolutionError(
+        "only degenerate (singular) metric solutions exist", degenerate=True
+    )
 
 
 def _accept_candidate(g, h, scale: float, tol: Tolerance):
-    if g is None or frobenius(g) <= max(tol.atol, 1e-10):
+    """Trace-normalized g when it is positive-definite and solves the equation."""
+    if not max(tol.atol, 1e-10) < frobenius(g) < math.inf:
         return None
     g = 0.5 * (g + g.conj().T)
     try:
         if min_eig_hermitian(g, tol) <= tol.atol + 1e-10 * frobenius(g):
             return None
-    except Exception:
+    except (NotHermitianError, EigenConvergenceError):
         return None
     g = g * (g.shape[0] / np.real(np.trace(g)))
     residual = frobenius(g @ h - h.conj().T @ g)
     if residual > 1e-10 * max(1.0, frobenius(g)) * scale:
         return None
-    return g
-
-
-def _eigenbasis_metric(h, scale: float, tol: Tolerance):
-    """Quasi-Hermitian construction G = adj(inv(V)) inv(V) for real spectra."""
-    vals, vecs = np.linalg.eig(h)
-    if np.max(np.abs(vals.imag)) > max(tol.atol, tol.rtol * scale):
-        raise NoPositiveDefiniteSolutionError(
-            "spectrum is complex (broken phase); no positive-definite metric"
-        )
-    svals = np.linalg.svd(vecs, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e8:
-        raise NoPositiveDefiniteSolutionError(
-            "eigenvectors coalesce (exceptional point); metric is degenerate",
-            degenerate=True,
-        )
-    vinv = np.linalg.inv(vecs)
-    g = vinv.conj().T @ vinv
-    g = _accept_candidate(g, h, scale, tol)
-    if g is None:
-        raise NoPositiveDefiniteSolutionError(
-            "only degenerate (singular) metric solutions exist", degenerate=True
-        )
     return g
 
 
@@ -339,7 +326,11 @@ def resolve_initial_metric(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> 
             raise SchemaError("explicit metric is not Hermitian", "/metric/matrix")
         if min_eig_hermitian(g, tol) <= 0:
             raise SchemaError("explicit metric is not positive-definite", "/metric/matrix")
-        cholesky_upper(g, tol)  # also rejects near-singular metrics
+        try:
+            cholesky_upper(g, tol)  # also rejects near-singular metrics
+        except NotPositiveDefiniteError as exc:
+            raise SchemaError(f"explicit metric is not positive-definite: {exc}",
+                              "/metric/matrix") from exc
         return 0.5 * (g + g.conj().T)
     g, _ = solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0), tol)
     return g

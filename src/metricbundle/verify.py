@@ -115,7 +115,7 @@ def scenario_digest(scenario: Scenario) -> str:
 
 
 def _sample_indices(n_nodes: int, stride: int) -> np.ndarray:
-    idx = list(range(0, n_nodes, max(1, stride)))
+    idx = list(range(0, n_nodes, stride))
     if idx[-1] != n_nodes - 1:
         idx.append(n_nodes - 1)
     return np.array(idx)
@@ -142,8 +142,10 @@ def run_suite(
 
     Each check family is evaluated once on the stacked sampled nodes, as one
     residual per node; the report keeps the largest and the first node that
-    attains it.
+    attains it. Raises ValueError when node_stride is below 1.
     """
+    if node_stride < 1:
+        raise ValueError(f"node_stride must be at least 1, got {node_stride}")
     span = float(bundle.ts[-1] - bundle.ts[0])
     base = budget(bundle.step, span, bundle.dim)
     nodes = _sample_indices(bundle.n_nodes, node_stride)

@@ -13,6 +13,10 @@ from metricbundle.cli import (
     main,
 )
 from metricbundle.model import (
+    IntegratorConfig,
+    MetricInit,
+    Scenario,
+    constant_operator,
     load_scenario,
     save_scenario,
     scenario_from_json_dict,
@@ -68,6 +72,41 @@ class TestEvolve:
         )
         assert code == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("error[numeric]:")
+
+    def test_eigen_convergence_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        # pt-dimer-unbroken starts from the stationary metric, solved through eig.
+        code = run("evolve", "demo:pt-dimer-unbroken", "-o", str(tmp_path / "x.csv"))
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error[numeric]: EigenConvergenceError:") and err.count("\n") == 1
+        assert "did not converge" in err
+
+    def test_explicit_metric_cholesky_cannot_factor_is_schema_error(self, tmp_path, capsys):
+        # Smallest eigenvalue 6.8e-16 > 0, yet LAPACK's Cholesky factorization fails.
+        metric = np.array([
+            [1.5300000000000011, 0.72, 0.8549999999999999],
+            [0.72, 5.94, 8.244],
+            [0.8549999999999999, 8.244, 11.4561],
+        ])
+        scenario = Scenario(
+            hamiltonian=constant_operator(np.eye(3)),
+            metric_init=MetricInit("explicit", metric.astype(complex)),
+            psi0=np.array([1, 0, 0], dtype=complex),
+            observables={},
+            t0=0.0,
+            t1=0.01,
+            integrator=IntegratorConfig(),
+        )
+        path = tmp_path / "s.json"
+        save_scenario(scenario, path)
+        assert run("evolve", str(path), "-o", str(tmp_path / "x.csv")) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]: /metric/matrix:") and err.count("\n") == 1
+        assert "cholesky_upper" in err
 
 
 class TestVerify:
@@ -196,6 +235,15 @@ class TestSpectrum:
         assert captured.out == ""
         assert captured.err.startswith("error[schema]:") and captured.err.count("\n") == 1
         assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("times", [",", " "])
+    def test_no_times_is_schema_error(self, capsys, times):
+        code = run("spectrum", "demo:pt-dimer-unbroken", "--observable", "sigma_x",
+                   "--times", times)
+        assert code == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[schema]:") and captured.err.count("\n") == 1
 
     def test_unknown_observable(self, capsys):
         code = run(

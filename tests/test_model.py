@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import G_PT
@@ -11,7 +11,7 @@ from metricbundle.errors import (
     NoPositiveDefiniteSolutionError,
     SchemaError,
 )
-from metricbundle.matops import SIGMA_X, SIGMA_Y, SIGMA_Z, min_eig_hermitian
+from metricbundle.matops import DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, min_eig_hermitian
 from metricbundle.model import (
     MetricInit,
     OperatorSpec,
@@ -72,27 +72,102 @@ class TestAssemble:
         assert np.allclose(d.assemble(t), np.cos(t) * SIGMA_X)
 
 
-def _stationary_nullspace_oracle(h: np.ndarray) -> list[np.ndarray]:
-    """Brute-force: solve G H - adj(H) G = 0 over the 4-real-parameter
-    Hermitian ansatz for 2x2 H, via an explicitly assembled real system."""
-    basis = [
-        np.array([[1, 0], [0, 0]], dtype=complex),
-        np.array([[0, 0], [0, 1]], dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-    ]
-    rows = []
-    for b in basis:
-        r = b @ h - h.conj().T @ b
-        rows.append(np.concatenate([r.real.ravel(), r.imag.ravel()]))
-    system = np.array(rows).T  # (8, 4) real
-    _, svals, vt = np.linalg.svd(system)
-    out = []
-    for i in range(4):
-        if i >= len(svals) or svals[i] <= 1e-10:
-            coeffs = vt[i]
-            out.append(sum(c * b for c, b in zip(coeffs, basis)))
-    return out
+def _hermitian_nullspace(h: np.ndarray) -> list[np.ndarray]:
+    """Brute force: a Frobenius-orthonormal real basis of the Hermitian G with
+    G H - adj(H) G = 0, from the SVD of the n^2 x n^2 Kronecker system restricted
+    to an orthonormal Hermitian basis (an explicitly assembled real system)."""
+    n = h.shape[0]
+    basis = []
+    for j in range(n):
+        for k in range(j, n):
+            e = np.zeros((n, n), dtype=complex)
+            if j == k:
+                e[j, j] = 1
+                basis.append(e)
+            else:
+                e[j, k] = e[k, j] = 2 ** -0.5
+                basis.append(e)
+                basis.append(1j * (e - 2 * np.triu(e)))
+    # Row-major vec: vec(G H) = (I (x) H^T) vec(G); vec(H^dag G) = (H^dag (x) I) vec(G).
+    eye = np.eye(n)
+    lin = np.kron(eye, h.T) - np.kron(h.conj().T, eye)
+    cols = lin @ np.stack([b.ravel() for b in basis], axis=1)
+    _, svals, vt = np.linalg.svd(np.concatenate([cols.real, cols.imag]))
+    null_tol = max(DEFAULT_TOL.atol, DEFAULT_TOL.rtol * svals[0])
+    null = [vt[i] for i in range(n * n) if svals[i] <= null_tol]
+    return [np.tensordot(c, basis, axes=1) for c in null]
+
+
+def _reference_accept(g, h):
+    g = 0.5 * (g + g.conj().T)
+    norm = np.linalg.norm(g)
+    if norm <= 1e-10 or np.linalg.eigvalsh(g)[0] <= 1e-12 + 1e-10 * norm:
+        return None
+    g = g * (g.shape[0] / np.real(np.trace(g)))
+    if np.linalg.norm(g @ h - h.conj().T @ g) > 1e-10 * max(1.0, np.linalg.norm(g)) * max(
+        1.0, np.linalg.norm(h)
+    ):
+        return None
+    return g
+
+
+def _reference_solve(h: np.ndarray):
+    """The Kronecker-SVD stationary-metric solver, kept as the reference:
+    project the identity onto the Hermitian nullspace; if that is not
+    positive-definite, fall back to adj(inv(V)) inv(V) from the eigenvectors.
+    Returns (G, nullspace_dim, construction)."""
+    null = _hermitian_nullspace(h)
+    if not null:
+        raise NoPositiveDefiniteSolutionError("no Hermitian solution")
+    g = _reference_accept(sum(np.real(np.trace(b)) * b for b in null), h)
+    if g is not None:
+        return g, len(null), "closest_to_identity"
+    vals, vecs = np.linalg.eig(h)
+    if np.max(np.abs(vals.imag)) > max(1e-12, 1e-9 * max(1.0, np.linalg.norm(h))):
+        raise NoPositiveDefiniteSolutionError("complex spectrum")
+    if np.linalg.cond(vecs) > 1e8:
+        raise NoPositiveDefiniteSolutionError("eigenvectors coalesce", degenerate=True)
+    vinv = np.linalg.inv(vecs)
+    g = _reference_accept(vinv.conj().T @ vinv, h)
+    if g is None:
+        raise NoPositiveDefiniteSolutionError("singular metric", degenerate=True)
+    return g, len(null), "eigenbasis"
+
+
+def _similar_to(blocks: np.ndarray, seed: int) -> np.ndarray:
+    """V blocks inv(V) for a random complex V with singular values in [1, 3]."""
+    rng = np.random.default_rng(seed)
+    n = blocks.shape[0]
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v = (q1 * rng.uniform(1.0, 3.0, size=n)) @ q2
+    return v @ blocks @ np.linalg.inv(v)
+
+
+def _perfbench_chain(n: int, seed: int) -> np.ndarray:
+    """H of the n-site PT chain that perfbench/workloads.py writes for a seed.
+
+    Replays its draws: for each chain size in turn, gamma ~ U(0.2, 0.6), then
+    two normal vectors for psi0.
+    """
+    rng = np.random.default_rng(seed)
+    for size in (16, 32, 64):
+        gamma = float(rng.uniform(0.2, 0.6))
+        rng.normal(size=size), rng.normal(size=size)
+        if size == n:
+            break
+    hopping = np.diag(np.ones(n - 1), 1)
+    gain_loss = np.zeros((n, n), dtype=complex)
+    gain_loss[0, 0], gain_loss[-1, -1] = 1j, -1j
+    return -1.0 * (hopping + hopping.T) + gamma * gain_loss
+
+
+def _assert_stationary_metric(g, h):
+    assert min_eig_hermitian(g) > 0
+    assert np.real(np.trace(g)) == pytest.approx(h.shape[0])
+    assert np.linalg.norm(g @ h - h.conj().T @ g) <= 1e-10 * np.linalg.norm(g) * max(
+        1.0, np.linalg.norm(h)
+    )
 
 
 class TestStationaryMetric:
@@ -110,7 +185,7 @@ class TestStationaryMetric:
         assert np.linalg.norm(g @ h - h.conj().T @ g) <= 1e-10
         assert min_eig_hermitian(g) > 0
         # independent oracle: g lies in the brute-force Hermitian nullspace
-        null = _stationary_nullspace_oracle(h)
+        null = _hermitian_nullspace(h)
         coeffs = np.linalg.lstsq(
             np.stack([b.ravel() for b in null], axis=1), g.ravel(), rcond=None
         )[0]
@@ -120,7 +195,7 @@ class TestStationaryMetric:
     def test_broken_dimer_has_no_pd_solution(self):
         h = SIGMA_X + 1.5j * SIGMA_Z
         # oracle: every Hermitian nullspace element is indefinite
-        for b in _stationary_nullspace_oracle(h):
+        for b in _hermitian_nullspace(h):
             vals = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
             assert vals[0] * vals[-1] <= 1e-12
         with pytest.raises(NoPositiveDefiniteSolutionError) as err:
@@ -137,10 +212,72 @@ class TestStationaryMetric:
     def test_quasi_hermitian_regime_always_solvable(self, gamma, seed):
         h = SIGMA_X + 1j * gamma * SIGMA_Z
         g, _ = solve_stationary_metric(h)
-        assert min_eig_hermitian(g) > 0
-        assert np.linalg.norm(g @ h - h.conj().T @ g) <= 1e-10 * np.linalg.norm(g) * max(
-            1.0, np.linalg.norm(h)
-        )
+        _assert_stationary_metric(g, h)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spectrum=st.lists(
+            st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.5, 3.0]), min_size=2, max_size=8
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # eig picks eigenvectors with cond(V) = 88 inside the degenerate clusters:
+    # unless each cluster gets an orthonormal basis, G is off by 1.1e-10.
+    @example(spectrum=[3.0, -1.0, 0.0, 3.0, 0.0, 3.0, 1.5, 1.5], seed=1)
+    def test_matches_kronecker_reference_on_real_spectra(self, spectrum, seed):
+        # Repeated values give degenerate clusters with free Hermitian blocks.
+        h = _similar_to(np.diag(spectrum).astype(complex), seed)
+        g, meta = solve_stationary_metric(h)
+        g_ref, dim_ref, construction_ref = _reference_solve(h)
+        assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+        assert meta["nullspace_dim"] == dim_ref
+        assert meta["nullspace_dim"] == sum(spectrum.count(x) ** 2 for x in set(spectrum))
+        assert meta["unique"] == (dim_ref == 1)
+        assert meta["construction"] == construction_ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spectrum=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.5]), min_size=0, max_size=6),
+        block=st.sampled_from(["complex_pair", "jordan"]),
+        centre=st.sampled_from([-1.0, 0.0, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_broken_and_ep_match_kronecker_reference(self, spectrum, block, centre, seed):
+        n = len(spectrum) + 2
+        blocks = np.zeros((n, n), dtype=complex)
+        blocks[2:, 2:] = np.diag(spectrum)
+        if block == "complex_pair":  # eigenvalues centre +- 0.75 i
+            blocks[:2, :2] = [[centre, 0.75], [-0.75, centre]]
+        else:  # a 2x2 Jordan block: the eigenvectors coalesce
+            blocks[:2, :2] = [[centre, 1.0], [0.0, centre]]
+        h = _similar_to(blocks, seed)
+        with pytest.raises(NoPositiveDefiniteSolutionError) as ref:
+            _reference_solve(h)
+        with pytest.raises(NoPositiveDefiniteSolutionError) as err:
+            solve_stationary_metric(h)
+        assert err.value.degenerate == ref.value.degenerate
+        if block == "complex_pair":
+            assert not err.value.degenerate
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_perfbench_chain_matches_kronecker_reference(self, seed):
+        h = _perfbench_chain(16, seed)
+        g, meta = solve_stationary_metric(h)
+        g_ref, dim_ref, _ = _reference_solve(h)
+        assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+        assert meta["nullspace_dim"] == dim_ref == 16
+        _assert_stationary_metric(g, h)
+
+    @pytest.mark.parametrize("n, seed", [(32, 6), (64, 1)])
+    def test_large_chain_solves(self, n, seed):
+        # The 32-site chain of seed 6 made the Kronecker SVD fail to converge;
+        # at 64 sites that SVD is 4096 x 4096.
+        h = _perfbench_chain(n, seed)
+        g, meta = solve_stationary_metric(h)
+        assert meta == {"nullspace_dim": n, "unique": False,
+                        "construction": "closest_to_identity"}
+        _assert_stationary_metric(g, h)
 
 
 class TestScenarioSchema:

@@ -6,13 +6,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_convergence_study_smoke():
+def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "convergence_study.py"), "--t1", "0.5",
-         "--halvings", "1"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
+
+
+def test_convergence_study_smoke():
+    proc = run_script("convergence_study.py", "--t1", "0.5", "--halvings", "1")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split()[0] for line in proc.stdout.splitlines()[2:]]
     assert rows == ["propagator_inverse", "metric_closed_form", "vielbein_transport", "u_r_vs_expm"]
+
+
+def test_run_all_demos_rejects_node_stride_below_one():
+    proc = run_script("run_all_demos.py", "--node-stride", "0")
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --node-stride must be at least 1, got 0\n"

@@ -142,6 +142,12 @@ class TestReportShape:
         assert "expected-fail" in text
         assert "0 unexpected failures" in text
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_node_stride_below_one_is_rejected(self, pt_unbroken_bundle, stride):
+        scenario, bundle = pt_unbroken_bundle
+        with pytest.raises(ValueError, match="node_stride must be at least 1"):
+            run_suite(bundle, scenario, node_stride=stride)
+
     def test_tolerance_scale_loosens_budgets(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
         tight = run_suite(bundle, scenario, tolerance_scale=1.0)
