@@ -38,7 +38,7 @@ from .errors import (
     SingularMatrixError,
     StepLimitExceededError,
 )
-from .evolution import bundle_to_json_dict, integrate
+from .evolution import bundle_to_json_dict, complex_pairs, integrate, to_json_text
 from .matops import DEFAULT_TOL, sorted_eigenvalues
 from .model import Scenario, load_scenario, scenario_to_json_dict
 from .verify import render_table, run_suite
@@ -114,10 +114,9 @@ def _write_trajectory_json(path, scenario: Scenario, bundle) -> None:
     doc = bundle_to_json_dict(bundle)
     doc["scenario"] = scenario_to_json_dict(scenario)
     doc["expectations"] = {
-        name: [[float(z.real), float(z.imag)] for z in col]
-        for name, col in _expectations(scenario, bundle).items()
+        name: complex_pairs(col) for name, col in _expectations(scenario, bundle).items()
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    Path(path).write_text(to_json_text(doc) + "\n")
 
 
 def _cmd_evolve(args) -> int:

@@ -11,7 +11,7 @@ A scenario file is a single JSON document; complex numbers are always
       "observables": {"sigma_z": <matrix>, "driven": [{"coeff": ..., "matrix": ...}]},
       "t0": 0.0, "t1": 10.0,
       "integrator": {"method": "rk4", "step": 0.001},   # "rk4" is the only method
-      "name": optional, "expected_failures": optional [check-name prefixes]
+      "name": optional string, "expected_failures": optional [check-name prefixes]
     }
 
 The schema round-trips bit-exactly: coefficient source text is preserved
@@ -444,6 +444,10 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
         max_steps=integ_doc.get("max_steps", 10_000_000),
     )
 
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"name must be a string, got {type(name).__name__}", "/name")
+
     expected = doc.get("expected_failures", [])
     if not isinstance(expected, list) or not all(isinstance(x, str) for x in expected):
         raise SchemaError("expected_failures must be a list of strings", "/expected_failures")
@@ -457,7 +461,7 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
             t0=float(doc["t0"]),
             t1=float(doc["t1"]),
             integrator=integrator,
-            name=str(doc.get("name", "")),
+            name=name,
             expected_failures=tuple(expected),
         )
     except DimensionMismatchError as exc:
@@ -504,9 +508,13 @@ def scenario_to_json_dict(scenario: Scenario) -> dict:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}", "") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"JSON nested too deeply: {exc}", "") from exc
     scenario = scenario_from_json_dict(doc)
     as_vector(scenario.psi0, "psi0")
     return scenario

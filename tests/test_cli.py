@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from metricbundle import representations as rep
 from metricbundle.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -12,9 +14,12 @@ from metricbundle.cli import (
     EXIT_VERIFY,
     main,
 )
+from metricbundle.evolution import integrate
 from metricbundle.model import (
     IntegratorConfig,
     MetricInit,
+    OperatorSpec,
+    ProfileTerm,
     Scenario,
     constant_operator,
     load_scenario,
@@ -22,11 +27,69 @@ from metricbundle.model import (
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
-from metricbundle.zoo import get_demo
+from metricbundle.zoo import builtin_models, get_demo
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def reference_trajectory_text(scenario: Scenario) -> str:
+    """`evolve --format json` as it was first written: nested lists, then json.dumps."""
+    bundle = integrate(scenario)
+    nodes = np.arange(bundle.n_nodes)
+
+    def pairs(a):
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+
+    doc = {
+        "t": bundle.ts.tolist(),
+        "step": bundle.step,
+        "psi": pairs(bundle.psi),
+        "u_r": pairs(bundle.u_r),
+        "u_l": pairs(bundle.u_l),
+        "g": pairs(bundle.g),
+        "e": pairs(bundle.e),
+        "g0": pairs(bundle.g0),
+        "metadata": bundle.metadata,
+        "scenario": scenario_to_json_dict(scenario),
+        "expectations": {
+            name: [
+                [float(z.real), float(z.imag)]
+                for z in rep.expectation_schrodinger(bundle, nodes, obs.assemble_many(bundle.ts))
+            ]
+            for name, obs in scenario.observables.items()
+        },
+    }
+    return json.dumps(doc) + "\n"
+
+
+def perfbench_chain(n: int, seed: int) -> Scenario:
+    """An n-site open PT chain built as perfbench/workloads.py builds pt-chain's."""
+    rng = np.random.default_rng(seed)
+    hopping = np.diag(np.ones(n - 1), 1)
+    hopping = hopping + hopping.T
+    gain_loss = np.zeros((n, n), dtype=complex)
+    gain_loss[0, 0], gain_loss[-1, -1] = 1j, -1j
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    position = np.diag(np.arange(n) - (n - 1) / 2)
+    return Scenario(
+        hamiltonian=OperatorSpec([
+            ProfileTerm.parse(repr(-1.0), hopping),
+            ProfileTerm.parse(repr(float(rng.uniform(0.2, 0.6))), gain_loss),
+        ]),
+        metric_init=MetricInit("identity" if n == 64 else "stationary"),
+        psi0=psi0 / np.linalg.norm(psi0),
+        observables={
+            "position": constant_operator(position),
+            "hopping": constant_operator(hopping),
+        },
+        t0=0.0,
+        t1=0.03,
+        integrator=IntegratorConfig(step=1e-3),
+        name=f"pt-chain-{n}",
+        expected_failures=("conventional_dagger_transport",),
+    )
 
 
 class TestEvolve:
@@ -107,6 +170,72 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error[schema]: /metric/matrix:") and err.count("\n") == 1
         assert "cholesky_upper" in err
+
+
+class TestTrajectoryJson:
+    """The JSON export is byte-identical to the nested-list json.dumps document."""
+
+    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    def test_demo_matches_reference(self, tmp_path, name):
+        out = tmp_path / "traj.json"
+        argv = ("evolve", f"demo:{name}", "--t1", "0.75", "-o", str(out), "--format", "json")
+        assert run(*argv) == EXIT_OK
+        want = reference_trajectory_text(dataclasses.replace(get_demo(name), t1=0.75))
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_pt_chain_matches_reference(self, tmp_path, n):
+        path = tmp_path / f"chain{n}.json"
+        save_scenario(perfbench_chain(n, seed=n), path)
+        out = tmp_path / "traj.json"
+        assert run("evolve", str(path), "-o", str(out), "--format", "json") == EXIT_OK
+        assert out.read_bytes() == reference_trajectory_text(load_scenario(path)).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_observable_leaves_no_file(self, tmp_path, capsys, fmt):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        doc["observables"]["inverse_time"] = [
+            {"coeff": "1 / t", "matrix": doc["observables"]["sigma_z"]}
+        ]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"traj.{fmt}"
+        assert run("evolve", str(path), "-o", str(out), "--format", fmt) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]: EvalError: division by zero")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestScenarioFileErrors:
+    FLAGS = {
+        "evolve": ("-o", "x.csv"),
+        "verify": (),
+        "spectrum": ("--observable", "sigma_z", "--times", "0"),
+    }
+
+    @pytest.mark.parametrize(
+        "raw",
+        ['{"name": "caf\u00e9"}'.encode("latin-1"), b"[" * 100_000 + b"]" * 100_000],
+        ids=["latin-1", "deep"],
+    )
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_unreadable_file_is_schema_error(self, tmp_path, monkeypatch, capsys, raw, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_bytes(raw)
+        assert run(command, "s.json", *self.FLAGS[command]) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]: :") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", [["x"], None])
+    def test_non_string_name_is_schema_error(self, tmp_path, capsys, name):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        doc["name"] = name
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]: /name:") and err.count("\n") == 1
 
 
 class TestVerify:

@@ -1,7 +1,11 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import G_PT
@@ -13,7 +17,9 @@ from metricbundle.evolution import (
     bundle_from_json_dict,
     bundle_to_json_dict,
     closed_form_metric,
+    complex_pairs,
     integrate,
+    to_json_text,
 )
 from metricbundle.matops import SIGMA_X, SIGMA_Z, cholesky_upper
 from metricbundle.model import (
@@ -317,15 +323,97 @@ class TestBlockedIntegratorParity:
             assert (err.value.node_index, err.value.channel) == (node, "psi")
 
 
+def reference_json_text(a: np.ndarray) -> str:
+    """The trajectory export's first array encoder: nested lists, then json.dumps."""
+    if np.iscomplexobj(a):
+        return json.dumps(np.stack([a.real, a.imag], axis=-1).tolist())
+    return json.dumps(a.tolist())
+
+
+def _bits(x: float) -> int:
+    return int(np.array(x, dtype=np.float64).view(np.uint64))
+
+
+# The ends of the float64 range and of repr's fixed and exponent formats
+# (1e16, 1e-4, 1e-5 and their neighbours), signed zeros, and non-finite
+# values, NaN with either sign and a signalling payload.
+_EDGE_BITS = [
+    _bits(x)
+    for x in (
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+        1e16, np.nextafter(1e16, 0.0), -1e16, np.nextafter(-1e16, 0.0),
+        1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 1.0), -1e-5,
+        math.inf, -math.inf, math.nan,
+    )
+] + [0xFFF8000000000000, 0x7FF0000000000001]
+float64_bits = st.one_of(st.sampled_from(_EDGE_BITS), st.integers(0, 2**64 - 1))
+array_shapes = st.one_of(
+    st.tuples(st.integers(0, 6)),
+    st.tuples(st.integers(0, 6), st.integers(1, 4)),
+    st.integers(1, 4).flatmap(lambda d: st.tuples(st.integers(0, 4), st.just(d), st.just(d))),
+    st.integers(1, 4).map(lambda d: (d, d)),
+)
+
+
+@st.composite
+def float64_arrays(draw, complex_valued: bool):
+    """Arrays whose float64 entries have arbitrary bit patterns, repeats included."""
+    shape = draw(array_shapes)
+    size = math.prod(shape) * (2 if complex_valued else 1)
+    pool = draw(st.lists(float64_bits, min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(pool) | float64_bits, min_size=size, max_size=size))
+    values = np.array(picks, dtype=np.uint64).view(np.float64)
+    if complex_valued:
+        return values.view(np.complex128).reshape(shape)
+    return values.reshape(shape)
+
+
 class TestBundleSerialization:
     def test_round_trip_is_exact(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         doc = bundle_to_json_dict(bundle)
-        back = bundle_from_json_dict(doc)
-        assert np.array_equal(back.psi, bundle.psi)
-        assert np.array_equal(back.u_r, bundle.u_r)
-        assert np.array_equal(back.u_l, bundle.u_l)
-        assert np.array_equal(back.g, bundle.g)
-        assert np.array_equal(back.e, bundle.e)
-        assert np.array_equal(back.g0, bundle.g0)
-        assert back.step == bundle.step
+        text = to_json_text(doc)
+        # Bit for bit: the vielbein channel holds -0.0 imaginary parts.
+        assert to_json_text(bundle_to_json_dict(bundle_from_json_dict(json.loads(text)))) == text
+        for back in (bundle_from_json_dict(doc), bundle_from_json_dict(json.loads(text))):
+            assert np.array_equal(back.ts, bundle.ts)
+            assert np.array_equal(back.psi, bundle.psi)
+            assert np.array_equal(back.u_r, bundle.u_r)
+            assert np.array_equal(back.u_l, bundle.u_l)
+            assert np.array_equal(back.g, bundle.g)
+            assert np.array_equal(back.e, bundle.e)
+            assert np.array_equal(back.g0, bundle.g0)
+            assert back.step == bundle.step
+            assert back.metadata == bundle.metadata
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=float64_arrays(complex_valued=False))
+    def test_real_array_text_matches_reference(self, a):
+        assert to_json_text(a) == reference_json_text(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=float64_arrays(complex_valued=True))
+    def test_complex_array_text_matches_reference(self, a):
+        assert to_json_text(complex_pairs(a)) == reference_json_text(a)
+
+    def test_signed_zeros_and_nonfinite_values(self):
+        a = np.array([[0.0, -0.0, math.inf], [-math.inf, math.nan, -0.0]])
+        assert to_json_text(a) == "[[0.0, -0.0, Infinity], [-Infinity, NaN, -0.0]]"
+        assert to_json_text(a) == reference_json_text(a)
+
+    def test_document_text_matches_json_dumps(self):
+        pairs = complex_pairs(np.array([1 + 2j, -0.5j]))
+        doc = {
+            "t": np.array([0.0, 0.1]),
+            "step": 0.1,
+            "caf\u00e9": {"x": pairs, "empty": {}},
+            "metadata": {"method": "rk4", "n_steps": 1},
+        }
+        plain = {**doc, "t": doc["t"].tolist(), "caf\u00e9": {"x": pairs.tolist(), "empty": {}}}
+        assert to_json_text(doc) == json.dumps(plain)
+
+    @pytest.mark.parametrize("a", [np.arange(3), np.array([1j]), np.ones(2, dtype=np.float32)])
+    def test_arrays_other_than_float64_are_rejected(self, a):
+        with pytest.raises(TypeError):
+            to_json_text(a)

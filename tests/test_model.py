@@ -336,6 +336,30 @@ class TestScenarioSchema:
             scenario_from_json_dict(doc)
         assert "/hamiltonian/0/coeff" == err.value.pointer
 
+    @pytest.mark.parametrize("name", [["x"], None, 3, {"a": "b"}, True])
+    def test_non_string_name_is_schema_error(self, name):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc["name"] = name
+        with pytest.raises(SchemaError) as err:
+            scenario_from_json_dict(doc)
+        assert err.value.pointer == "/name"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"\xff\xfe{}", "not UTF-8"),
+            ('{"name": "caf\u00e9"}'.encode("latin-1"), "not UTF-8"),
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        ],
+        ids=["bom-like", "latin-1", "deep"],
+    )
+    def test_unreadable_file_is_schema_error(self, tmp_path, raw, message):
+        path = tmp_path / "s.json"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match=message) as err:
+            load_scenario(path)
+        assert err.value.pointer == ""
+
     def test_explicit_metric_validated(self):
         with pytest.raises(SchemaError):
             MetricInit("explicit", None)

@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from metricbundle.evolution import bundle_from_json_dict, bundle_to_json_dict, integrate
+from metricbundle.evolution import (
+    bundle_from_json_dict,
+    bundle_to_json_dict,
+    integrate,
+    to_json_text,
+)
 from metricbundle.model import (
     IntegratorConfig,
     MetricInit,
@@ -123,7 +128,7 @@ class TestReportShape:
     def test_reingested_bundle_gives_identical_residuals(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
         direct = run_suite(bundle, scenario)
-        back = bundle_from_json_dict(json.loads(json.dumps(bundle_to_json_dict(bundle))))
+        back = bundle_from_json_dict(json.loads(to_json_text(bundle_to_json_dict(bundle))))
         replayed = run_suite(back, scenario)
         assert [c.residual for c in direct.checks] == [c.residual for c in replayed.checks]
 
