@@ -30,7 +30,6 @@ def residuals(bundle, scenario):
     out = {
         "propagator_inverse": frobenius(bundle.u_l @ bundle.u_r - eye).max(),
         "metric_closed_form": frobenius(bundle.g - closed_form_metric(bundle, nodes)).max(),
-        "vielbein_transport": frobenius(bundle.e - bundle.e[0] @ bundle.u_l).max(),
     }
     if scenario.hamiltonian.is_constant():
         h = scenario.hamiltonian.assemble(0.0)

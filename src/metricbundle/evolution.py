@@ -1,12 +1,14 @@
-"""Coupled integration of state, metric, propagators, and vielbein.
+"""Coupled integration of propagators and metric; state and vielbein derived.
 
-Five channels share one time grid and one Hamiltonian sample per RK4 stage:
+Three channels share one time grid and one Hamiltonian sample per RK4 stage:
 
-    d/dt psi = -i H(t) psi
     d/dt U_R = -i H(t) U_R          (right propagator, evolves kets)
     d/dt U_L = +i U_L H(t)          (left propagator, evolves duals; U_L = inv(U_R))
     d/dt G   =  i (G H(t) - adj(H(t)) G)
-    d/dt E   =  i E H(t)            (vielbein in the zero-generator gauge)
+
+The state psi = U_R psi0 and the vielbein E = E0 U_L (zero-generator gauge,
+d/dt E = i E H) are derived after the run. RK4 is linear in its initial value,
+so integrating them as channels of their own would agree up to rounding.
 
 The metric channel is integrated directly AND recoverable in closed form as
 adj(U_L) G0 U_L, giving two independent numerical paths whose disagreement is
@@ -45,10 +47,9 @@ BLOWUP_LIMIT = 1e12
 # stores, so they never cost more memory than the trajectory itself.
 BLOCK_STEPS = 256
 
-# Stacked right-multiplied channels: index into the (3, dim, dim) block.
-_UL, _G, _E = 0, 1, 2
-# Guard order: the channel reported at a bad node is the first bad one here.
-_CHANNELS = ("psi", "u_r", "u_l", "g", "e")
+# Channel axis of the stored trajectory, in guard order: the channel reported
+# at a bad node is the first bad one here.
+_CHANNELS = ("u_r", "u_l", "g")
 
 
 def rhs_vielbein(h, e):
@@ -86,42 +87,39 @@ class EvolutionBundle:
         return idx
 
 
-def _rhs(h, psi, u_r, rge):
-    """All channel derivatives from one shared Hamiltonian sample."""
-    dpsi = -1j * (h @ psi)
+def _rhs(h, u_r, ul_g):
+    """All channel derivatives from one shared Hamiltonian sample; ul_g stacks U_L and G."""
     du_r = -1j * (h @ u_r)
-    drge = rhs_vielbein(h, rge)  # right-multiplied channels U_L, G, E
-    drge[_G] -= 1j * (h.conj().T @ rge[_G])
-    return dpsi, du_r, drge
+    dul_g = rhs_vielbein(h, ul_g)  # the right-multiplied flow of both
+    dul_g[1] -= 1j * (h.conj().T @ ul_g[1])
+    return du_r, dul_g
 
 
-def _rk4_step(h1, h2, h4, step, psi, u_r, rge):
+def _rk4_step(h1, h2, h4, step, u_r, ul_g):
     """One RK4 step from H at the start, middle and end of the step."""
-    k1 = _rhs(h1, psi, u_r, rge)
-    k2 = _rhs(h2, psi + 0.5 * step * k1[0], u_r + 0.5 * step * k1[1], rge + 0.5 * step * k1[2])
-    k3 = _rhs(h2, psi + 0.5 * step * k2[0], u_r + 0.5 * step * k2[1], rge + 0.5 * step * k2[2])
-    k4 = _rhs(h4, psi + step * k3[0], u_r + step * k3[1], rge + step * k3[2])
+    k1 = _rhs(h1, u_r, ul_g)
+    k2 = _rhs(h2, u_r + 0.5 * step * k1[0], ul_g + 0.5 * step * k1[1])
+    k3 = _rhs(h2, u_r + 0.5 * step * k2[0], ul_g + 0.5 * step * k2[1])
+    k4 = _rhs(h4, u_r + step * k3[0], ul_g + step * k3[1])
     sixth = step / 6.0
     return (
-        psi + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        u_r + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        rge + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+        u_r + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+        ul_g + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
     )
 
 
-def _check_finite(first_node: int, psi, u_r, rge):
-    """Raise at the first stored node, and its first channel, out of the finite range."""
-    flat = [a.reshape(len(a), -1) for a in (psi, u_r, *rge.swapaxes(0, 1))]
+def _check_finite(first_node: int, block):
+    """Raise at the first node, and its first channel, out of the finite range."""
     # not (|x| <= limit) also flags NaN and inf; bad is (nodes, channels).
-    bad = np.stack([~np.all(np.abs(a) <= BLOWUP_LIMIT, axis=1) for a in flat], axis=1)
+    bad = ~np.all(np.abs(block) <= BLOWUP_LIMIT, axis=(2, 3))
     if bad.any():
         node, channel = np.unravel_index(np.argmax(bad), bad.shape)
-        node, channel = first_node + int(node), _CHANNELS[channel]
-        raise NonFiniteError("channel left the finite range", node, channel)
+        raise NonFiniteError(
+            "channel left the finite range", first_node + int(node), _CHANNELS[channel])
 
 
 def integrate(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> EvolutionBundle:
-    """Advance all five channels over [t0, t1] on a uniform grid.
+    """Advance U_R, U_L and G over [t0, t1] on a uniform grid, then derive psi and E.
 
     Steps run in blocks of BLOCK_STEPS, with H assembled for a whole block at
     once and the finite-range guard run over the block's stored nodes after it.
@@ -138,17 +136,14 @@ def integrate(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> EvolutionBund
 
     dim = scenario.dim
     g0 = resolve_initial_metric(scenario, tol)
-    e0 = cholesky_upper(g0, tol)
+    e0 = cholesky_upper(g0, tol).astype(complex)
 
-    psi = np.array(scenario.psi0, dtype=complex)
     u_r = np.eye(dim, dtype=complex)
-    rge = np.stack([np.eye(dim, dtype=complex), g0.astype(complex), e0.astype(complex)])
+    ul_g = np.stack([u_r, g0.astype(complex)])
 
     ts = scenario.t0 + step * np.arange(n_steps + 1)
-    psi_out = np.empty((n_steps + 1, dim), dtype=complex)
-    u_r_out = np.empty((n_steps + 1, dim, dim), dtype=complex)
-    rge_out = np.empty((n_steps + 1, 3, dim, dim), dtype=complex)
-    psi_out[0], u_r_out[0], rge_out[0] = psi, u_r, rge
+    out = np.empty((n_steps + 1, len(_CHANNELS), dim, dim), dtype=complex)
+    out[0, 0], out[0, 1:] = u_r, ul_g
 
     assemble_many = scenario.hamiltonian.assemble_many
     for a in range(0, n_steps, BLOCK_STEPS):
@@ -158,17 +153,18 @@ def integrate(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> EvolutionBund
         stages = zip(assemble_many(t), assemble_many(t + 0.5 * step), assemble_many(t + step))
         with np.errstate(all="ignore"):  # the guard reports a blow-up
             for k, (h1, h2, h4) in enumerate(stages, start=a + 1):
-                psi, u_r, rge = _rk4_step(h1, h2, h4, step, psi, u_r, rge)
-                psi_out[k], u_r_out[k], rge_out[k] = psi, u_r, rge
-        _check_finite(a + 1, psi_out[a + 1:b + 1], u_r_out[a + 1:b + 1], rge_out[a + 1:b + 1])
+                u_r, ul_g = _rk4_step(h1, h2, h4, step, u_r, ul_g)
+                out[k, 0], out[k, 1:] = u_r, ul_g
+        _check_finite(a + 1, out[a + 1:b + 1])
 
+    u_r, u_l, g = out.swapaxes(0, 1)
     return EvolutionBundle(
         ts=ts,
-        psi=psi_out,
-        u_r=u_r_out,
-        u_l=rge_out[:, _UL],
-        g=rge_out[:, _G],
-        e=rge_out[:, _E],
+        psi=u_r @ np.asarray(scenario.psi0, dtype=complex),
+        u_r=u_r,
+        u_l=u_l,
+        g=g,
+        e=e0 @ u_l,
         g0=g0,
         step=step,
         metadata={"method": config.method, "n_steps": n_steps},

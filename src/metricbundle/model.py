@@ -147,9 +147,17 @@ class MetricInit:
 
     def __post_init__(self):
         if self.mode not in ("identity", "explicit", "stationary"):
-            raise SchemaError(f"unknown metric mode {self.mode!r}", "/metric/mode")
+            raise SchemaError(f"unknown metric mode {_short_repr(self.mode)}", "/metric/mode")
         if self.mode == "explicit" and self.matrix is None:
             raise SchemaError("explicit metric requires a matrix", "/metric/matrix")
+
+
+def _short_repr(value, limit: int = 40) -> str:
+    """repr of a string or number cut to limit characters, else the type name."""
+    if not isinstance(value, (str, numbers.Number)):
+        return type(value).__name__
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _require_finite_number(value, pointer: str) -> None:
@@ -163,7 +171,7 @@ def _require_finite_number(value, pointer: str) -> None:
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        raise SchemaError(f"must be a finite number, got {value!r}", pointer)
+        raise SchemaError(f"must be a finite number, got {_short_repr(value)}", pointer)
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method != "rk4":
-            raise SchemaError(f"unknown method {self.method!r}", "/integrator/method")
+            raise SchemaError(f"unknown method {_short_repr(self.method)}", "/integrator/method")
         _require_finite_number(self.step, "/integrator/step")
         if self.step <= 0:
             raise SchemaError("step must be positive", "/integrator/step")

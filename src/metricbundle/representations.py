@@ -155,12 +155,13 @@ def expectation_heisenberg_like(state: TaggedState, op: TaggedOperator):
 
 
 def heisenberg_rhs(
-    obs_h: TaggedOperator, h_h: TaggedOperator, dt_obs_h: TaggedOperator
+    obs: TaggedOperator, h: TaggedOperator, dt_obs: TaggedOperator
 ) -> np.ndarray:
-    """i [H_H, O_H] + (dO/dt)_H — the equation of motion for H-picture operators."""
-    for op, what in ((obs_h, "observable"), (h_h, "hamiltonian"), (dt_obs_h, "d/dt observable")):
-        _require(op, RepresentationTag.H, f"heisenberg_rhs {what}")
-    return 1j * commutator(h_h.matrix, obs_h.matrix) + dt_obs_h.matrix
+    """i [H_P, O_P] + (dO/dt)_P — the one equation of motion of both pictures P = H, HL."""
+    tag = RepresentationTag.HL if obs.rep is RepresentationTag.HL else RepresentationTag.H
+    for op, what in ((obs, "observable"), (h, "hamiltonian"), (dt_obs, "d/dt observable")):
+        _require(op, tag, f"heisenberg_rhs {what}")
+    return 1j * commutator(h.matrix, obs.matrix) + dt_obs.matrix
 
 
 def hermitized_hamiltonian(h_s, e, de_dt, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -173,18 +174,21 @@ def hermitized_hamiltonian(h_s, e, de_dt, tol: Tolerance = DEFAULT_TOL) -> np.nd
     return e @ as_stack(h_s) @ e_inv + 1j * as_stack(de_dt) @ e_inv
 
 
+def _commutator_gap(what, transport, oa_s, ob_s, bundle, index):
+    """Relative gap between transported commutator and commutator of transports."""
+    for op in (oa_s, ob_s):
+        _require(op, RepresentationTag.S, what)
+    comm_s = TaggedOperator(RepresentationTag.S, commutator(oa_s.matrix, ob_s.matrix), oa_s.time)
+    oa, ob, transported = (transport(op, bundle, index).matrix for op in (oa_s, ob_s, comm_s))
+    scale = np.maximum(1.0, frobenius(oa) * frobenius(ob))
+    return frobenius(commutator(oa, ob) - transported) / scale
+
+
 def commutator_transport_check(
     oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index
 ):
     """Relative gap between transported commutator and commutator of transports."""
-    for op in (oa_s, ob_s):
-        _require(op, RepresentationTag.S, "commutator_transport_check")
-    oa_h = to_heisenberg(oa_s, bundle, index).matrix
-    ob_h = to_heisenberg(ob_s, bundle, index).matrix
-    comm_s = TaggedOperator(RepresentationTag.S, commutator(oa_s.matrix, ob_s.matrix), oa_s.time)
-    transported = to_heisenberg(comm_s, bundle, index).matrix
-    scale = np.maximum(1.0, frobenius(oa_h) * frobenius(ob_h))
-    return frobenius(commutator(oa_h, ob_h) - transported) / scale
+    return _commutator_gap("commutator_transport_check", to_heisenberg, oa_s, ob_s, bundle, index)
 
 
 def naive_dagger_transport(
@@ -204,11 +208,5 @@ def naive_commutator_residual(
     oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index
 ):
     """As commutator_transport_check but with the conventional transport."""
-    for op in (oa_s, ob_s):
-        _require(op, RepresentationTag.S, "naive_commutator_residual")
-    u = bundle.u_r[index]
-    oa_n = naive_dagger_transport(oa_s, bundle, index).matrix
-    ob_n = naive_dagger_transport(ob_s, bundle, index).matrix
-    transported = adjoint(u) @ commutator(oa_s.matrix, ob_s.matrix) @ u
-    scale = np.maximum(1.0, frobenius(oa_n) * frobenius(ob_n))
-    return frobenius(commutator(oa_n, ob_n) - transported) / scale
+    return _commutator_gap(
+        "naive_commutator_residual", naive_dagger_transport, oa_s, ob_s, bundle, index)

@@ -186,9 +186,6 @@ def run_suite(
     add("metric_positive_definite", 0.0, lambda: -min_eig_hermitian(g, tol))
     add("metric_closed_form", base, lambda: frobenius(g - closed_form_metric(bundle, nodes)))
     add("vielbein_reconstructs_metric", base, lambda: frobenius(adjoint(e) @ e - g))
-    add("vielbein_transport", base, lambda: frobenius(e - bundle.e[0] @ u_l))
-    add("state_propagator", base,
-        lambda: frobenius((bundle.psi[nodes] - u_r @ bundle.psi[0])[..., None]))
 
     def norm_drift():
         norms = rep.expectation_schrodinger(bundle, nodes, eye)
@@ -201,13 +198,14 @@ def run_suite(
     h_s = functools.cache(lambda: scenario.hamiltonian.assemble_many(ts))
 
     # Zero-gauge generator residual: both terms are built from the same
-    # integrated vielbein, so the cancellation is exact up to rounding.
+    # vielbein, so the cancellation is exact up to rounding.
     add("hermitized_generator_gauge", base, lambda: frobenius(
         rep.hermitized_hamiltonian(h_s(), e, rhs_vielbein(h_s(), e), tol)))
 
-    # Heisenberg equation of motion vs a central finite difference of the
-    # transported operator (independent of the commutator path), at the
-    # sampled nodes where the difference fits on the grid; zero elsewhere.
+    # The Heisenberg equation of motion, in the H and the HL picture, vs a
+    # central finite difference of the transported operator (independent of
+    # the commutator path), at the sampled nodes where the difference fits on
+    # the grid; zero elsewhere.
     delta_nodes = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
     delta = delta_nodes * bundle.step
     fd_budget = base + EOM_FD_COEFF * delta**2
@@ -217,39 +215,49 @@ def run_suite(
     grid = np.union1d(nodes, np.concatenate([below, above]))
     at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
 
+    to_h = functools.partial(rep.to_heisenberg, bundle=bundle)
+    to_hl = functools.partial(rep.to_heisenberg_like, bundle=bundle, tol=tol)
+
+    @functools.cache
+    def h_in(transport):  # H in the picture, where the EOM checks read it
+        return transport(s_op(h_s()[inner], ts[inner]), index=nodes[inner])
+
     # Cross-picture expectation values and spectra, per observable.
     state_h = rep.heisenberg_state(bundle)
     state_hl = rep.heisenberg_like_state(bundle)
 
     def observable_checks(obs_name, obs):
         o_grid = functools.cache(lambda: obs.assemble_many(bundle.ts[grid]))
-        o_h_grid = functools.cache(lambda: rep.to_heisenberg(
-            s_op(o_grid(), bundle.ts[grid]), bundle, grid).matrix)
+        dt_s = functools.cache(
+            lambda: s_op(obs.differentiate().assemble_many(ts[inner]), ts[inner]))
+
+        @functools.cache
+        def grid_in(transport):
+            return transport(s_op(o_grid(), bundle.ts[grid]), index=grid)
 
         def o_s():
             return s_op(o_grid()[at_nodes])
 
         def o_h():
-            return rep.TaggedOperator(rep.RepresentationTag.H, o_h_grid()[at_nodes], ts)
+            return rep.TaggedOperator(rep.RepresentationTag.H, grid_in(to_h).matrix[at_nodes], ts)
+
+        o_hl = functools.cache(lambda: to_hl(o_s(), index=nodes))
 
         def exp_gap_h():
             return np.abs(rep.expectation_schrodinger(bundle, nodes, o_s().matrix)
                           - rep.expectation_heisenberg(state_h, o_h()))
 
         def exp_gap_hl():
-            o_hl = rep.to_heisenberg_like(o_s(), bundle, nodes, tol)
             return np.abs(rep.expectation_schrodinger(bundle, nodes, o_s().matrix)
-                          - rep.expectation_heisenberg_like(state_hl, o_hl))
+                          - rep.expectation_heisenberg_like(state_hl, o_hl()))
 
-        def eom_fd():
-            fd = (o_h_grid()[at_above] - o_h_grid()[at_below]) / (2 * delta)
-            t = ts[inner]
-            h_h = rep.to_heisenberg(s_op(h_s()[inner], t), bundle, nodes[inner])
-            dt_s = s_op(obs.differentiate().assemble_many(t), t)
-            dt_h = rep.to_heisenberg(dt_s, bundle, nodes[inner])
-            obs_h = rep.TaggedOperator(rep.RepresentationTag.H, o_h().matrix[inner], t)
+        def eom_fd(transport):
+            o_p = grid_in(transport)
+            fd = (o_p.matrix[at_above] - o_p.matrix[at_below]) / (2 * delta)
+            obs_p = rep.TaggedOperator(o_p.rep, o_p.matrix[at_nodes][inner], ts[inner])
             residuals = np.zeros(len(nodes))
-            residuals[inner] = frobenius(fd - rep.heisenberg_rhs(obs_h, h_h, dt_h))
+            residuals[inner] = frobenius(fd - rep.heisenberg_rhs(
+                obs_p, h_in(transport), transport(dt_s(), index=nodes[inner])))
             return residuals
 
         add(f"expectation_s_vs_h[{obs_name}]", base, exp_gap_h)
@@ -257,9 +265,9 @@ def run_suite(
         add(f"isospectral_h[{obs_name}]", base,
             lambda: eigenvalue_match_distance(o_h().matrix, o_s().matrix))
         add(f"isospectral_hl[{obs_name}]", base,
-            lambda: eigenvalue_match_distance(
-                rep.to_heisenberg_like(o_s(), bundle, nodes, tol).matrix, o_s().matrix))
-        add(f"heisenberg_eom_fd[{obs_name}]", fd_budget, eom_fd)
+            lambda: eigenvalue_match_distance(o_hl().matrix, o_s().matrix))
+        add(f"heisenberg_eom_fd[{obs_name}]", fd_budget, lambda: eom_fd(to_h))
+        add(f"heisenberg_like_eom_fd[{obs_name}]", fd_budget, lambda: eom_fd(to_hl))
 
     for obs_name, obs in scenario.observables.items():
         observable_checks(obs_name, obs)

@@ -90,13 +90,12 @@ def make_pt_dimer_broken(s: float = 1.0, gamma: float = 1.5, t0: float = 0.0,
             "metric_positive_definite",
             "propagator_inverse",
             "metric_closed_form",
-            "vielbein_transport",
             "vielbein_reconstructs_metric",
-            "state_propagator",
             "norm_conservation",
             "expectation_s_vs",
             "isospectral_",
             "heisenberg_eom_fd",
+            "heisenberg_like_eom_fd",
             "commutator_transport",
             "metric_hermitian",
         ),

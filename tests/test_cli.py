@@ -237,6 +237,23 @@ class TestScenarioFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error[schema]: /name:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("pointer", ["/t0", "/integrator/method", "/metric/mode"])
+    @pytest.mark.parametrize("value", [[0] * 100_000, "x" * 100_000, 10**400],
+                             ids=["list", "string", "int"])
+    def test_huge_value_gives_one_short_line(self, tmp_path, capsys, pointer, value):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        *parents, key = pointer.strip("/").split("/")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[schema]: {pointer}:") and err.count("\n") == 1
+        assert len(err.encode()) <= 200
+
 
 class TestVerify:
     def test_clean_scenario(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import G_PT
+from metricbundle import representations as rep
 from metricbundle.errors import NonFiniteError, SchemaError, StepLimitExceededError
 from metricbundle.evolution import (
     BLOCK_STEPS,
@@ -19,6 +20,7 @@ from metricbundle.evolution import (
     closed_form_metric,
     complex_pairs,
     integrate,
+    rhs_vielbein,
     to_json_text,
 )
 from metricbundle.matops import SIGMA_X, SIGMA_Z, cholesky_upper
@@ -38,36 +40,38 @@ from metricbundle.zoo import builtin_models, get_demo
 H_PT = SIGMA_X + 0.5j * SIGMA_Z
 
 
-def channel_rates(h, psi=(1.0, 0.0), u_r=None, u_l=None, g=None, e=None):
-    """d/dt of (psi, U_R, U_L, G, E) from the integrator's one RHS definition."""
+def channel_rates(h, u_r=None, u_l=None, g=None):
+    """d/dt of (U_R, U_L, G) from the integrator's one RHS definition."""
     eye = np.eye(2, dtype=complex)
-    rge = np.stack([eye if m is None else np.asarray(m, dtype=complex) for m in (u_l, g, e)])
-    dpsi, du_r, drge = _rhs(h, np.asarray(psi, dtype=complex), eye if u_r is None else u_r, rge)
-    return dpsi, du_r, drge[0], drge[1], drge[2]
+    ul_g = np.stack([eye if m is None else np.asarray(m, dtype=complex) for m in (u_l, g)])
+    du_r, dul_g = _rhs(h, eye if u_r is None else u_r, ul_g)
+    return du_r, dul_g[0], dul_g[1]
 
 
 class TestRightHandSides:
     def test_state(self):
-        dpsi = channel_rates(SIGMA_X)[0]
-        assert np.array_equal(dpsi, np.array([0.0, -1j]))
+        # A state evolves as U_R's column: from U_R = I, column 0 is -i H e_0.
+        du_r = channel_rates(SIGMA_X)[0]
+        assert np.array_equal(du_r[:, 0], np.array([0.0, -1j]))
 
     def test_metric_hermitian_h_identity_metric_is_static(self):
-        assert np.array_equal(channel_rates(SIGMA_X)[3], np.zeros((2, 2)))
+        assert np.array_equal(channel_rates(SIGMA_X)[2], np.zeros((2, 2)))
 
     def test_metric_stationary_pt(self):
         # G_PT intertwines H and adj(H), so the metric flow vanishes on it.
-        assert np.max(np.abs(channel_rates(H_PT, g=G_PT)[3])) <= 1e-15
+        assert np.max(np.abs(channel_rates(H_PT, g=G_PT)[2])) <= 1e-15
 
     def test_metric_generic(self):
         expected = 1j * (H_PT - H_PT.conj().T)
-        assert np.allclose(channel_rates(H_PT)[3], expected)
+        assert np.allclose(channel_rates(H_PT)[2], expected)
 
     def test_propagators_are_opposite_sided(self):
         u = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        _, du_r, du_l, _, de = channel_rates(H_PT, u_r=u, u_l=u, e=u)
+        du_r, du_l, _ = channel_rates(H_PT, u_r=u, u_l=u)
         assert np.allclose(du_r, -1j * H_PT @ u)
         assert np.allclose(du_l, 1j * u @ H_PT)
-        assert np.array_equal(de, du_l)
+        # The vielbein follows the same right-multiplied flow as U_L.
+        assert np.array_equal(rhs_vielbein(H_PT, u), du_l)
 
 
 class TestAgainstMatrixExponential:
@@ -186,44 +190,47 @@ class TestConvergence:
 
 
 def reference_integrate(scenario):
-    """The per-step loop: H assembled at each stage, the guard after each step.
+    """The five-channel per-step loop: H assembled at each stage, psi and E
+    integrated as channels of their own, the guard after each step.
 
     Returns (psi, u_r, u_l, g, e) stacked over the nodes, or raises
-    NonFiniteError at the first node and channel out of the finite range.
+    NonFiniteError at the first node, and its first channel in the order
+    u_r, u_l, g, out of the finite range. psi and E are not guarded:
+    integrate derives them from U_R and U_L.
     """
     n_steps = max(1, round((scenario.t1 - scenario.t0) / scenario.integrator.step))
     step = (scenario.t1 - scenario.t0) / n_steps
     g0 = resolve_initial_metric(scenario)
     eye = np.eye(scenario.dim, dtype=complex)
-    psi = np.array(scenario.psi0, dtype=complex)
-    u_r = eye
-    rge = np.stack([eye, g0.astype(complex), cholesky_upper(g0).astype(complex)])
+    y = (np.array(scenario.psi0, dtype=complex), eye, eye, g0.astype(complex),
+         cholesky_upper(g0).astype(complex))
+
+    def rates(h, psi, u_r, u_l, g, e):
+        return (-1j * (h @ psi), -1j * (h @ u_r), 1j * (u_l @ h),
+                1j * (g @ h) - 1j * (h.conj().T @ g), 1j * (e @ h))
+
+    def shifted(by, k):
+        return [a + by * da for a, da in zip(y, k)]
+
     ts = scenario.t0 + step * np.arange(n_steps + 1)
-    nodes = [(psi, u_r, rge)]
+    nodes = [y]
     assemble = scenario.hamiltonian.assemble
     for k in range(n_steps):
         t = ts[k]
         h1, h2, h4 = assemble(t), assemble(t + 0.5 * step), assemble(t + step)
-        k1 = _rhs(h1, psi, u_r, rge)
-        k2 = _rhs(h2, psi + 0.5 * step * k1[0], u_r + 0.5 * step * k1[1], rge + 0.5 * step * k1[2])
-        k3 = _rhs(h2, psi + 0.5 * step * k2[0], u_r + 0.5 * step * k2[1], rge + 0.5 * step * k2[2])
-        k4 = _rhs(h4, psi + step * k3[0], u_r + step * k3[1], rge + step * k3[2])
+        k1 = rates(h1, *y)
+        k2 = rates(h2, *shifted(0.5 * step, k1))
+        k3 = rates(h2, *shifted(0.5 * step, k2))
+        k4 = rates(h4, *shifted(step, k3))
         sixth = step / 6.0
-        psi = psi + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u_r = u_r + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        rge = rge + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        channels = (("psi", psi), ("u_r", u_r), ("u_l", rge[0]), ("g", rge[1]), ("e", rge[2]))
-        for channel, arr in channels:
+        y = tuple(a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+                  for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4))
+        for channel, arr in zip(("u_r", "u_l", "g"), y[1:4]):
             a = np.abs(arr)
             if not np.all(np.isfinite(a)) or np.max(a) > BLOWUP_LIMIT:
                 raise NonFiniteError("channel left the finite range", k + 1, channel)
-        nodes.append((psi, u_r, rge))
-    psi, u_r, rge = (np.array(c) for c in zip(*nodes))
-    return psi, u_r, rge[:, 0], rge[:, 1], rge[:, 2]
-
-
-def _channels(bundle):
-    return bundle.psi, bundle.u_r, bundle.u_l, bundle.g, bundle.e
+        nodes.append(y)
+    return tuple(np.array(c) for c in zip(*nodes))
 
 
 def _driven_pt_chain(n: int = 8) -> Scenario:
@@ -251,7 +258,7 @@ def _driven_pt_chain(n: int = 8) -> Scenario:
 
 def _switched_on_at(node: int, step: float = 0.01) -> Scenario:
     """H is exactly zero until the last stage of the step that ends at node,
-    then ~1e20 sigma_x: psi leaves the finite range exactly at that node."""
+    then ~1e20 sigma_x: U_R leaves the finite range exactly at that node."""
     switch = (node - 0.25) * step
     return Scenario(
         hamiltonian=OperatorSpec(
@@ -271,8 +278,12 @@ class TestBlockedIntegratorParity:
 
     @pytest.mark.parametrize("name", sorted(builtin_models()))
     def test_demos_bit_identical(self, name):
+        # With the demos' psi0 = e_0, U_R psi0 comes out as the integrated state
+        # bit for bit; in general the two differ by rounding.
         scenario = get_demo(name, t1=0.75)
-        for got, want in zip(_channels(integrate(scenario)), reference_integrate(scenario)):
+        bundle = integrate(scenario)
+        psi, u_r, u_l, g, _ = reference_integrate(scenario)
+        for got, want in ((bundle.psi, psi), (bundle.u_r, u_r), (bundle.u_l, u_l), (bundle.g, g)):
             assert np.array_equal(got, want)
 
     def test_stage_times_are_those_of_single_steps(self, monkeypatch):
@@ -290,8 +301,22 @@ class TestBlockedIntegratorParity:
 
     def test_driven_chain_with_exp_and_tanh(self):
         scenario = _driven_pt_chain()
-        for got, want in zip(_channels(integrate(scenario)), reference_integrate(scenario)):
+        bundle = integrate(scenario)
+        psi, u_r, u_l, g, e = reference_integrate(scenario)
+        for got, want in ((bundle.u_r, u_r), (bundle.u_l, u_l), (bundle.g, g)):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # psi0 is uniform here: the derived channels are images of the
+        # integrated ones, and agree with the integrated psi and E in what
+        # they are used for.
+        assert np.array_equal(bundle.psi, bundle.u_r @ scenario.psi0)
+        assert np.array_equal(bundle.e, cholesky_upper(bundle.g0) @ bundle.u_l)
+        reference = dataclasses.replace(bundle, psi=psi, u_r=u_r, u_l=u_l, g=g, e=e)
+        nodes = np.arange(bundle.n_nodes)
+        for obs in scenario.observables.values():
+            o = obs.assemble_many(bundle.ts)
+            want = rep.expectation_schrodinger(reference, nodes, o)
+            got = rep.expectation_schrodinger(bundle, nodes, o)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -320,7 +345,7 @@ class TestBlockedIntegratorParity:
         for node in (BLOCK_STEPS, BLOCK_STEPS + 1):
             with pytest.raises(NonFiniteError) as err:
                 reference_integrate(_switched_on_at(node))
-            assert (err.value.node_index, err.value.channel) == (node, "psi")
+            assert (err.value.node_index, err.value.channel) == (node, "u_r")
 
 
 def reference_json_text(a: np.ndarray) -> str:

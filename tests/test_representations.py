@@ -108,6 +108,16 @@ class TestTagDiscipline:
         with pytest.raises(TagMismatchError):
             heisenberg_rhs(op_h, s_op(H_PT), zero_h)
 
+    def test_rhs_requires_one_picture_tag(self, pt_unbroken_bundle):
+        _, bundle = pt_unbroken_bundle
+        op_h = to_heisenberg(s_op(SIGMA_Z), bundle, 0)
+        op_hl = to_heisenberg_like(s_op(SIGMA_Z), bundle, 0)
+        zero_h = TaggedOperator(RepresentationTag.H, np.zeros((2, 2)), 0.0)
+        for args in ((op_h, op_h, op_hl), (op_hl, op_hl, zero_h),
+                     (s_op(SIGMA_Z), s_op(H_PT), s_op(np.zeros((2, 2))))):
+            with pytest.raises(TagMismatchError):
+                heisenberg_rhs(*args)
+
 
 class TestExpectationEquivalence:
     def test_three_pictures_agree(self, driven_bundle):
@@ -157,20 +167,31 @@ class TestHermitizedHamiltonian:
         assert np.array_equal(flat, SIGMA_X)
 
 
+def _eom_fd_error(bundle, transport):
+    t = 2.0
+    i = bundle.index_of_time(t)
+    obs = s_op(SIGMA_Z, t)
+    h_p = transport(s_op(H_PT, t), bundle, i)
+    zero = TaggedOperator(h_p.rep, np.zeros((2, 2)), t)
+    rhs = heisenberg_rhs(transport(obs, bundle, i), h_p, zero)
+    delta = 100 * bundle.step
+    plus = transport(obs, bundle, bundle.index_of_time(t + delta)).matrix
+    minus = transport(obs, bundle, bundle.index_of_time(t - delta)).matrix
+    fd = (plus - minus) / (2 * delta)
+    return np.max(np.abs(fd - rhs)), max(1.0, np.max(np.abs(rhs)))
+
+
 class TestHeisenbergEquationOfMotion:
     def test_rhs_matches_finite_difference(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
-        t = 2.0
-        i = bundle.index_of_time(t)
-        obs = s_op(SIGMA_Z, t)
-        h_h = to_heisenberg(s_op(H_PT, t), bundle, i)
-        zero = TaggedOperator(RepresentationTag.H, np.zeros((2, 2)), t)
-        rhs = heisenberg_rhs(to_heisenberg(obs, bundle, i), h_h, zero)
-        delta = 100 * bundle.step
-        plus = to_heisenberg(obs, bundle, bundle.index_of_time(t + delta)).matrix
-        minus = to_heisenberg(obs, bundle, bundle.index_of_time(t - delta)).matrix
-        fd = (plus - minus) / (2 * delta)
-        assert np.max(np.abs(fd - rhs)) <= 1e-2 * max(1.0, np.max(np.abs(rhs)))
+        err, scale = _eom_fd_error(bundle, to_heisenberg)
+        assert err <= 1e-2 * scale
+
+    def test_hl_rhs_matches_finite_difference(self, pt_unbroken_bundle):
+        # The HL picture obeys the same equation of motion as the H picture.
+        _, bundle = pt_unbroken_bundle
+        err, scale = _eom_fd_error(bundle, to_heisenberg_like)
+        assert err <= 1e-2 * scale
 
 
 class TestCommutatorTransport:

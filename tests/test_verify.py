@@ -108,9 +108,6 @@ class TestDeterminismAndConvergence:
     def test_residuals_shrink_under_step_halving(self):
         # Checks dominated by truncation error (not the rounding floor) must
         # fall monotonically across three halvings.
-        # state_propagator is excluded: with psi0 = e_1 the state channel
-        # repeats the arithmetic of U_R's first column, so its residual is
-        # identically zero at any step.
         tracked = ("metric_closed_form", "propagator_inverse_left", "norm_conservation")
         history = {name: [] for name in tracked}
         for step in (0.04, 0.02, 0.01, 0.005):
@@ -175,10 +172,11 @@ class TestErrorPath:
 
         error = ("SingularMatrixError: condition number exceeds cap 1.0e+12 "
                  "(sigma_min=0.000e+00, sigma_max=3.000e+00)")
-        inverts_e = ("expectation_s_vs_hl", "isospectral_hl", "hermitized_generator_gauge")
-        reads_e = ("vielbein_reconstructs_metric", "vielbein_transport")
+        inverts_e = ("expectation_s_vs_hl", "isospectral_hl", "heisenberg_like_eom_fd",
+                     "hermitized_generator_gauge")
+        reads_e = ("vielbein_reconstructs_metric",)
         errored = [c for c in report.checks if c.name.startswith(inverts_e)]
-        assert len(errored) == 2 * len(scenario.observables) + 1
+        assert len(errored) == 3 * len(scenario.observables) + 1
         for c in errored:
             assert (c.residual, c.passed, c.context, c.error) == (
                 float("inf"), False, "max over 6 nodes", error), c.name
@@ -218,7 +216,7 @@ def _pt_chain(n: int = 8, gamma: float = 0.4) -> Scenario:
 
 
 def per_node_reference(bundle, scenario, node_stride=10):
-    """Worst residual and node of four check families, one node at a time."""
+    """Worst residual and node of five check families, one node at a time."""
     n = bundle.n_nodes
     nodes = list(range(0, n, node_stride))
     if nodes[-1] != n - 1:
@@ -233,14 +231,16 @@ def per_node_reference(bundle, scenario, node_stride=10):
     def o_h(obs, j):
         return bundle.u_l[j] @ obs.assemble(bundle.ts[j]) @ bundle.u_r[j]
 
-    def eom_fd(i, obs, d_obs):
+    def o_hl(obs, j):
+        return bundle.e[j] @ obs.assemble(bundle.ts[j]) @ np.linalg.inv(bundle.e[j])
+
+    def eom_fd(i, obs, d_obs, transport):
         if i - dn < 0 or i + dn >= n:
             return 0.0
-        fd = (o_h(obs, i + dn) - o_h(obs, i - dn)) / (2 * dn * bundle.step)
-        u_l, u_r, t = bundle.u_l[i], bundle.u_r[i], bundle.ts[i]
-        h_h = u_l @ scenario.hamiltonian.assemble(t) @ u_r
-        o = o_h(obs, i)
-        return np.linalg.norm(fd - (1j * (h_h @ o - o @ h_h) + u_l @ d_obs.assemble(t) @ u_r))
+        fd = (transport(obs, i + dn) - transport(obs, i - dn)) / (2 * dn * bundle.step)
+        h_p = transport(scenario.hamiltonian, i)
+        o = transport(obs, i)
+        return np.linalg.norm(fd - (1j * (h_p @ o - o @ h_p) + transport(d_obs, i)))
 
     families = {
         "propagator_inverse_left":
@@ -252,8 +252,10 @@ def per_node_reference(bundle, scenario, node_stride=10):
         families[f"isospectral_hl[{name}]"] = lambda i, obs=obs: spectral_distance(
             bundle.e[i] @ obs.assemble(bundle.ts[i]) @ np.linalg.inv(bundle.e[i]),
             obs.assemble(bundle.ts[i]))
-        families[f"heisenberg_eom_fd[{name}]"] = (
-            lambda i, obs=obs, d_obs=obs.differentiate(): eom_fd(i, obs, d_obs))
+        for family, transport in (("heisenberg_eom_fd", o_h), ("heisenberg_like_eom_fd", o_hl)):
+            families[f"{family}[{name}]"] = (
+                lambda i, obs=obs, d_obs=obs.differentiate(), transport=transport:
+                    eom_fd(i, obs, d_obs, transport))
 
     worst = {}
     for name, residual in families.items():
