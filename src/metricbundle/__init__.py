@@ -8,7 +8,6 @@ them numerically.
 
 from .errors import MetricBundleError
 from .evolution import EvolutionBundle, closed_form_metric, integrate
-from .matops import DEFAULT_TOL, Tolerance
 from .model import (
     IntegratorConfig,
     MetricInit,
@@ -26,8 +25,6 @@ __all__ = [
     "EvolutionBundle",
     "closed_form_metric",
     "integrate",
-    "DEFAULT_TOL",
-    "Tolerance",
     "IntegratorConfig",
     "MetricInit",
     "OperatorSpec",

@@ -38,9 +38,9 @@ from .errors import (
     SingularMatrixError,
     StepLimitExceededError,
 )
-from .evolution import bundle_to_json_dict, complex_pairs, integrate, to_json_text
-from .matops import DEFAULT_TOL, sorted_eigenvalues
-from .model import Scenario, load_scenario, scenario_to_json_dict
+from .evolution import bundle_to_json_dict, integrate, to_json_text
+from .matops import sorted_eigenvalues
+from .model import Scenario, complex_pairs, load_scenario, scenario_to_json_dict
 from .verify import render_table, run_suite
 from .zoo import DEMO_PREFIX, builtin_models, get_demo
 
@@ -122,7 +122,7 @@ def _write_trajectory_json(path, scenario: Scenario, bundle) -> None:
 def _cmd_evolve(args) -> int:
     scenario = _resolve_scenario(args.scenario, args)
     log.info("integrating %s", scenario.name or args.scenario)
-    bundle = integrate(scenario, DEFAULT_TOL)
+    bundle = integrate(scenario)
     if args.format == "csv":
         _write_trajectory_csv(args.output, scenario, bundle)
     else:
@@ -139,11 +139,10 @@ def _cmd_verify(args) -> int:
         _error("usage", f"--node-stride must be at least 1, got {args.node_stride}")
         return EXIT_USAGE
     scenario = _resolve_scenario(args.scenario, args)
-    bundle = integrate(scenario, DEFAULT_TOL)
+    bundle = integrate(scenario)
     report = run_suite(
         bundle,
         scenario,
-        DEFAULT_TOL,
         node_stride=args.node_stride,
         tolerance_scale=args.tolerance_scale,
     )

@@ -24,15 +24,14 @@ from typing import Any
 import numpy as np
 
 from .errors import NonFiniteError, StepLimitExceededError
-from .matops import DEFAULT_TOL, Tolerance, cholesky_upper
-from .model import Scenario, resolve_initial_metric
+from .matops import cholesky_upper
+from .model import Scenario, complex_pairs, resolve_initial_metric
 
 __all__ = [
     "EvolutionBundle",
     "rhs_vielbein",
     "integrate",
     "closed_form_metric",
-    "complex_pairs",
     "bundle_to_json_dict",
     "bundle_from_json_dict",
     "to_json_text",
@@ -118,7 +117,7 @@ def _check_finite(first_node: int, block):
             "channel left the finite range", first_node + int(node), _CHANNELS[channel])
 
 
-def integrate(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> EvolutionBundle:
+def integrate(scenario: Scenario) -> EvolutionBundle:
     """Advance U_R, U_L and G over [t0, t1] on a uniform grid, then derive psi and E.
 
     Steps run in blocks of BLOCK_STEPS, with H assembled for a whole block at
@@ -135,8 +134,8 @@ def integrate(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> EvolutionBund
     step = span / n_steps
 
     dim = scenario.dim
-    g0 = resolve_initial_metric(scenario, tol)
-    e0 = cholesky_upper(g0, tol).astype(complex)
+    g0 = resolve_initial_metric(scenario)
+    e0 = cholesky_upper(g0).astype(complex)
 
     u_r = np.eye(dim, dtype=complex)
     ul_g = np.stack([u_r, g0.astype(complex)])
@@ -178,11 +177,6 @@ def closed_form_metric(bundle: EvolutionBundle, index) -> np.ndarray:
     """
     u_l = bundle.u_l[index]
     return u_l.conj().swapaxes(-1, -2) @ bundle.g0 @ u_l
-
-
-def complex_pairs(a: np.ndarray) -> np.ndarray:
-    """Float array with a trailing [re, im] axis (the scenario-file convention)."""
-    return np.stack([a.real, a.imag], axis=-1)
 
 
 def _decode_complex_array(doc) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Dense complex matrix kernel with explicit tolerance semantics.
+"""Dense complex matrix kernel with one fixed tolerance policy.
 
 All physics layers funnel their linear algebra through this module so that
 tolerances and failure modes (singular propagator, non-positive metric, ...)
-are decided in exactly one place. Matrices are plain square complex numpy
-arrays; vectors are 1-d complex arrays. Every function is pure.
+are decided in exactly one place, by the constants ATOL, RTOL and
+CONDITION_CAP. Matrices are plain square complex numpy arrays; vectors are
+1-d complex arrays. Every function is pure.
 
 The kernels also take stacks of matrices, shape (nodes, d, d), and return one
 value per matrix. A stack is validated once; when a matrix in it fails a
@@ -11,8 +12,6 @@ check, the error describes the first failing matrix in index order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "ATOL",
+    "RTOL",
+    "CONDITION_CAP",
     "IDENTITY2",
     "SIGMA_X",
     "SIGMA_Y",
@@ -47,29 +47,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """One tolerance record injected everywhere; never hard-coded per call site.
-
-    condition_cap bounds the accepted condition number of inverses: near an
-    exceptional point the vielbein and propagators become ill-conditioned and
-    failures must be loud, not silent.
-    """
-
-    atol: float = 1e-12
-    rtol: float = 1e-9
-    condition_cap: float = 1e12
-
-    def __post_init__(self):
-        if self.atol < 0 or self.rtol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.atol + self.rtol == 0:
-            raise ValueError("atol + rtol must be positive")
-        if self.condition_cap <= 1:
-            raise ValueError("condition_cap must exceed 1")
-
-
-DEFAULT_TOL = Tolerance()
+ATOL = 1e-12
+RTOL = 1e-9
+# Bound on the condition number of inverses: near an exceptional point the
+# vielbein and propagators become ill-conditioned and failures must be loud,
+# not silent.
+CONDITION_CAP = 1e12
 
 IDENTITY2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,17 +109,17 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse, refusing condition numbers above the configured cap."""
+def inverse(a) -> np.ndarray:
+    """Matrix inverse, refusing condition numbers above CONDITION_CAP."""
     a = as_stack(a)
     svals = np.linalg.svd(a, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (svals[..., -1] <= 0) | (svals[..., 0] / svals[..., -1] > tol.condition_cap)
+        bad = (svals[..., -1] <= 0) | (svals[..., 0] / svals[..., -1] > CONDITION_CAP)
     first = _first(bad)
     if first is not None:
         s = svals[first]
         raise SingularMatrixError(
-            f"condition number exceeds cap {tol.condition_cap:.1e} "
+            f"condition number exceeds cap {CONDITION_CAP:.1e} "
             f"(sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
         )
     return np.linalg.inv(a)
@@ -148,19 +131,19 @@ def hermitian_deviation(a):
     return frobenius(a - a.conj().swapaxes(-1, -2)) / np.maximum(1.0, frobenius(a))
 
 
-def _require_hermitian(g: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
+def _require_hermitian(g: np.ndarray, what: str) -> np.ndarray:
     deviation = np.asarray(hermitian_deviation(g))
-    first = _first(deviation > tol.atol + tol.rtol)
+    first = _first(deviation > ATOL + RTOL)
     if first is not None:
         raise NotHermitianError(
             f"{what}: hermitian deviation {deviation[first]:.3e} "
-            f"exceeds {tol.atol + tol.rtol:.3e}"
+            f"exceeds {ATOL + RTOL:.3e}"
         )
     # Symmetrize so downstream LAPACK calls see an exactly Hermitian input.
     return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
-def cholesky_upper(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def cholesky_upper(g) -> np.ndarray:
     """Upper-triangular factor E with positive real diagonal and adj(E) @ E == g.
 
     This is the gauge fixing for the vielbein: any unitary multiple of E is an
@@ -168,7 +151,7 @@ def cholesky_upper(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     downstream comparisons deterministic.
     """
     g = as_matrix(g, "metric")
-    h = _require_hermitian(g, tol, "cholesky_upper")
+    h = _require_hermitian(g, "cholesky_upper")
     try:
         lower = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
@@ -200,10 +183,10 @@ def eigenvalue_match_distance(a, b):
     return np.max(np.abs(va - vb), axis=-1)
 
 
-def min_eig_hermitian(g, tol: Tolerance = DEFAULT_TOL):
+def min_eig_hermitian(g):
     """Smallest eigenvalue of a Hermitian matrix (positive-definiteness monitor)."""
     g = as_stack(g, "metric")
-    h = _require_hermitian(g, tol, "min_eig_hermitian")
+    h = _require_hermitian(g, "min_eig_hermitian")
     try:
         return np.min(np.linalg.eigvalsh(h), axis=-1)
     except np.linalg.LinAlgError as exc:

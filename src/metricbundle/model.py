@@ -40,8 +40,8 @@ from .errors import (
     SchemaError,
 )
 from .matops import (
-    DEFAULT_TOL,
-    Tolerance,
+    ATOL,
+    RTOL,
     as_matrix,
     as_vector,
     cholesky_upper,
@@ -57,6 +57,7 @@ __all__ = [
     "IntegratorConfig",
     "Scenario",
     "constant_operator",
+    "complex_pairs",
     "solve_stationary_metric",
     "resolve_initial_metric",
     "scenario_to_json_dict",
@@ -227,9 +228,7 @@ class Scenario:
         return self.hamiltonian.dim
 
 
-def solve_stationary_metric(
-    h, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, dict[str, Any]]:
+def solve_stationary_metric(h) -> tuple[np.ndarray, dict[str, Any]]:
     """Hermitian positive-definite G with G H == adj(H) G, trace-normalized.
 
     Solved in the eigenbasis of H (Mostafazadeh, arXiv:0810.5643). With
@@ -237,7 +236,7 @@ def solve_stationary_metric(
     the equation into X_jk (lam_k - conj(lam_j)) = 0. For a real spectrum the
     Hermitian solutions are therefore the Hermitian X that are block-diagonal
     over clusters of equal eigenvalues, equal to within
-    max(atol, rtol * max(1, ||H||_F)): one free m x m block per eigenvalue of
+    max(ATOL, RTOL * max(1, ||H||_F)): one free m x m block per eigenvalue of
     multiplicity m, a nullspace of real dimension sum m^2. Among them the
     solution closest to identity in Frobenius norm is preferred; when that
     candidate is not positive-definite the eigenbasis construction
@@ -253,7 +252,7 @@ def solve_stationary_metric(
     """
     h = as_matrix(h, "hamiltonian")
     scale = max(1.0, frobenius(h))
-    cluster_tol = max(tol.atol, tol.rtol * scale)
+    cluster_tol = max(ATOL, RTOL * scale)
     try:
         vals, vecs = np.linalg.eig(h)
         if np.max(np.abs(vals.imag)) > cluster_tol:
@@ -267,7 +266,7 @@ def solve_stationary_metric(
                 degenerate=True,
             )
         w = np.linalg.inv(vecs)
-        # Cluster label per eigenvalue: the sorted spectrum split at gaps > tol.
+        # Cluster label per eigenvalue: the sorted spectrum split at gaps > cluster_tol.
         order = np.argsort(vals.real)
         gaps = np.diff(vals.real[order]) > cluster_tol
         cluster = np.empty(len(vals), dtype=int)
@@ -293,7 +292,7 @@ def solve_stationary_metric(
         raise EigenConvergenceError(f"stationary metric: {exc}") from exc
     candidates = {"closest_to_identity": q.conj().T @ x @ q, "eigenbasis": w.conj().T @ w}
     for construction, candidate in candidates.items():
-        g = _accept_candidate(candidate, h, scale, tol)
+        g = _accept_candidate(candidate, h, scale)
         if g is not None:
             return g, {
                 "nullspace_dim": len(rows),
@@ -305,13 +304,13 @@ def solve_stationary_metric(
     )
 
 
-def _accept_candidate(g, h, scale: float, tol: Tolerance):
+def _accept_candidate(g, h, scale: float):
     """Trace-normalized g when it is positive-definite and solves the equation."""
-    if not max(tol.atol, 1e-10) < frobenius(g) < math.inf:
+    if not max(ATOL, 1e-10) < frobenius(g) < math.inf:
         return None
     g = 0.5 * (g + g.conj().T)
     try:
-        if min_eig_hermitian(g, tol) <= tol.atol + 1e-10 * frobenius(g):
+        if min_eig_hermitian(g) <= ATOL + 1e-10 * frobenius(g):
             return None
     except (NotHermitianError, EigenConvergenceError):
         return None
@@ -322,7 +321,7 @@ def _accept_candidate(g, h, scale: float, tol: Tolerance):
     return g
 
 
-def resolve_initial_metric(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def resolve_initial_metric(scenario: Scenario) -> np.ndarray:
     """Produce G(t0) according to the metric init mode; validates PD."""
     dim = scenario.dim
     init = scenario.metric_init
@@ -330,33 +329,27 @@ def resolve_initial_metric(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> 
         return np.eye(dim, dtype=complex)
     if init.mode == "explicit":
         g = as_matrix(init.matrix, "metric")
-        if hermitian_deviation(g) > tol.atol + tol.rtol:
+        if hermitian_deviation(g) > ATOL + RTOL:
             raise SchemaError("explicit metric is not Hermitian", "/metric/matrix")
-        if min_eig_hermitian(g, tol) <= 0:
+        if min_eig_hermitian(g) <= 0:
             raise SchemaError("explicit metric is not positive-definite", "/metric/matrix")
         try:
-            cholesky_upper(g, tol)  # also rejects near-singular metrics
+            cholesky_upper(g)  # also rejects near-singular metrics
         except NotPositiveDefiniteError as exc:
             raise SchemaError(f"explicit metric is not positive-definite: {exc}",
                               "/metric/matrix") from exc
         return 0.5 * (g + g.conj().T)
-    g, _ = solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0), tol)
+    g, _ = solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0))
     return g
 
 
 # --- JSON codec ------------------------------------------------------------
 
 
-def _c_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_c_to_pair(z) for z in row] for row in m]
-
-
-def _vector_to_json(v: np.ndarray) -> list:
-    return [_c_to_pair(z) for z in v]
+def complex_pairs(a) -> np.ndarray:
+    """Float array with a trailing [re, im] axis (the scenario-file convention)."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1)
 
 
 def _pair_from_json(value, pointer: str) -> complex:
@@ -366,16 +359,20 @@ def _pair_from_json(value, pointer: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise SchemaError("complex number must be a [re, im] pair", pointer)
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:  # an int too large for a float
+        raise SchemaError("complex number part is too large for a float", pointer) from None
 
 
 def _matrix_from_json(value, dim: int, pointer: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != dim:
-        raise SchemaError(f"matrix must have {dim} rows", pointer)
+        raise SchemaError(f"matrix must have {_short_repr(dim)} rows", pointer)
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"matrix row must have {dim} entries", f"{pointer}/{i}")
+            raise SchemaError(
+                f"matrix row must have {_short_repr(dim)} entries", f"{pointer}/{i}")
         rows.append([_pair_from_json(z, f"{pointer}/{i}/{j}") for j, z in enumerate(row)])
     return np.array(rows, dtype=complex)
 
@@ -429,7 +426,7 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
 
     psi_doc = doc["psi0"]
     if not isinstance(psi_doc, list) or len(psi_doc) != dim:
-        raise SchemaError(f"psi0 must have {dim} entries", "/psi0")
+        raise SchemaError(f"psi0 must have {_short_repr(dim)} entries", "/psi0")
     psi0 = np.array([_pair_from_json(z, f"/psi0/{i}") for i, z in enumerate(psi_doc)])
 
     obs_doc = doc["observables"]
@@ -480,17 +477,17 @@ def scenario_to_json_dict(scenario: Scenario) -> dict:
     doc: dict[str, Any] = {
         "dim": scenario.dim,
         "hamiltonian": [
-            {"coeff": t.source, "matrix": _matrix_to_json(t.matrix)}
+            {"coeff": t.source, "matrix": complex_pairs(t.matrix).tolist()}
             for t in scenario.hamiltonian.terms
         ],
         "metric": {"mode": scenario.metric_init.mode},
-        "psi0": _vector_to_json(scenario.psi0),
+        "psi0": complex_pairs(scenario.psi0).tolist(),
         "observables": {
             obs_name: (
-                _matrix_to_json(obs.terms[0].matrix)
+                complex_pairs(obs.terms[0].matrix).tolist()
                 if len(obs.terms) == 1 and obs.terms[0].source == "1"
                 else [
-                    {"coeff": t.source, "matrix": _matrix_to_json(t.matrix)}
+                    {"coeff": t.source, "matrix": complex_pairs(t.matrix).tolist()}
                     for t in obs.terms
                 ]
             )
@@ -505,7 +502,7 @@ def scenario_to_json_dict(scenario: Scenario) -> dict:
         },
     }
     if scenario.metric_init.matrix is not None:
-        doc["metric"]["matrix"] = _matrix_to_json(scenario.metric_init.matrix)
+        doc["metric"]["matrix"] = complex_pairs(scenario.metric_init.matrix).tolist()
     if scenario.name:
         doc["name"] = scenario.name
     if scenario.expected_failures:

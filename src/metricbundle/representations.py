@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, TagMismatchError
 from .evolution import EvolutionBundle
-from .matops import DEFAULT_TOL, Tolerance, adjoint, as_stack, commutator, frobenius, inverse
+from .matops import adjoint, as_stack, commutator, frobenius, inverse
 
 __all__ = [
     "RepresentationTag",
@@ -57,24 +57,17 @@ class TaggedState:
     rep: RepresentationTag
     ket: np.ndarray
     dual: np.ndarray  # row covector components
-    time: float
 
 
 @dataclass(frozen=True)
 class TaggedOperator:
     rep: RepresentationTag
-    matrix: np.ndarray  # (dim, dim), or (nodes, dim, dim) with one time per node
-    time: float | np.ndarray
+    matrix: np.ndarray  # (dim, dim), or (nodes, dim, dim) with one matrix per node
 
 
 def _require(op: TaggedOperator, tag: RepresentationTag, what: str) -> None:
     if op.rep is not tag:
         raise TagMismatchError(f"{what} requires a {tag.value}-tagged operator, got {op.rep.value}")
-
-
-def _time(bundle: EvolutionBundle, index):
-    t = bundle.ts[index]
-    return float(t) if np.ndim(t) == 0 else t
 
 
 def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
@@ -96,42 +89,27 @@ def to_heisenberg(obs_s: TaggedOperator, bundle: EvolutionBundle, index) -> Tagg
     """Similarity transport U_L O_S U_R; isospectral with the input."""
     _require(obs_s, RepresentationTag.S, "to_heisenberg")
     return TaggedOperator(
-        RepresentationTag.H,
-        bundle.u_l[index] @ obs_s.matrix @ bundle.u_r[index],
-        _time(bundle, index),
-    )
+        RepresentationTag.H, bundle.u_l[index] @ obs_s.matrix @ bundle.u_r[index])
 
 
 def to_heisenberg_like(
-    obs_s: TaggedOperator,
-    bundle: EvolutionBundle,
-    index,
-    tol: Tolerance = DEFAULT_TOL,
+    obs_s: TaggedOperator, bundle: EvolutionBundle, index
 ) -> TaggedOperator:
     """Vielbein transport E O_S inv(E); singular near an exceptional point."""
     _require(obs_s, RepresentationTag.S, "to_heisenberg_like")
     e = bundle.e[index]
-    return TaggedOperator(
-        RepresentationTag.HL,
-        e @ obs_s.matrix @ inverse(e, tol),
-        _time(bundle, index),
-    )
+    return TaggedOperator(RepresentationTag.HL, e @ obs_s.matrix @ inverse(e))
 
 
 def heisenberg_state(bundle: EvolutionBundle) -> TaggedState:
     ket = bundle.psi[0]
-    return TaggedState(
-        RepresentationTag.H,
-        ket,
-        ket.conj() @ bundle.g0,
-        float(bundle.ts[0]),
-    )
+    return TaggedState(RepresentationTag.H, ket, ket.conj() @ bundle.g0)
 
 
 def heisenberg_like_state(bundle: EvolutionBundle) -> TaggedState:
     ket = bundle.e[0] @ bundle.psi[0]
     # The HL dual is the exact conjugate of the ket, by construction.
-    return TaggedState(RepresentationTag.HL, ket, ket.conj(), float(bundle.ts[0]))
+    return TaggedState(RepresentationTag.HL, ket, ket.conj())
 
 
 def _bilinear(state: TaggedState, op: TaggedOperator, tag: RepresentationTag):
@@ -164,13 +142,13 @@ def heisenberg_rhs(
     return 1j * commutator(h.matrix, obs.matrix) + dt_obs.matrix
 
 
-def hermitized_hamiltonian(h_s, e, de_dt, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def hermitized_hamiltonian(h_s, e, de_dt) -> np.ndarray:
     """E H_S inv(E) + i (dE/dt) inv(E) — the generator seen by vielbein states.
 
     In the zero-generator gauge (dE/dt = i E H_S) the two terms cancel and the
     returned norm is a pure numerical residual.
     """
-    e_inv = inverse(e, tol)
+    e_inv = inverse(e)
     return e @ as_stack(h_s) @ e_inv + 1j * as_stack(de_dt) @ e_inv
 
 
@@ -178,7 +156,7 @@ def _commutator_gap(what, transport, oa_s, ob_s, bundle, index):
     """Relative gap between transported commutator and commutator of transports."""
     for op in (oa_s, ob_s):
         _require(op, RepresentationTag.S, what)
-    comm_s = TaggedOperator(RepresentationTag.S, commutator(oa_s.matrix, ob_s.matrix), oa_s.time)
+    comm_s = TaggedOperator(RepresentationTag.S, commutator(oa_s.matrix, ob_s.matrix))
     oa, ob, transported = (transport(op, bundle, index).matrix for op in (oa_s, ob_s, comm_s))
     scale = np.maximum(1.0, frobenius(oa) * frobenius(ob))
     return frobenius(commutator(oa, ob) - transported) / scale
@@ -197,11 +175,7 @@ def naive_dagger_transport(
     """Conventional adj(U) O_S U transport, kept as a diagnostic picture."""
     _require(obs_s, RepresentationTag.S, "naive_dagger_transport")
     u = bundle.u_r[index]
-    return TaggedOperator(
-        RepresentationTag.NAIVE,
-        adjoint(u) @ obs_s.matrix @ u,
-        _time(bundle, index),
-    )
+    return TaggedOperator(RepresentationTag.NAIVE, adjoint(u) @ obs_s.matrix @ u)
 
 
 def naive_commutator_residual(

@@ -74,8 +74,8 @@ def driven():
     return scenario, integrate(scenario)
 
 
-def s_op(matrix, t=0.0):
-    return TaggedOperator(RepresentationTag.S, matrix, t)
+def s_op(matrix):
+    return TaggedOperator(RepresentationTag.S, matrix)
 
 
 def test_01_hermitian_reduction():
@@ -134,7 +134,7 @@ def test_04_three_picture_expectations(pt_unbroken, driven):
         for i in range(0, bundle.n_nodes, bundle.n_nodes // 20):
             for _, obs in _acceptance_observables():
                 val_s = expectation_schrodinger(bundle, i, obs)
-                tagged = s_op(obs, bundle.ts[i])
+                tagged = s_op(obs)
                 val_h = expectation_heisenberg(state_h, to_heisenberg(tagged, bundle, i))
                 val_hl = expectation_heisenberg_like(
                     state_hl, to_heisenberg_like(tagged, bundle, i))
@@ -147,7 +147,7 @@ def test_05_isospectrality(pt_unbroken, driven):
     for _, bundle in (pt_unbroken, driven):
         for i in np.linspace(0, bundle.n_nodes - 1, 10).astype(int):
             for _, obs in _acceptance_observables():
-                tagged = s_op(obs, bundle.ts[i])
+                tagged = s_op(obs)
                 for transport in (to_heisenberg, to_heisenberg_like):
                     out = transport(tagged, bundle, int(i)).matrix
                     worst = max(worst, eigenvalue_match_distance(out, obs))
@@ -165,17 +165,16 @@ def _eom_error(scenario, obs_spec, delta):
 
         def o_h(j):
             return to_heisenberg(
-                s_op(obs_spec.assemble(bundle.ts[j]), bundle.ts[j]), bundle, j
-            ).matrix
+                s_op(obs_spec.assemble(bundle.ts[j])), bundle, j).matrix
 
         fd = (o_h(i + dn) - o_h(i - dn)) / (2 * delta)
         h_h = TaggedOperator(
             RepresentationTag.H,
-            bundle.u_l[i] @ scenario.hamiltonian.assemble(t) @ bundle.u_r[i], t)
+            bundle.u_l[i] @ scenario.hamiltonian.assemble(t) @ bundle.u_r[i])
         dt_h = TaggedOperator(
             RepresentationTag.H,
-            bundle.u_l[i] @ d_obs.assemble(t) @ bundle.u_r[i], t)
-        rhs = heisenberg_rhs(TaggedOperator(RepresentationTag.H, o_h(i), t), h_h, dt_h)
+            bundle.u_l[i] @ d_obs.assemble(t) @ bundle.u_r[i])
+        rhs = heisenberg_rhs(TaggedOperator(RepresentationTag.H, o_h(i)), h_h, dt_h)
         worst = max(worst, frobenius(fd - rhs))
     return worst
 
@@ -207,7 +206,7 @@ def test_07_commutator_transport(pt_unbroken):
     for i in (0, bundle.n_nodes // 2, bundle.n_nodes - 1):
         for a, b in pairs:
             worst = max(worst, commutator_transport_check(
-                s_op(a, bundle.ts[i]), s_op(b, bundle.ts[i]), bundle, i))
+                s_op(a), s_op(b), bundle, i))
     record(7, "commutator-transport", worst <= 1e-8, f"max residual {worst:.2e}")
 
 

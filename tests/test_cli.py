@@ -1,9 +1,15 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metricbundle import representations as rep
 from metricbundle.cli import (
@@ -32,6 +38,14 @@ from metricbundle.zoo import builtin_models, get_demo
 
 def run(*argv):
     return main(list(argv))
+
+
+def set_at(doc, pointer: str, value) -> None:
+    """Replace the value at a JSON pointer (list indices as digits) in place."""
+    *parents, key = pointer.strip("/").split("/")
+    for parent in parents:
+        doc = doc[int(parent) if isinstance(doc, list) else parent]
+    doc[int(key) if isinstance(doc, list) else key] = value
 
 
 def reference_trajectory_text(scenario: Scenario) -> str:
@@ -242,17 +256,106 @@ class TestScenarioFileErrors:
                              ids=["list", "string", "int"])
     def test_huge_value_gives_one_short_line(self, tmp_path, capsys, pointer, value):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
-        *parents, key = pointer.strip("/").split("/")
-        node = doc
-        for parent in parents:
-            node = node[parent]
-        node[key] = value
+        set_at(doc, pointer, value)
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert run("verify", str(path)) == EXIT_SCENARIO
         err = capsys.readouterr().err
         assert err.startswith(f"error[schema]: {pointer}:") and err.count("\n") == 1
         assert len(err.encode()) <= 200
+
+    @pytest.mark.parametrize("demo, pointer", [
+        ("hermitian-rabi", "/psi0/0"),
+        ("hermitian-rabi", "/hamiltonian/0/matrix/0/1"),
+        ("hermitian-rabi", "/metric/matrix/1/1"),
+        ("hermitian-rabi", "/observables/sigma_z/0/0"),
+        ("time-dependent-observable", "/observables/rotating/0/matrix/1/0"),
+    ])
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_integer_too_large_for_a_float_is_schema_error(
+            self, tmp_path, capsys, demo, pointer, part, command):
+        doc = scenario_to_json_dict(get_demo(demo, t1=0.1))
+        doc["metric"] = {"mode": "explicit", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        set_at(doc, f"{pointer}/{part}", -10**400)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, str(path), "-o", str(tmp_path / "out")) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[schema]: {pointer}:") and err.count("\n") == 1
+        assert len(err.encode()) <= 200
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_dim_too_large_for_a_float_gives_one_short_line(self, tmp_path, capsys, command):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        doc["dim"] = 10**400
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, str(path), "-o", str(tmp_path / "out")) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]: /hamiltonian/0/matrix:")
+        assert err.count("\n") == 1 and len(err.encode()) <= 200
+
+
+def _pointers(doc, prefix=""):
+    """JSON pointer of every value in doc, the root ("") included."""
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, child in children:
+        yield from _pointers(child, f"{prefix}/{key}")
+
+
+def _fuzz_base(demo: str) -> dict:
+    """A demo's scenario, short enough that no single change starts a long run."""
+    doc = scenario_to_json_dict(get_demo(demo, t1=0.01))
+    doc["integrator"]["max_steps"] = 64
+    return doc
+
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_scenarios(draw):
+    demo = draw(st.sampled_from(sorted(builtin_models())))
+    pointer = draw(st.sampled_from(list(_pointers(_fuzz_base(demo)))))
+    return demo, pointer, draw(JSON_VALUES)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=malformed_scenarios())
+@example(case=("hermitian-rabi", "/psi0/0", [10**400, 0]))
+def test_malformed_scenario_exits_with_one_documented_line(case):
+    demo, pointer, value = case
+    doc = _fuzz_base(demo)
+    if pointer:
+        set_at(doc, pointer, value)
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path)], ["evolve", str(path), "-o", f"{tmp}/x.csv"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_SCENARIO, EXIT_NUMERIC, EXIT_VERIFY), argv
+            lines = err.getvalue().splitlines()
+            assert sum(line.startswith("error[") for line in lines) == (code != EXIT_OK), lines
 
 
 class TestVerify:
@@ -296,6 +399,33 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error[usage]:") and err.count("\n") == 1
         assert flag in err
+
+    @pytest.mark.parametrize("flags", [
+        ("demo:pt-ep", "--t1", "0.05", "--node-stride", "100"),
+        ("demo:hermitian-rabi", "--t1", "0.001"),
+    ])
+    def test_eom_checks_that_evaluate_nothing_fail(self, tmp_path, capsys, flags):
+        report_path = tmp_path / "report.json"
+        assert run("verify", *flags, "-o", str(report_path)) == EXIT_VERIFY
+        out, err = capsys.readouterr()
+        eom_rows = [line.split() for line in out.splitlines() if "_eom_fd[" in line]
+        assert len(eom_rows) == 6
+        for name, residual, _, status in eom_rows:
+            assert (residual, status) == ("inf", "FAIL"), name
+        assert err == "error[verify]: 6 unexpected check failures\n"
+        doc = json.loads(report_path.read_text())
+        for check in doc["checks"]:
+            if "_eom_fd[" in check["name"]:
+                assert check["pass"] is False
+                assert check["error"].startswith("not evaluated:")
+
+    def test_declared_eom_checks_that_evaluate_nothing_exit_0(self, tmp_path, capsys):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.001))
+        doc["expected_failures"] = ["heisenberg_eom_fd", "heisenberg_like_eom_fd"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == EXIT_OK
+        assert "24/30 passed, 0 unexpected failures" in capsys.readouterr().out
 
     def test_stationary_metric_on_broken_phase_is_exit_2(self, tmp_path, capsys):
         scenario = get_demo("pt-dimer-unbroken")

@@ -18,7 +18,6 @@ from metricbundle.evolution import (
     bundle_from_json_dict,
     bundle_to_json_dict,
     closed_form_metric,
-    complex_pairs,
     integrate,
     rhs_vielbein,
     to_json_text,
@@ -30,6 +29,7 @@ from metricbundle.model import (
     OperatorSpec,
     ProfileTerm,
     Scenario,
+    complex_pairs,
     constant_operator,
     resolve_initial_metric,
     scenario_from_json_dict,

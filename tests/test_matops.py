@@ -10,11 +10,11 @@ from metricbundle.errors import (
     SingularMatrixError,
 )
 from metricbundle.matops import (
-    DEFAULT_TOL,
+    ATOL,
+    CONDITION_CAP,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Tolerance,
     adjoint,
     cholesky_upper,
     eigenvalue_match_distance,
@@ -74,11 +74,10 @@ class TestInverse:
         with pytest.raises(SingularMatrixError):
             inverse(a)
 
-    def test_cap_configurable(self):
-        a = np.diag([1.0, 1e-8])
-        inverse(a)  # cond 1e8 < default cap
+    def test_cap_boundary(self):
+        inverse(np.diag([1.0, 10 / CONDITION_CAP]))  # cond CONDITION_CAP / 10
         with pytest.raises(SingularMatrixError):
-            inverse(a, Tolerance(condition_cap=1e6))
+            inverse(np.diag([1.0, 0.1 / CONDITION_CAP]))  # cond 10 * CONDITION_CAP
 
 
 class TestCholeskyUpper:
@@ -192,7 +191,7 @@ def test_similarity_preserves_spectrum(seed, dim):
         return
     similar = inverse(p) @ a @ p
     scale = max(1.0, np.linalg.norm(a))
-    assert eigenvalue_match_distance(a, similar) <= DEFAULT_TOL.atol + 1e-8 * scale
+    assert eigenvalue_match_distance(a, similar) <= ATOL + 1e-8 * scale
 
 
 @settings(max_examples=50, deadline=None)

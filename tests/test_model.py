@@ -11,7 +11,7 @@ from metricbundle.errors import (
     NoPositiveDefiniteSolutionError,
     SchemaError,
 )
-from metricbundle.matops import DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, min_eig_hermitian
+from metricbundle.matops import ATOL, RTOL, SIGMA_X, SIGMA_Y, SIGMA_Z, min_eig_hermitian
 from metricbundle.model import (
     MetricInit,
     OperatorSpec,
@@ -93,7 +93,7 @@ def _hermitian_nullspace(h: np.ndarray) -> list[np.ndarray]:
     lin = np.kron(eye, h.T) - np.kron(h.conj().T, eye)
     cols = lin @ np.stack([b.ravel() for b in basis], axis=1)
     _, svals, vt = np.linalg.svd(np.concatenate([cols.real, cols.imag]))
-    null_tol = max(DEFAULT_TOL.atol, DEFAULT_TOL.rtol * svals[0])
+    null_tol = max(ATOL, RTOL * svals[0])
     null = [vt[i] for i in range(n * n) if svals[i] <= null_tol]
     return [np.tensordot(c, basis, axes=1) for c in null]
 

@@ -36,8 +36,8 @@ from metricbundle.zoo import get_demo
 H_PT = SIGMA_X + 0.5j * SIGMA_Z
 
 
-def s_op(matrix, time=0.0):
-    return TaggedOperator(RepresentationTag.S, matrix, time)
+def s_op(matrix):
+    return TaggedOperator(RepresentationTag.S, matrix)
 
 
 class TestTransportExamples:
@@ -63,7 +63,6 @@ class TestTransportExamples:
         exact = expm(1j * t * H_PT) @ SIGMA_Z @ expm(-1j * t * H_PT)
         assert np.max(np.abs(out.matrix - exact)) <= 1e-9
         assert out.rep is RepresentationTag.H
-        assert out.time == pytest.approx(t)
 
     def test_transports_are_isospectral(self, driven_bundle):
         _, bundle = driven_bundle
@@ -86,7 +85,7 @@ class TestTransportExamples:
 class TestTagDiscipline:
     def test_transport_rejects_wrong_tag(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
-        h_tagged = TaggedOperator(RepresentationTag.H, SIGMA_X, 0.0)
+        h_tagged = TaggedOperator(RepresentationTag.H, SIGMA_X)
         for fn in (to_heisenberg, to_heisenberg_like, naive_dagger_transport):
             with pytest.raises(TagMismatchError):
                 fn(h_tagged, bundle, 0)
@@ -104,7 +103,7 @@ class TestTagDiscipline:
     def test_rhs_requires_h_tags(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         op_h = to_heisenberg(s_op(SIGMA_Z), bundle, 0)
-        zero_h = TaggedOperator(RepresentationTag.H, np.zeros((2, 2)), 0.0)
+        zero_h = TaggedOperator(RepresentationTag.H, np.zeros((2, 2)))
         with pytest.raises(TagMismatchError):
             heisenberg_rhs(op_h, s_op(H_PT), zero_h)
 
@@ -112,7 +111,7 @@ class TestTagDiscipline:
         _, bundle = pt_unbroken_bundle
         op_h = to_heisenberg(s_op(SIGMA_Z), bundle, 0)
         op_hl = to_heisenberg_like(s_op(SIGMA_Z), bundle, 0)
-        zero_h = TaggedOperator(RepresentationTag.H, np.zeros((2, 2)), 0.0)
+        zero_h = TaggedOperator(RepresentationTag.H, np.zeros((2, 2)))
         for args in ((op_h, op_h, op_hl), (op_hl, op_hl, zero_h),
                      (s_op(SIGMA_Z), s_op(H_PT), s_op(np.zeros((2, 2))))):
             with pytest.raises(TagMismatchError):
@@ -127,7 +126,7 @@ class TestExpectationEquivalence:
         for t in (0.0, 1.0, 5.0, 10.0):
             i = bundle.index_of_time(t)
             for name, spec in scenario.observables.items():
-                obs = s_op(spec.assemble(t), t)
+                obs = s_op(spec.assemble(t))
                 val_s = expectation_schrodinger(bundle, i, obs.matrix)
                 val_h = expectation_heisenberg(state_h, to_heisenberg(obs, bundle, i))
                 val_hl = expectation_heisenberg_like(
@@ -170,9 +169,9 @@ class TestHermitizedHamiltonian:
 def _eom_fd_error(bundle, transport):
     t = 2.0
     i = bundle.index_of_time(t)
-    obs = s_op(SIGMA_Z, t)
-    h_p = transport(s_op(H_PT, t), bundle, i)
-    zero = TaggedOperator(h_p.rep, np.zeros((2, 2)), t)
+    obs = s_op(SIGMA_Z)
+    h_p = transport(s_op(H_PT), bundle, i)
+    zero = TaggedOperator(h_p.rep, np.zeros((2, 2)))
     rhs = heisenberg_rhs(transport(obs, bundle, i), h_p, zero)
     delta = 100 * bundle.step
     plus = transport(obs, bundle, bundle.index_of_time(t + delta)).matrix

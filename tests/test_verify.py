@@ -186,6 +186,20 @@ class TestErrorPath:
             elif not c.name.startswith(inverts_e):
                 assert c == clean[c.name]
 
+    @pytest.mark.parametrize("demo, t1, stride", [
+        ("pt-ep", 0.05, 100),  # nodes 0 and 50, delta 25 nodes
+        ("hermitian-rabi", 0.001, 10),  # one step: nodes 0 and 1, delta 1 node
+    ])
+    def test_eom_checks_without_a_central_difference_are_not_evaluated(self, demo, t1, stride):
+        scenario = get_demo(demo, t1=t1)
+        report = run_suite(integrate(scenario), scenario, node_stride=stride)
+        eom = [c for c in report.checks if "_eom_fd[" in c.name]
+        assert len(eom) == 2 * len(scenario.observables)
+        for c in eom:
+            assert (c.residual, c.passed, c.context) == (float("inf"), False, "max over 2 nodes")
+            assert c.error.startswith("not evaluated:"), c.name
+        assert report.unexpected_failures == eom
+
 
 def _pt_chain(n: int = 8, gamma: float = 0.4) -> Scenario:
     hopping = np.diag(np.ones(n - 1), 1)
@@ -236,7 +250,7 @@ def per_node_reference(bundle, scenario, node_stride=10):
 
     def eom_fd(i, obs, d_obs, transport):
         if i - dn < 0 or i + dn >= n:
-            return 0.0
+            return -float("inf")  # not evaluated at this node
         fd = (transport(obs, i + dn) - transport(obs, i - dn)) / (2 * dn * bundle.step)
         h_p = transport(scenario.hamiltonian, i)
         o = transport(obs, i)
