@@ -70,9 +70,10 @@ class NoPositiveDefiniteSolutionError(MetricBundleError):
 class NonFiniteError(MetricBundleError):
     """An integration channel left the finite range (blow-up)."""
 
-    def __init__(self, message: str, node_index: int, channel: str):
-        super().__init__(f"{message} (node {node_index}, channel {channel})")
+    def __init__(self, message: str, node_index: int, time: float, channel: str):
+        super().__init__(f"{message} (node {node_index}, t = {time!r}, channel {channel})")
         self.node_index = node_index
+        self.time = time
         self.channel = channel
 
 

@@ -107,14 +107,17 @@ def _rk4_step(h1, h2, h4, step, u_r, ul_g):
     )
 
 
-def _check_finite(first_node: int, block):
-    """Raise at the first node, and its first channel, out of the finite range."""
+def _check_finite(first_node: int, ts, block):
+    """Raise at the first node, and its first channel, out of the finite range.
+
+    ts and block hold the times and channels of the nodes from first_node on.
+    """
     # not (|x| <= limit) also flags NaN and inf; bad is (nodes, channels).
     bad = ~np.all(np.abs(block) <= BLOWUP_LIMIT, axis=(2, 3))
     if bad.any():
         node, channel = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonFiniteError(
-            "channel left the finite range", first_node + int(node), _CHANNELS[channel])
+        raise NonFiniteError("channel left the finite range", first_node + int(node),
+                             float(ts[node]), _CHANNELS[channel])
 
 
 def integrate(scenario: Scenario) -> EvolutionBundle:
@@ -154,7 +157,7 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
             for k, (h1, h2, h4) in enumerate(stages, start=a + 1):
                 u_r, ul_g = _rk4_step(h1, h2, h4, step, u_r, ul_g)
                 out[k, 0], out[k, 1:] = u_r, ul_g
-        _check_finite(a + 1, out[a + 1:b + 1])
+        _check_finite(a + 1, ts[a + 1:b + 1], out[a + 1:b + 1])
 
     u_r, u_l, g = out.swapaxes(0, 1)
     return EvolutionBundle(

@@ -32,7 +32,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "as_matrix",
-    "as_vector",
     "as_stack",
     "adjoint",
     "commutator",
@@ -66,15 +65,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     return as_stack(m, name)
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    m = np.asarray(v, dtype=complex)
-    if m.ndim != 1 or m.shape[0] < 1:
-        raise DimensionMismatchError(f"{name} must be 1-d, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise DimensionMismatchError(f"{name} contains non-finite entries")
-    return m
 
 
 def as_stack(a, name: str = "matrix") -> np.ndarray:

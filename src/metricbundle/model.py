@@ -1,7 +1,7 @@
 """Scenario ingestion: Hamiltonian families, initial metrics, states, observables.
 
 A scenario file is a single JSON document; complex numbers are always
-2-element [re, im] arrays:
+2-element [re, im] arrays of finite ints or floats (never bools):
 
     {
       "dim": 2,
@@ -37,13 +37,13 @@ from .errors import (
     NoPositiveDefiniteSolutionError,
     NotHermitianError,
     NotPositiveDefiniteError,
+    ProfileSyntaxError,
     SchemaError,
 )
 from .matops import (
     ATOL,
     RTOL,
     as_matrix,
-    as_vector,
     cholesky_upper,
     frobenius,
     hermitian_deviation,
@@ -352,7 +352,57 @@ def complex_pairs(a) -> np.ndarray:
     return np.stack([a.real, a.imag], axis=-1)
 
 
-def _pair_from_json(value, pointer: str) -> complex:
+def _complex_array_from_json(value, shape: tuple[int, ...], pointer: str) -> np.ndarray:
+    """Complex array of the given shape from nested lists of [re, im] pairs.
+
+    Bit-exact: each part converts as float() does, -0.0 included. A valid
+    document costs one scan of its types and one np.array call; when any
+    check fails, the per-entry walk names the first bad entry in order.
+    """
+    if _only_numbers_in(value, len(shape)):
+        try:
+            parts = np.array(value, dtype=np.float64)
+        except (OverflowError, ValueError):  # an int too large for a float; ragged lists
+            pass
+        else:
+            if parts.shape == (*shape, 2) and np.isfinite(parts).all():
+                return parts.view(np.complex128)[..., 0]
+    _raise_first_bad_entry(value, shape, pointer, _SHAPE_MESSAGES[len(shape)])
+    raise AssertionError(f"{pointer}: no bad entry found in a rejected array")
+
+
+def _only_numbers_in(value, depth: int) -> bool:
+    """True when value nests lists depth deep, then lists or tuples of ints and floats."""
+    level = [value]
+    for _ in range(depth):
+        if not all(issubclass(kind, list) for kind in {type(x) for x in level}):
+            return False
+        level = [item for row in level for item in row]
+    if not all(issubclass(kind, (list, tuple)) for kind in {type(x) for x in level}):
+        return False
+    kinds = {type(x) for pair in level for x in pair}
+    return all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds)
+
+
+# Length messages per axis, by the number of axes: a vector is always psi0.
+_SHAPE_MESSAGES = {
+    1: ("psi0 must have {} entries",),
+    2: ("matrix must have {} rows", "matrix row must have {} entries"),
+}
+
+
+def _raise_first_bad_entry(value, shape, pointer: str, messages) -> None:
+    """Walk the document in order, raising SchemaError at the first bad row or pair."""
+    if not shape:
+        _check_pair(value, pointer)
+        return
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise SchemaError(messages[0].format(_short_repr(shape[0])), pointer)
+    for i, item in enumerate(value):
+        _raise_first_bad_entry(item, shape[1:], f"{pointer}/{i}", messages[1:])
+
+
+def _check_pair(value, pointer: str) -> None:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
@@ -360,21 +410,11 @@ def _pair_from_json(value, pointer: str) -> complex:
     ):
         raise SchemaError("complex number must be a [re, im] pair", pointer)
     try:
-        return complex(float(value[0]), float(value[1]))
+        parts = [float(x) for x in value]
     except OverflowError:  # an int too large for a float
         raise SchemaError("complex number part is too large for a float", pointer) from None
-
-
-def _matrix_from_json(value, dim: int, pointer: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != dim:
-        raise SchemaError(f"matrix must have {_short_repr(dim)} rows", pointer)
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(
-                f"matrix row must have {_short_repr(dim)} entries", f"{pointer}/{i}")
-        rows.append([_pair_from_json(z, f"{pointer}/{i}/{j}") for j, z in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    if not all(math.isfinite(x) for x in parts):
+        raise SchemaError("complex number part must be finite", pointer)
 
 
 def _terms_from_json(value, dim: int, pointer: str) -> OperatorSpec:
@@ -386,10 +426,11 @@ def _terms_from_json(value, dim: int, pointer: str) -> OperatorSpec:
             raise SchemaError('term must be {"coeff", "matrix"}', f"{pointer}/{i}")
         if not isinstance(entry["coeff"], str):
             raise SchemaError("coeff must be a string", f"{pointer}/{i}/coeff")
-        matrix = _matrix_from_json(entry["matrix"], dim, f"{pointer}/{i}/matrix")
+        matrix = _complex_array_from_json(entry["matrix"], (dim, dim), f"{pointer}/{i}/matrix")
         try:
             terms.append(ProfileTerm.parse(entry["coeff"], matrix))
-        except Exception as exc:
+        # The parser recurses, so a deeply nested coefficient is a RecursionError.
+        except (ProfileSyntaxError, RecursionError) as exc:
             raise SchemaError(f"bad coefficient: {exc}", f"{pointer}/{i}/coeff") from exc
     return OperatorSpec(terms)
 
@@ -397,7 +438,7 @@ def _terms_from_json(value, dim: int, pointer: str) -> OperatorSpec:
 def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:
     if isinstance(value, list) and value and isinstance(value[0], dict):
         return _terms_from_json(value, dim, pointer)
-    return constant_operator(_matrix_from_json(value, dim, pointer))
+    return constant_operator(_complex_array_from_json(value, (dim, dim), pointer))
 
 
 def scenario_from_json_dict(doc: Any) -> Scenario:
@@ -421,13 +462,10 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     if mode == "explicit":
         if "matrix" not in metric_doc:
             raise SchemaError("explicit metric requires a matrix", "/metric/matrix")
-        matrix = _matrix_from_json(metric_doc["matrix"], dim, "/metric/matrix")
+        matrix = _complex_array_from_json(metric_doc["matrix"], (dim, dim), "/metric/matrix")
     metric = MetricInit(mode, matrix)
 
-    psi_doc = doc["psi0"]
-    if not isinstance(psi_doc, list) or len(psi_doc) != dim:
-        raise SchemaError(f"psi0 must have {_short_repr(dim)} entries", "/psi0")
-    psi0 = np.array([_pair_from_json(z, f"/psi0/{i}") for i, z in enumerate(psi_doc)])
+    psi0 = _complex_array_from_json(doc["psi0"], (dim,), "/psi0")
 
     obs_doc = doc["observables"]
     if not isinstance(obs_doc, dict):
@@ -520,9 +558,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise SchemaError(f"invalid JSON: {exc}", "") from exc
     except RecursionError as exc:
         raise SchemaError(f"JSON nested too deeply: {exc}", "") from exc
-    scenario = scenario_from_json_dict(doc)
-    as_vector(scenario.psi0, "psi0")
-    return scenario
+    return scenario_from_json_dict(doc)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -1,7 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from metricbundle import evolution, zoo
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Stationary PT metric fixture used across modules: for H = s*sx + i*gamma*sz
 # with sin(alpha) = gamma/s the trace-free-normalized metric is
@@ -41,3 +47,15 @@ def driven_bundle():
 def rabi_bundle():
     scenario = zoo.get_demo("hermitian-rabi")
     return scenario, evolution.integrate(scenario)
+
+
+@pytest.fixture(scope="session")
+def perfbench_chain_files(tmp_path_factory):
+    """The 16-, 32- and 64-site chain files of pt-chain, written by perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    workdir = tmp_path_factory.mktemp("pt-chain")
+    return [Path(case.ref) for case in workloads.make_cases("pt-chain", 5, workdir, [], {})]

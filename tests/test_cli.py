@@ -150,6 +150,15 @@ class TestEvolve:
         assert code == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("error[numeric]:")
 
+    def test_blowup_line_names_node_time_and_channel(self, tmp_path, capsys):
+        # The ep-sweep blow-up: gamma = 3, s = 1 leaves the finite range at node 4869.
+        path = tmp_path / "blowup.json"
+        save_scenario(get_demo("pt-dimer-broken", s=1.0, gamma=3.0, t1=15.0), path)
+        assert run("evolve", str(path), "-o", str(tmp_path / "x.csv")) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error[numeric]: NonFiniteError: channel left the finite range"
+            " (node 4869, t = 4.869, channel g)\n")
+
     def test_eigen_convergence_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -284,6 +293,22 @@ class TestScenarioFileErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error[schema]: {pointer}:") and err.count("\n") == 1
         assert len(err.encode()) <= 200
+
+    @pytest.mark.parametrize("pointer, pair", [
+        ("/hamiltonian/0/matrix/0/0", [float("nan"), 0]),
+        ("/observables/sigma_z/0/0", [float("inf"), 0]),
+        ("/psi0/0", [float("nan"), 0]),
+    ], ids=["hamiltonian-nan", "observable-inf", "psi0-nan"])
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_non_finite_entry_is_rejected_at_its_pointer(
+            self, tmp_path, capsys, pointer, pair, command):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        set_at(doc, pointer, pair)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, str(path), "-o", str(tmp_path / "out")) == EXIT_SCENARIO
+        assert capsys.readouterr().err == (
+            f"error[schema]: {pointer}: complex number part must be finite\n")
 
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     def test_dim_too_large_for_a_float_gives_one_short_line(self, tmp_path, capsys, command):

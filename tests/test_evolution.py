@@ -228,7 +228,8 @@ def reference_integrate(scenario):
         for channel, arr in zip(("u_r", "u_l", "g"), y[1:4]):
             a = np.abs(arr)
             if not np.all(np.isfinite(a)) or np.max(a) > BLOWUP_LIMIT:
-                raise NonFiniteError("channel left the finite range", k + 1, channel)
+                raise NonFiniteError(
+                    "channel left the finite range", k + 1, float(ts[k + 1]), channel)
         nodes.append(y)
     return tuple(np.array(c) for c in zip(*nodes))
 
@@ -338,8 +339,9 @@ class TestBlockedIntegratorParity:
             reference_integrate(scenario)
         with pytest.raises(NonFiniteError) as got:
             integrate(scenario)
-        assert (got.value.node_index, got.value.channel) == (
-            want.value.node_index, want.value.channel)
+        assert (got.value.node_index, got.value.time, got.value.channel) == (
+            want.value.node_index, want.value.time, want.value.channel)
+        assert str(got.value) == str(want.value)
 
     def test_switch_scenarios_blow_up_where_designed(self):
         for node in (BLOCK_STEPS, BLOCK_STEPS + 1):

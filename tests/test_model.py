@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import G_PT
+from metricbundle import model
 from metricbundle.errors import (
     EvalError,
     NoPositiveDefiniteSolutionError,
@@ -16,6 +18,8 @@ from metricbundle.model import (
     MetricInit,
     OperatorSpec,
     ProfileTerm,
+    _complex_array_from_json,
+    _short_repr,
     constant_operator,
     load_scenario,
     save_scenario,
@@ -372,3 +376,159 @@ class TestScenarioSchema:
         }
         scenario = scenario_from_json_dict(doc)
         assert np.allclose(scenario.metric_init.matrix, G_PT * np.sqrt(0.75))
+
+
+def _reference_pair(value, pointer: str) -> complex:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    ):
+        raise SchemaError("complex number must be a [re, im] pair", pointer)
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        raise SchemaError("complex number part is too large for a float", pointer) from None
+
+
+def reference_decode(value, shape: tuple[int, ...], pointer: str) -> np.ndarray:
+    """The scenario decoder as first written: one Python call per [re, im] pair.
+
+    It lets non-finite parts through; the decoder under test rejects them.
+    """
+    dim = shape[0]
+    if len(shape) == 1:
+        if not isinstance(value, list) or len(value) != dim:
+            raise SchemaError(f"psi0 must have {_short_repr(dim)} entries", pointer)
+        return np.array([_reference_pair(z, f"{pointer}/{i}") for i, z in enumerate(value)])
+    if not isinstance(value, list) or len(value) != dim:
+        raise SchemaError(f"matrix must have {_short_repr(dim)} rows", pointer)
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != dim:
+            raise SchemaError(
+                f"matrix row must have {_short_repr(dim)} entries", f"{pointer}/{i}")
+        rows.append([_reference_pair(z, f"{pointer}/{i}/{j}") for j, z in enumerate(row)])
+    return np.array(rows, dtype=complex)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
+
+
+EDGE_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    2**53 + 1, -(2**53 + 1), 2**63, 2**63 + 1, -(2**63) - 1, 2**64 + 3, 2**1023 + 2**980,
+]
+PARTS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(min_value=-(2**1023), max_value=2**1023)
+    | st.sampled_from(EDGE_PARTS)
+)
+PAIRS = st.lists(PARTS, min_size=2, max_size=2) | st.tuples(PARTS, PARTS)
+
+
+@st.composite
+def complex_arrays(draw):
+    """(value, shape): nested lists of [re, im] pairs, a vector or a square matrix."""
+    dim = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(dim,), (dim, dim)]))
+    entries = st.lists(PAIRS, min_size=dim, max_size=dim)
+    if len(shape) == 2:
+        entries = st.lists(entries, min_size=dim, max_size=dim)
+    return draw(entries), shape
+
+
+def _locations(value, path=()):
+    """Index path of every row, pair and part, the whole value included."""
+    yield path
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _locations(item, (*path, i))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    items = list(value)
+    items[path[0]] = _replace(items[path[0]], path[1:], new)
+    return items if isinstance(value, list) else tuple(items)
+
+
+BAD_VALUES = st.sampled_from([
+    True, False, "1", None, [1.0], [1.0, 2.0, 3.0], [[1.0, 0.0]], {}, 10**400, -(10**400),
+    math.nan, math.inf, -math.inf,
+])
+
+
+@st.composite
+def malformed_arrays(draw):
+    """A valid array with one location replaced: by a bad value, shortened, lengthened,
+    or, above the pairs, made a tuple. A few replacements are valid by chance."""
+    value, shape = draw(complex_arrays())
+    path = draw(st.sampled_from(list(_locations(value))))
+    old = value
+    for i in path:
+        old = old[i]
+    edits = [BAD_VALUES]
+    if isinstance(old, list):
+        edits += [st.just(old[:-1]), st.just([*old, old[0]])]
+        if len(path) < len(shape):
+            edits.append(st.just(tuple(old)))
+    return _replace(value, path, draw(st.one_of(edits))), shape
+
+
+class TestComplexArrayDecoder:
+    @settings(max_examples=300, deadline=None)
+    @given(case=complex_arrays())
+    def test_valid_arrays_match_reference_bit_for_bit(self, case):
+        value, shape = case
+        got = _complex_array_from_json(value, shape, "/x")
+        want = reference_decode(value, shape, "/x")
+        assert got.shape == want.shape == shape and got.dtype == np.complex128
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=malformed_arrays())
+    @example(case=([[1.0, 0.0], [math.nan, 0.0]], (2,)))
+    @example(case=([[[1, 0], [0, 0]], ([0, 0], [1, 0])], (2, 2)))
+    def test_malformed_arrays_fail_like_reference(self, case):
+        value, shape = case
+        try:
+            decoded = reference_decode(value, shape, "/x")
+        except SchemaError as want:
+            with pytest.raises(SchemaError) as got:
+                _complex_array_from_json(value, shape, "/x")
+            assert (got.value.pointer, str(got.value)) == (want.pointer, str(want))
+            return
+        bad = np.flatnonzero(~np.isfinite(decoded.reshape(-1)))
+        if not bad.size:  # the replacement happened to be valid
+            got = _complex_array_from_json(value, shape, "/x")
+            assert np.array_equal(_bits(got), _bits(decoded))
+            return
+        # The one change the reference lets through: a non-finite part.
+        pointer = "/x/" + "/".join(map(str, np.unravel_index(bad[0], shape)))
+        with pytest.raises(SchemaError) as got:
+            _complex_array_from_json(value, shape, "/x")
+        assert got.value.pointer == pointer
+        assert str(got.value) == f"{pointer}: complex number part must be finite"
+
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_part_is_rejected_at_its_pair(self, part, bad):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc["psi0"][1][part] = bad
+        with pytest.raises(SchemaError) as err:
+            scenario_from_json_dict(doc)
+        assert str(err.value) == "/psi0/1: complex number part must be finite"
+
+    def test_valid_chains_skip_the_per_entry_walk(self, perfbench_chain_files, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the per-entry walk ran on a valid document")
+
+        monkeypatch.setattr(model, "_raise_first_bad_entry", walk)
+        for path in perfbench_chain_files:
+            doc = json.loads(path.read_text())
+            scenario = scenario_from_json_dict(doc)
+            assert scenario_to_json_dict(scenario) == doc
+        assert scenario.dim == 64

@@ -8,12 +8,16 @@ from metricbundle.zoo import builtin_models
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(path, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(path), *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
+
+
+def run_script(name, *args):
+    return run_python(ROOT / "scripts" / name, *args)
 
 
 def test_convergence_study_smoke():
@@ -40,3 +44,11 @@ def test_run_all_demos_rejects_node_stride_below_one():
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert proc.stderr == "error: --node-stride must be at least 1, got 0\n"
+
+
+def test_setup_probe_on_perfbench_chains(perfbench_chain_files):
+    # The probe times pt-chain's set-up; it must load and resolve every chain.
+    proc = run_python(ROOT / "perfbench" / "setup_probe.py", *map(str, perfbench_chain_files))
+    assert proc.returncode == 0, proc.stderr
+    assert [path.name for path in perfbench_chain_files] == [
+        "chain16.json", "chain32.json", "chain64.json"]
