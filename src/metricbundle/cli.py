@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import json
 import logging
 import math
 import os
@@ -40,7 +38,14 @@ from .errors import (
 )
 from .evolution import bundle_to_json_dict, integrate, to_json_text
 from .matops import sorted_eigenvalues
-from .model import Scenario, complex_pairs, load_scenario, scenario_to_json_dict
+from .model import (
+    Scenario,
+    complex_pairs,
+    load_scenario,
+    scenario_to_json_dict,
+    scenario_to_json_text,
+    with_overrides,
+)
 from .verify import render_table, run_suite
 from .zoo import DEMO_PREFIX, builtin_models, get_demo
 
@@ -67,22 +72,17 @@ def _error(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
 
 
+def _times(args) -> dict:
+    """The --t0/--t1/--step flags, as with_overrides takes them."""
+    return {"t0": args.t0, "t1": args.t1, "step": args.step}
+
+
 def _resolve_scenario(ref: str, args) -> Scenario:
     if ref.startswith(DEMO_PREFIX):
-        scenario = get_demo(ref[len(DEMO_PREFIX):])
-    else:
-        if not Path(ref).exists():
-            raise SchemaError(f"scenario file not found: {ref}", "")
-        scenario = load_scenario(ref)
-    return _apply_overrides(scenario, args)
-
-
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    changes = {key: getattr(args, key) for key in ("t0", "t1")
-               if getattr(args, key, None) is not None}
-    if getattr(args, "step", None) is not None:
-        changes["integrator"] = dataclasses.replace(scenario.integrator, step=args.step)
-    return dataclasses.replace(scenario, **changes) if changes else scenario
+        return get_demo(ref[len(DEMO_PREFIX):], **_times(args))
+    if not Path(ref).exists():
+        raise SchemaError(f"scenario file not found: {ref}", "")
+    return with_overrides(load_scenario(ref), **_times(args))
 
 
 def _expectations(scenario: Scenario, bundle):
@@ -195,13 +195,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("s", "gamma", "step", "t0", "t1")
-        if getattr(args, key) is not None
-    }
-    scenario = get_demo(args.name, **overrides)
-    doc = json.dumps(scenario_to_json_dict(scenario), indent=2) + "\n"
+    params = {key: getattr(args, key) for key in ("s", "gamma") if getattr(args, key) is not None}
+    doc = scenario_to_json_text(get_demo(args.name, **params, **_times(args)))
     if args.output:
         Path(args.output).write_text(doc)
     else:

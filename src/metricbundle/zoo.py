@@ -1,5 +1,10 @@
 """Built-in demo scenarios: a small zoo of two-level systems.
 
+A demo is its physics parameters (the coupling s, and the gain/loss rate
+gamma where it has one). Every demo starts from |0> with the three Pauli
+observables over [0, 10] at step 1e-3; `get_demo` replaces t0, t1 and step
+through `model.with_overrides`, as the CLI does for a scenario file.
+
 The dimer family H = s*sigma_x + i*gamma*sigma_z straddles the exceptional
 point at gamma/s = 1: the spectrum is real for gamma/s < 1 (unbroken phase,
 a positive-definite stationary metric exists), coalesces at 0 for
@@ -10,6 +15,7 @@ phase, no positive-definite stationary metric).
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Callable
 
 import numpy as np
@@ -23,6 +29,7 @@ from .model import (
     ProfileTerm,
     Scenario,
     constant_operator,
+    with_overrides,
 )
 
 __all__ = ["builtin_models", "get_demo", "DEMO_PREFIX"]
@@ -36,118 +43,64 @@ _PAULI_OBSERVABLES = {
 }
 
 
-def _base_kwargs(t0, t1, step):
-    return dict(
+def _operator(terms) -> OperatorSpec:
+    return OperatorSpec([ProfileTerm.parse(source, matrix) for source, matrix in terms])
+
+
+def _demo(name: str, hamiltonian, metric_mode: str,
+          expected_failures=("conventional_dagger_transport",), **extra_observables) -> Scenario:
+    """A demo from its Hamiltonian and extra observables, as (coefficient, matrix) terms."""
+    observables = {k: constant_operator(v) for k, v in _PAULI_OBSERVABLES.items()}
+    observables.update({k: _operator(v) for k, v in extra_observables.items()})
+    return Scenario(
+        hamiltonian=_operator(hamiltonian),
+        metric_init=MetricInit(metric_mode),
         psi0=np.array([1.0, 0.0], dtype=complex),
-        observables={k: constant_operator(v) for k, v in _PAULI_OBSERVABLES.items()},
-        t0=t0,
-        t1=t1,
-        integrator=IntegratorConfig(step=step),
+        observables=observables,
+        t0=0.0,
+        t1=10.0,
+        integrator=IntegratorConfig(step=1e-3),
+        name=name,
+        expected_failures=expected_failures,
     )
 
 
-def _dimer_hamiltonian(s: float, gamma: float) -> OperatorSpec:
-    return OperatorSpec(
-        [
-            ProfileTerm.parse(repr(float(s)), SIGMA_X),
-            ProfileTerm.parse(repr(float(gamma)), 1j * SIGMA_Z),
-        ]
-    )
+def _dimer(s: float, gamma: float) -> list:
+    return [(repr(float(s)), SIGMA_X), (repr(float(gamma)), 1j * SIGMA_Z)]
 
 
-def make_hermitian_rabi(s: float = 1.0, t0: float = 0.0, t1: float = 10.0,
-                        step: float = 1e-3) -> Scenario:
-    return Scenario(
-        hamiltonian=OperatorSpec([ProfileTerm.parse(repr(float(s)), SIGMA_X)]),
-        metric_init=MetricInit("identity"),
-        name="hermitian-rabi",
-        **_base_kwargs(t0, t1, step),
-    )
+def make_hermitian_rabi(s: float = 1.0) -> Scenario:
+    return _demo("hermitian-rabi", [(repr(float(s)), SIGMA_X)], "identity", ())
 
 
-def make_pt_dimer_unbroken(s: float = 1.0, gamma: float = 0.5, t0: float = 0.0,
-                           t1: float = 10.0, step: float = 1e-3) -> Scenario:
-    return Scenario(
-        hamiltonian=_dimer_hamiltonian(s, gamma),
-        metric_init=MetricInit("stationary"),
-        name="pt-dimer-unbroken",
-        expected_failures=("conventional_dagger_transport",),
-        **_base_kwargs(t0, t1, step),
-    )
+def make_pt_dimer_unbroken(s: float = 1.0, gamma: float = 0.5) -> Scenario:
+    return _demo("pt-dimer-unbroken", _dimer(s, gamma), "stationary")
 
 
-def make_pt_dimer_broken(s: float = 1.0, gamma: float = 1.5, t0: float = 0.0,
-                         t1: float = 10.0, step: float = 1e-3) -> Scenario:
+def make_pt_dimer_broken(s: float = 1.0, gamma: float = 1.5) -> Scenario:
     # In the broken phase the propagators grow exponentially; identities that
     # are exact in exact arithmetic drown in the conditioning, and the metric
     # loses numerical positivity. Those checks are declared expected-to-fail.
-    return Scenario(
-        hamiltonian=_dimer_hamiltonian(s, gamma),
-        metric_init=MetricInit("identity"),
-        name="pt-dimer-broken",
-        expected_failures=(
-            "conventional_dagger_transport",
-            "metric_positive_definite",
-            "propagator_inverse",
-            "metric_closed_form",
-            "vielbein_reconstructs_metric",
-            "norm_conservation",
-            "expectation_s_vs",
-            "isospectral_",
-            "heisenberg_eom_fd",
-            "heisenberg_like_eom_fd",
-            "commutator_transport",
-            "metric_hermitian",
-        ),
-        **_base_kwargs(t0, t1, step),
-    )
+    return _demo("pt-dimer-broken", _dimer(s, gamma), "identity", (
+        "conventional_dagger_transport", "metric_positive_definite", "propagator_inverse",
+        "metric_closed_form", "vielbein_reconstructs_metric", "norm_conservation",
+        "expectation_s_vs", "isospectral_", "heisenberg_eom_fd", "heisenberg_like_eom_fd",
+        "commutator_transport", "metric_hermitian",
+    ))
 
 
-def make_pt_ep(s: float = 1.0, t0: float = 0.0, t1: float = 10.0,
-               step: float = 1e-3) -> Scenario:
-    return Scenario(
-        hamiltonian=_dimer_hamiltonian(s, s),
-        metric_init=MetricInit("identity"),
-        name="pt-ep",
-        expected_failures=("conventional_dagger_transport",),
-        **_base_kwargs(t0, t1, step),
-    )
+def make_pt_ep(s: float = 1.0) -> Scenario:
+    return _demo("pt-ep", _dimer(s, s), "identity")
 
 
-def make_driven_dimer(s: float = 1.0, gamma: float = 0.5, t0: float = 0.0,
-                      t1: float = 10.0, step: float = 1e-3) -> Scenario:
-    hamiltonian = OperatorSpec(
-        [
-            ProfileTerm.parse(repr(float(s)), SIGMA_X),
-            ProfileTerm.parse(f"{float(gamma)!r} * sin(t)", 1j * SIGMA_Z),
-        ]
-    )
-    return Scenario(
-        hamiltonian=hamiltonian,
-        metric_init=MetricInit("identity"),
-        name="driven-dimer",
-        expected_failures=("conventional_dagger_transport",),
-        **_base_kwargs(t0, t1, step),
-    )
+def make_driven_dimer(s: float = 1.0, gamma: float = 0.5) -> Scenario:
+    terms = [(repr(float(s)), SIGMA_X), (f"{float(gamma)!r} * sin(t)", 1j * SIGMA_Z)]
+    return _demo("driven-dimer", terms, "identity")
 
 
-def make_time_dependent_observable(s: float = 1.0, gamma: float = 0.5,
-                                   t0: float = 0.0, t1: float = 10.0,
-                                   step: float = 1e-3) -> Scenario:
-    base = _base_kwargs(t0, t1, step)
-    base["observables"]["rotating"] = OperatorSpec(
-        [
-            ProfileTerm.parse("cos(t)", SIGMA_X),
-            ProfileTerm.parse("sin(t)", SIGMA_Y),
-        ]
-    )
-    return Scenario(
-        hamiltonian=_dimer_hamiltonian(s, gamma),
-        metric_init=MetricInit("stationary"),
-        name="time-dependent-observable",
-        expected_failures=("conventional_dagger_transport",),
-        **base,
-    )
+def make_time_dependent_observable(s: float = 1.0, gamma: float = 0.5) -> Scenario:
+    return _demo("time-dependent-observable", _dimer(s, gamma), "stationary",
+                 rotating=[("cos(t)", SIGMA_X), ("sin(t)", SIGMA_Y)])
 
 
 def builtin_models() -> dict[str, Callable[..., Scenario]]:
@@ -161,7 +114,9 @@ def builtin_models() -> dict[str, Callable[..., Scenario]]:
     }
 
 
-def get_demo(name: str, **overrides) -> Scenario:
+def get_demo(name: str, *, t0: float | None = None, t1: float | None = None,
+             step: float | None = None, **params: float) -> Scenario:
+    """Demo `name` at the physics parameters `params`; t0, t1 and step as in with_overrides."""
     models = builtin_models()
     if name not in models:
         raise SchemaError(
@@ -169,7 +124,10 @@ def get_demo(name: str, **overrides) -> Scenario:
             "/name",
         )
     factory = models[name]
-    unknown = sorted(set(overrides) - set(inspect.signature(factory).parameters))
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
     if unknown:
         raise SchemaError(f"demo {name!r} takes no parameter {unknown[0]!r}", "")
-    return factory(**overrides)
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise SchemaError(f"demo {name!r} parameter {key!r} must be finite, got {value!r}", "")
+    return with_overrides(factory(**params), t0=t0, t1=t1, step=step)

@@ -24,14 +24,13 @@ from metricbundle.evolution import integrate
 from metricbundle.model import (
     IntegratorConfig,
     MetricInit,
-    OperatorSpec,
-    ProfileTerm,
     Scenario,
     constant_operator,
     load_scenario,
     save_scenario,
     scenario_from_json_dict,
     scenario_to_json_dict,
+    scenario_to_json_text,
 )
 from metricbundle.zoo import builtin_models, get_demo
 
@@ -76,34 +75,6 @@ def reference_trajectory_text(scenario: Scenario) -> str:
         },
     }
     return json.dumps(doc) + "\n"
-
-
-def perfbench_chain(n: int, seed: int) -> Scenario:
-    """An n-site open PT chain built as perfbench/workloads.py builds pt-chain's."""
-    rng = np.random.default_rng(seed)
-    hopping = np.diag(np.ones(n - 1), 1)
-    hopping = hopping + hopping.T
-    gain_loss = np.zeros((n, n), dtype=complex)
-    gain_loss[0, 0], gain_loss[-1, -1] = 1j, -1j
-    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    position = np.diag(np.arange(n) - (n - 1) / 2)
-    return Scenario(
-        hamiltonian=OperatorSpec([
-            ProfileTerm.parse(repr(-1.0), hopping),
-            ProfileTerm.parse(repr(float(rng.uniform(0.2, 0.6))), gain_loss),
-        ]),
-        metric_init=MetricInit("identity" if n == 64 else "stationary"),
-        psi0=psi0 / np.linalg.norm(psi0),
-        observables={
-            "position": constant_operator(position),
-            "hopping": constant_operator(hopping),
-        },
-        t0=0.0,
-        t1=0.03,
-        integrator=IntegratorConfig(step=1e-3),
-        name=f"pt-chain-{n}",
-        expected_failures=("conventional_dagger_transport",),
-    )
 
 
 class TestEvolve:
@@ -207,9 +178,8 @@ class TestTrajectoryJson:
         assert out.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("n", [16, 32, 64])
-    def test_pt_chain_matches_reference(self, tmp_path, n):
-        path = tmp_path / f"chain{n}.json"
-        save_scenario(perfbench_chain(n, seed=n), path)
+    def test_pt_chain_matches_reference(self, tmp_path, perfbench_chain_files, n):
+        (path,) = [p for p in perfbench_chain_files if p.name == f"chain{n}.json"]
         out = tmp_path / "traj.json"
         assert run("evolve", str(path), "-o", str(out), "--format", "json") == EXIT_OK
         assert out.read_bytes() == reference_trajectory_text(load_scenario(path)).encode()
@@ -452,6 +422,23 @@ class TestVerify:
         assert run("verify", str(path)) == EXIT_OK
         assert "24/30 passed, 0 unexpected failures" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("expected", [[""], ["norm_conservation", ""]])
+    def test_empty_expected_failure_is_schema_error(self, tmp_path, capsys, expected):
+        # A huge psi0 fails seven checks; "" is a prefix of every check name,
+        # so declaring it would pass them all.
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc["psi0"] = [[1, 0], [1e6, 0]]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path), "--t1", "0.05") == EXIT_VERIFY
+        assert "23/30 passed, 7 unexpected failures" in capsys.readouterr().out
+        doc["expected_failures"] = expected
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path), "--t1", "0.05") == EXIT_SCENARIO
+        assert capsys.readouterr() == ("", (
+            f"error[schema]: /expected_failures/{len(expected) - 1}:"
+            " prefix is empty, so it matches every check\n"))
+
     def test_stationary_metric_on_broken_phase_is_exit_2(self, tmp_path, capsys):
         scenario = get_demo("pt-dimer-unbroken")
         path = tmp_path / "bad.json"
@@ -577,6 +564,33 @@ class TestDemo:
 
     def test_unknown_demo_name(self, capsys):
         assert run("demo", "no-such-model") == EXIT_SCENARIO
+
+    @pytest.mark.parametrize("name, flag, shown", [
+        ("pt-ep", "--s=nan", "nan"),
+        ("pt-ep", "--s=inf", "inf"),
+        ("pt-ep", "--s=-inf", "-inf"),
+        ("pt-ep", "--s=1e400", "inf"),
+        ("pt-dimer-unbroken", "--gamma=nan", "nan"),
+    ])
+    def test_non_finite_parameter_is_schema_error(self, capsys, name, flag, shown):
+        assert run("demo", name, flag) == EXIT_SCENARIO
+        param = flag[2:flag.index("=")]
+        assert capsys.readouterr() == ("", (
+            f"error[schema]: : demo {name!r} parameter {param!r} must be finite, got {shown}\n"))
+
+    @pytest.mark.parametrize("times", [{"t1": 0.05}, {"t0": 0.5, "t1": 0.6, "step": 0.002}])
+    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    def test_demo_routes_agree(self, tmp_path, capsys, name, times):
+        # The time flags reach `demo NAME`, get_demo and `evolve demo:NAME` alike.
+        flags = [f"--{key}={value!r}" for key, value in times.items()]
+        assert run("demo", name, *flags) == EXIT_OK
+        emitted = capsys.readouterr().out
+        assert emitted == scenario_to_json_text(get_demo(name, **times))
+        path = tmp_path / "s.json"
+        path.write_text(emitted)
+        assert run("evolve", str(path), "-o", str(tmp_path / "file.csv")) == EXIT_OK
+        assert run("evolve", f"demo:{name}", *flags, "-o", str(tmp_path / "demo.csv")) == EXIT_OK
+        assert (tmp_path / "demo.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["hermitian-rabi", "pt-ep"])
     def test_parameter_the_demo_does_not_take(self, capsys, name):

@@ -58,3 +58,17 @@ def test_tracer_sees_the_json_export_and_uninstalls(tmp_path):
     after = _package_bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_each_demo_route_calls_get_demo_once(tmp_path, capsys):
+    # zoo.get_demo_s stays meaningful only while both routes go through the wrapped name.
+    for argv in (["demo", "pt-ep", "--t1", "0.5"],
+                 ["evolve", "demo:pt-ep", "--t1", "0.05", "-o", str(tmp_path / "x.csv")]):
+        tracer = _tracer_class()()
+        tracer.install()
+        try:
+            assert tracer.wrap_main(cli.main)(argv) == cli.EXIT_OK
+        finally:
+            tracer.uninstall()
+        calls, _, _ = tracer.totals()
+        assert calls["zoo.get_demo"] == 1, argv
