@@ -52,10 +52,10 @@ class EvalError(MetricBundleError):
 
 
 class SchemaError(MetricBundleError):
-    """Scenario file violates the schema; carries a JSON pointer."""
+    """Scenario file violates the schema; carries a JSON pointer, or "" for none."""
 
     def __init__(self, message: str, pointer: str):
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
 
 

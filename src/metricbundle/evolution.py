@@ -6,6 +6,8 @@ Three channels share one time grid and one Hamiltonian sample per RK4 stage:
     d/dt U_L = +i U_L H(t)          (left propagator, evolves duals; U_L = inv(U_R))
     d/dt G   =  i (G H(t) - adj(H(t)) G)
 
+A stage is one batched product over a stack of its operands (_stage_rates).
+
 The state psi = U_R psi0 and the vielbein E = E0 U_L (zero-generator gauge,
 d/dt E = i E H) are derived after the run. RK4 is linear in its initial value,
 so integrating them as channels of their own would agree up to rounding.
@@ -33,22 +35,26 @@ __all__ = [
     "integrate",
     "closed_form_metric",
     "bundle_to_json_dict",
-    "bundle_from_json_dict",
     "to_json_text",
 ]
 
 BLOWUP_LIMIT = 1e12
-# Steps per block in integrate. A block's fixed cost (three assemble_many
-# calls and one guard) measured 0.19-0.57 ms at dim 2, a constant and a
-# sin(t) Hamiltonian. At 256 steps that is 0.7-2.2 us per step, against about
-# 90 us for one RK4 step; 1024 steps saved about 1 us more. The H stacks of a
-# block hold 3 matrices per step, fewer than the 4 per node the trajectory
-# stores, so they never cost more memory than the trajectory itself.
+# Steps per block in integrate, at most. A block's fixed cost (three
+# assemble_many calls and one guard) measured 0.19-0.57 ms at dim 2, a constant
+# and a sin(t) Hamiltonian: 0.7-2.2 us a step at 256 steps; 1024 steps saved
+# about 1 us more.
 BLOCK_STEPS = 256
+# Byte budget of a block's stage stacks, 21 matrices a step. From dim 7 on it,
+# not BLOCK_STEPS, sets the block length; from dim 80 a block is one step,
+# whose stacks exceed the budget past dim 111. Besides them a block holds only
+# the H stacks of assemble_many (3 matrices a step, none for a constant H).
+BLOCK_BYTES = 4 << 20
 
-# Channel axis of the stored trajectory, in guard order: the channel reported
-# at a bad node is the first bad one here.
-_CHANNELS = ("u_r", "u_l", "g")
+# Channel axis of the stored trajectory, and of a stage's input and rates.
+_CHANNELS = ("u_r", "g", "u_l")
+# The guard's order: the channel reported at a bad node is the first bad one here.
+_GUARD_ORDER = ("u_r", "u_l", "g")
+_GUARD_INDEX = [_CHANNELS.index(name) for name in _GUARD_ORDER]
 
 
 def rhs_vielbein(h, e):
@@ -78,34 +84,6 @@ class EvolutionBundle:
     def dim(self) -> int:
         return self.psi.shape[1]
 
-    def index_of_time(self, t: float) -> int:
-        """Grid node nearest to t; t must lie on the grid within half a step."""
-        idx = int(round((t - self.ts[0]) / self.step))
-        if idx < 0 or idx >= self.n_nodes or abs(self.ts[idx] - t) > 0.5 * self.step:
-            raise IndexError(f"time {t} is not on the grid")
-        return idx
-
-
-def _rhs(h, u_r, ul_g):
-    """All channel derivatives from one shared Hamiltonian sample; ul_g stacks U_L and G."""
-    du_r = -1j * (h @ u_r)
-    dul_g = rhs_vielbein(h, ul_g)  # the right-multiplied flow of both
-    dul_g[1] -= 1j * (h.conj().T @ ul_g[1])
-    return du_r, dul_g
-
-
-def _rk4_step(h1, h2, h4, step, u_r, ul_g):
-    """One RK4 step from H at the start, middle and end of the step."""
-    k1 = _rhs(h1, u_r, ul_g)
-    k2 = _rhs(h2, u_r + 0.5 * step * k1[0], ul_g + 0.5 * step * k1[1])
-    k3 = _rhs(h2, u_r + 0.5 * step * k2[0], ul_g + 0.5 * step * k2[1])
-    k4 = _rhs(h4, u_r + step * k3[0], ul_g + step * k3[1])
-    sixth = step / 6.0
-    return (
-        u_r + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        ul_g + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-    )
-
 
 def _check_finite(first_node: int, ts, block):
     """Raise at the first node, and its first channel, out of the finite range.
@@ -113,18 +91,66 @@ def _check_finite(first_node: int, ts, block):
     ts and block hold the times and channels of the nodes from first_node on.
     """
     # not (|x| <= limit) also flags NaN and inf; bad is (nodes, channels).
-    bad = ~np.all(np.abs(block) <= BLOWUP_LIMIT, axis=(2, 3))
+    bad = ~np.all(np.abs(block) <= BLOWUP_LIMIT, axis=(2, 3))[:, _GUARD_INDEX]
     if bad.any():
         node, channel = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonFiniteError("channel left the finite range", first_node + int(node),
-                             float(ts[node]), _CHANNELS[channel])
+                             float(ts[node]), _GUARD_ORDER[channel])
+
+
+def _steps_per_block(dim: int) -> int:
+    """Block length of integrate: BLOCK_STEPS, or fewer to keep within BLOCK_BYTES."""
+    # A step has a stack for each of its 3 H samples, of complex128 matrices.
+    return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (3 * _SLOTS * 16 * dim * dim)))
+
+
+# A stage stack holds the operands of one RK4 stage's single batched product:
+#   slot   0   1   2    3  4    5  6
+#          iH  iH  U_R  G  U_L  H  adj(H)
+# stack[3:7] @ stack[0:4] = [G iH, U_L iH, H U_R, adj(H) G]; slots 2-4 take the
+# stage input, in _CHANNELS order. The products land in slots 2-5 of a 6-slot
+# row; the phases -i and i move H U_R and adj(H) G to slots 1 and 0, and G's
+# rate replaces G iH, so row[1:4] holds the rates in _CHANNELS order. This
+# gives the bits of -i (H U_R), i (U_L H) and i (G H) - i (adj(H) G): i folded
+# into the right factor of a product keeps them, but folded into the left
+# factor it does not (OpenBLAS 0.3.31's zgemm rounds (iA) B and i (A B)
+# differently unless the dim is a multiple of 4). Stage inputs and the step keep RK4's
+# order of operations, y + (h/2) k and y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+_SLOTS = 7
+_LEFT, _RIGHT, _INPUT = slice(3, 7), slice(0, 4), slice(2, 5)  # of a stage stack
+_RATES = slice(1, 4)  # of a stage's row
+_PHASES = np.array([-1j, 1j])[:, None, None]
+
+
+def _fill_stage_stacks(stacks, hamiltonians) -> None:
+    """Write the H slots of the stacks of a block's first len(H) steps, one H stack a sample."""
+    for sample, h in enumerate(hamiltonians):
+        slots = stacks[:len(h), sample]
+        np.multiply(1j, h[:, None], out=slots[:, 0:2])
+        slots[:, 5] = h
+        np.conjugate(h.swapaxes(1, 2), out=slots[:, 6])
+
+
+def _row_views(row):
+    """The views of a stage's (6, dim, dim) row that _stage_rates writes."""
+    return row[2:6], row[4:6], row[1::-1], row[2], row[0]
+
+
+def _stage_rates(left, right, views) -> None:
+    """A stage's rates into row[_RATES], where views = _row_views(row), from
+    its stack's slices left = stack[_LEFT] and right = stack[_RIGHT]."""
+    products, left_products, phased, g_rate, adj_term = views
+    np.matmul(left, right, out=products)
+    np.multiply(_PHASES, left_products, out=phased)
+    np.subtract(g_rate, adj_term, out=g_rate)
 
 
 def integrate(scenario: Scenario) -> EvolutionBundle:
     """Advance U_R, U_L and G over [t0, t1] on a uniform grid, then derive psi and E.
 
-    Steps run in blocks of BLOCK_STEPS, with H assembled for a whole block at
-    once and the finite-range guard run over the block's stored nodes after it.
+    Steps run in blocks of _steps_per_block(dim), with H sampled and its
+    stage stacks built for a whole block at once, and the finite-range guard
+    run over the block's stored nodes after it.
     """
     config = scenario.integrator
     span = scenario.t1 - scenario.t0
@@ -135,31 +161,45 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
         )
     # Snap the step so the grid lands exactly on t1.
     step = span / n_steps
+    half, sixth = 0.5 * step, step / 6.0
 
     dim = scenario.dim
     g0 = resolve_initial_metric(scenario)
     e0 = cholesky_upper(g0).astype(complex)
 
-    u_r = np.eye(dim, dtype=complex)
-    ul_g = np.stack([u_r, g0.astype(complex)])
-
     ts = scenario.t0 + step * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, len(_CHANNELS), dim, dim), dtype=complex)
-    out[0, 0], out[0, 1:] = u_r, ul_g
+    out[0] = np.eye(dim), g0, np.eye(dim)
+    rows = np.empty((4, 6, dim, dim), dtype=complex)  # per RK4 stage
+    rates = rows[:, _RATES]  # (stage, channel)
+    # Per stage: its H sample, the sample of the next stage, and the multiple
+    # of its rate that the next stage input adds to y.
+    plan = list(zip(map(_row_views, rows), rates, (0, 1, 1, 2), (1, 1, 2, 0),
+                    (half, half, step, None)))
 
     assemble_many = scenario.hamiltonian.assemble_many
-    for a in range(0, n_steps, BLOCK_STEPS):
-        b = min(a + BLOCK_STEPS, n_steps)
+    block = min(_steps_per_block(dim), n_steps)
+    stacks = np.empty((block, 3, _SLOTS, dim, dim), dtype=complex)
+    lefts, rights, xs = stacks[:, :, _LEFT], stacks[:, :, _RIGHT], stacks[:, :, _INPUT]
+    for a in range(0, n_steps, block):
+        b = min(a + block, n_steps)
         t = ts[a:b]
         # t + step, not ts[a + 1:b + 1]: the two can differ in the last bit.
-        stages = zip(assemble_many(t), assemble_many(t + 0.5 * step), assemble_many(t + step))
+        _fill_stage_stacks(stacks, [assemble_many(s) for s in (t, t + half, t + step)])
         with np.errstate(all="ignore"):  # the guard reports a blow-up
-            for k, (h1, h2, h4) in enumerate(stages, start=a + 1):
-                u_r, ul_g = _rk4_step(h1, h2, h4, step, u_r, ul_g)
-                out[k, 0], out[k, 1:] = u_r, ul_g
+            for y, y_next, left, right, x in zip(out[a:b], out[a + 1:b + 1], lefts, rights, xs):
+                x[0] = y
+                for views, rate, sample, next_sample, by in plan:
+                    _stage_rates(left[sample], right[sample], views)
+                    if by is not None:
+                        scaled = np.multiply(by, rate, out=x[next_sample])
+                        np.add(y, scaled, out=scaled)
+                rates[1:3] *= 2
+                total = np.add.reduce(rates, out=y_next)
+                np.add(y, np.multiply(sixth, total, out=total), out=y_next)
         _check_finite(a + 1, ts[a + 1:b + 1], out[a + 1:b + 1])
 
-    u_r, u_l, g = out.swapaxes(0, 1)
+    u_r, g, u_l = out.swapaxes(0, 1)
     return EvolutionBundle(
         ts=ts,
         psi=u_r @ np.asarray(scenario.psi0, dtype=complex),
@@ -180,12 +220,6 @@ def closed_form_metric(bundle: EvolutionBundle, index) -> np.ndarray:
     """
     u_l = bundle.u_l[index]
     return u_l.conj().swapaxes(-1, -2) @ bundle.g0 @ u_l
-
-
-def _decode_complex_array(doc) -> np.ndarray:
-    """Inverse of complex_pairs, bit for bit (re + 1j * im would drop the
-    sign of a zero imaginary part)."""
-    return np.array(doc, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def bundle_to_json_dict(bundle: EvolutionBundle) -> dict[str, Any]:
@@ -237,18 +271,3 @@ def to_json_text(value) -> str:
         items = (f"{json.dumps(key)}: {to_json_text(item)}" for key, item in value.items())
         return "{" + ", ".join(items) + "}"
     return json.dumps(value)
-
-
-def bundle_from_json_dict(doc: dict[str, Any]) -> EvolutionBundle:
-    """Re-ingest an exported trajectory as an explicit bundle."""
-    return EvolutionBundle(
-        ts=np.asarray(doc["t"], dtype=float),
-        psi=_decode_complex_array(doc["psi"]),
-        u_r=_decode_complex_array(doc["u_r"]),
-        u_l=_decode_complex_array(doc["u_l"]),
-        g=_decode_complex_array(doc["g"]),
-        e=_decode_complex_array(doc["e"]),
-        g0=_decode_complex_array(doc["g0"]),
-        step=float(doc["step"]),
-        metadata=dict(doc.get("metadata", {})),
-    )

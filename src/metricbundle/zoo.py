@@ -120,8 +120,7 @@ def get_demo(name: str, *, t0: float | None = None, t1: float | None = None,
     models = builtin_models()
     if name not in models:
         raise SchemaError(
-            f"unknown demo model {name!r}; available: {', '.join(sorted(models))}",
-            "/name",
+            f"unknown demo model {name!r}; available: {', '.join(sorted(models))}", ""
         )
     factory = models[name]
     unknown = sorted(set(params) - set(inspect.signature(factory).parameters))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metricbundle import evolution, zoo
+from metricbundle.evolution import EvolutionBundle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +18,35 @@ COS_ALPHA = np.sqrt(1 - SIN_ALPHA**2)
 G_PT = (1.0 / COS_ALPHA) * np.array(
     [[1.0, -1j * SIN_ALPHA], [1j * SIN_ALPHA, 1.0]], dtype=complex
 )
+
+
+def index_of_time(bundle: EvolutionBundle, t: float) -> int:
+    """Grid node nearest to t; t must lie on the grid within half a step."""
+    idx = int(round((t - bundle.ts[0]) / bundle.step))
+    if idx < 0 or idx >= bundle.n_nodes or abs(bundle.ts[idx] - t) > 0.5 * bundle.step:
+        raise IndexError(f"time {t} is not on the grid")
+    return idx
+
+
+def _decode_complex_array(doc) -> np.ndarray:
+    """Inverse of complex_pairs, bit for bit (re + 1j * im would drop the
+    sign of a zero imaginary part)."""
+    return np.array(doc, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def bundle_from_json_dict(doc: dict) -> EvolutionBundle:
+    """Re-ingest an exported trajectory as an explicit bundle."""
+    return EvolutionBundle(
+        ts=np.asarray(doc["t"], dtype=float),
+        psi=_decode_complex_array(doc["psi"]),
+        u_r=_decode_complex_array(doc["u_r"]),
+        u_l=_decode_complex_array(doc["u_l"]),
+        g=_decode_complex_array(doc["g"]),
+        e=_decode_complex_array(doc["e"]),
+        g0=_decode_complex_array(doc["g0"]),
+        step=float(doc["step"]),
+        metadata=dict(doc.get("metadata", {})),
+    )
 
 
 def pytest_terminal_summary(terminalreporter):

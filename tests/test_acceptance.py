@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import index_of_time
 from metricbundle import cli
 from metricbundle.errors import NoPositiveDefiniteSolutionError
 from metricbundle.evolution import closed_form_metric, integrate, rhs_vielbein
@@ -161,7 +162,7 @@ def _eom_error(scenario, obs_spec, delta):
     assert abs(dn * bundle.step - delta) < 1e-12
     worst = 0.0
     for t in (1.0, 2.0, 3.0):
-        i = bundle.index_of_time(t)
+        i = index_of_time(bundle, t)
 
         def o_h(j):
             return to_heisenberg(
@@ -226,13 +227,13 @@ def test_08_zero_gauge_generator(pt_unbroken, driven):
 
 def test_09_naive_transport_negative_control(pt_unbroken):
     _, bundle = pt_unbroken
-    i = bundle.index_of_time(1.0)
+    i = index_of_time(bundle, 1.0)
     naive = naive_commutator_residual(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
     correct = commutator_transport_check(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
     ratio = naive / max(correct, 1e-300)
 
     rabi = integrate(get_demo("hermitian-rabi", t1=1.0))
-    j = rabi.index_of_time(1.0)
+    j = index_of_time(rabi, 1.0)
     gap = 0.0
     for obs in (SIGMA_X, SIGMA_Y, SIGMA_Z):
         u = rabi.u_r[j]

@@ -208,17 +208,20 @@ class TestScenarioFileErrors:
     }
 
     @pytest.mark.parametrize(
-        "raw",
-        ['{"name": "caf\u00e9"}'.encode("latin-1"), b"[" * 100_000 + b"]" * 100_000],
+        "raw, message",
+        [('{"name": "caf\u00e9"}'.encode("latin-1"), "not UTF-8 text: "),
+         (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply: ")],
         ids=["latin-1", "deep"],
     )
     @pytest.mark.parametrize("command", sorted(FLAGS))
-    def test_unreadable_file_is_schema_error(self, tmp_path, monkeypatch, capsys, raw, command):
+    def test_unreadable_file_is_schema_error(self, tmp_path, monkeypatch, capsys, raw, message,
+                                             command):
+        # No pointer: the message follows the prefix directly.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "s.json").write_bytes(raw)
         assert run(command, "s.json", *self.FLAGS[command]) == EXIT_SCENARIO
         err = capsys.readouterr().err
-        assert err.startswith("error[schema]: :") and err.count("\n") == 1
+        assert err.startswith(f"error[schema]: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", [["x"], None])
     def test_non_string_name_is_schema_error(self, tmp_path, capsys, name):
@@ -564,6 +567,10 @@ class TestDemo:
 
     def test_unknown_demo_name(self, capsys):
         assert run("demo", "no-such-model") == EXIT_SCENARIO
+        # No document exists for a pointer to point into.
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]: unknown demo model 'no-such-model'; available: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("name, flag, shown", [
         ("pt-ep", "--s=nan", "nan"),
@@ -576,7 +583,7 @@ class TestDemo:
         assert run("demo", name, flag) == EXIT_SCENARIO
         param = flag[2:flag.index("=")]
         assert capsys.readouterr() == ("", (
-            f"error[schema]: : demo {name!r} parameter {param!r} must be finite, got {shown}\n"))
+            f"error[schema]: demo {name!r} parameter {param!r} must be finite, got {shown}\n"))
 
     @pytest.mark.parametrize("times", [{"t1": 0.05}, {"t0": 0.5, "t1": 0.6, "step": 0.002}])
     @pytest.mark.parametrize("name", sorted(builtin_models()))

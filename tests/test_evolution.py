@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import G_PT
+from conftest import G_PT, bundle_from_json_dict, index_of_time
 from metricbundle import representations as rep
 from metricbundle.errors import NonFiniteError, SchemaError, StepLimitExceededError
 from metricbundle.evolution import (
     BLOCK_STEPS,
     BLOWUP_LIMIT,
-    _rhs,
-    bundle_from_json_dict,
+    _CHANNELS,
+    _INPUT,
+    _LEFT,
+    _RATES,
+    _RIGHT,
+    _SLOTS,
+    _check_finite,
+    _fill_stage_stacks,
+    _row_views,
+    _stage_rates,
+    _steps_per_block,
     bundle_to_json_dict,
     closed_form_metric,
     integrate,
@@ -31,6 +41,7 @@ from metricbundle.model import (
     Scenario,
     complex_pairs,
     constant_operator,
+    load_scenario,
     resolve_initial_metric,
     scenario_from_json_dict,
     scenario_to_json_dict,
@@ -41,11 +52,16 @@ H_PT = SIGMA_X + 0.5j * SIGMA_Z
 
 
 def channel_rates(h, u_r=None, u_l=None, g=None):
-    """d/dt of (U_R, U_L, G) from the integrator's one RHS definition."""
-    eye = np.eye(2, dtype=complex)
-    ul_g = np.stack([eye if m is None else np.asarray(m, dtype=complex) for m in (u_l, g)])
-    du_r, dul_g = _rhs(h, eye if u_r is None else u_r, ul_g)
-    return du_r, dul_g[0], dul_g[1]
+    """d/dt of (U_R, U_L, G) from the integrator's stage stack and stage rates."""
+    stacks = np.empty((1, 1, _SLOTS, 2, 2), dtype=complex)
+    _fill_stage_stacks(stacks, [np.asarray(h, dtype=complex)[None]])
+    stack = stacks[0, 0]
+    given = {"u_r": u_r, "u_l": u_l, "g": g}
+    stack[_INPUT] = [np.eye(2) if given[name] is None else given[name] for name in _CHANNELS]
+    row = np.empty((6, 2, 2), dtype=complex)
+    _stage_rates(stack[_LEFT], stack[_RIGHT], _row_views(row))
+    rates = dict(zip(_CHANNELS, row[_RATES]))
+    return rates["u_r"], rates["u_l"], rates["g"]
 
 
 class TestRightHandSides:
@@ -80,26 +96,26 @@ class TestAgainstMatrixExponential:
     def test_right_propagator(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         for t in (1.0, 5.0, 10.0):
-            i = bundle.index_of_time(t)
+            i = index_of_time(bundle, t)
             exact = expm(-1j * t * H_PT)
             assert np.max(np.abs(bundle.u_r[i] - exact)) <= 1e-9
 
     def test_left_propagator(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         for t in (1.0, 10.0):
-            i = bundle.index_of_time(t)
+            i = index_of_time(bundle, t)
             exact = expm(1j * t * H_PT)
             assert np.max(np.abs(bundle.u_l[i] - exact)) <= 1e-9
 
     def test_state_channel(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
-        i = bundle.index_of_time(3.0)
+        i = index_of_time(bundle, 3.0)
         exact = expm(-1j * 3.0 * H_PT) @ scenario.psi0
         assert np.max(np.abs(bundle.psi[i] - exact)) <= 1e-9
 
     def test_vielbein_channel(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
-        i = bundle.index_of_time(2.0)
+        i = index_of_time(bundle, 2.0)
         exact = bundle.e[0] @ expm(1j * 2.0 * H_PT)
         assert np.max(np.abs(bundle.e[i] - exact)) <= 1e-9
 
@@ -113,7 +129,7 @@ class TestRabiOracle:
         # H = sx on |0>: P(stay) = cos(t)^2 in closed form.
         _, bundle = rabi_bundle
         for t in (0.5, 1.0, 2.5, 7.0):
-            i = bundle.index_of_time(t)
+            i = index_of_time(bundle, t)
             assert abs(abs(bundle.psi[i][0]) ** 2 - np.cos(t) ** 2) <= 1e-10
 
     def test_norm_conserved(self, rabi_bundle):
@@ -154,7 +170,7 @@ class TestGridAndLimits:
     def test_index_of_time_rejects_off_grid(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         with pytest.raises(IndexError):
-            bundle.index_of_time(11.0)
+            index_of_time(bundle, 11.0)
 
 
 class TestClosedFormMetric:
@@ -257,16 +273,18 @@ def _driven_pt_chain(n: int = 8) -> Scenario:
     )
 
 
-def _switched_on_at(node: int, step: float = 0.01) -> Scenario:
+def _switched_on_at(node: int, step: float = 0.01, sites: int = 2) -> Scenario:
     """H is exactly zero until the last stage of the step that ends at node,
-    then ~1e20 sigma_x: U_R leaves the finite range exactly at that node."""
+    then ~1e20 times the open chain's hopping (sigma_x at two sites): U_R
+    leaves the finite range exactly at that node."""
     switch = (node - 0.25) * step
+    hopping = np.diag(np.ones(sites - 1), 1)
     return Scenario(
         hamiltonian=OperatorSpec(
-            [ProfileTerm.parse(f"1e20 * (1 + tanh(1e6 * (t - {switch!r})))", SIGMA_X)]
+            [ProfileTerm.parse(f"1e20 * (1 + tanh(1e6 * (t - {switch!r})))", hopping + hopping.T)]
         ),
         metric_init=MetricInit("identity"),
-        psi0=np.array([1.0, 0.0], dtype=complex),
+        psi0=np.eye(sites, dtype=complex)[0],
         observables={},
         t0=0.0,
         t1=(node + 5) * step,
@@ -305,7 +323,7 @@ class TestBlockedIntegratorParity:
         bundle = integrate(scenario)
         psi, u_r, u_l, g, e = reference_integrate(scenario)
         for got, want in ((bundle.u_r, u_r), (bundle.u_l, u_l), (bundle.g, g)):
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert np.array_equal(got, want)
         # psi0 is uniform here: the derived channels are images of the
         # integrated ones, and agree with the integrated psi and E in what
         # they are used for.
@@ -319,6 +337,41 @@ class TestBlockedIntegratorParity:
             got = rep.expectation_schrodinger(bundle, nodes, o)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_random_complex_hamiltonian_bit_identical(self, dim):
+        # Entries with two nonzero parts, at dims that are not a multiple of 4:
+        # there i folded into the left factor of a product changes its rounding.
+        rng = np.random.default_rng(dim)
+
+        def matrix():
+            return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+        a = matrix()
+        scenario = Scenario(
+            hamiltonian=OperatorSpec([ProfileTerm.parse("0.5", matrix()),
+                                      ProfileTerm.parse("sin(3 * t)", matrix())]),
+            metric_init=MetricInit("explicit", a @ a.conj().T + dim * np.eye(dim)),
+            psi0=np.eye(dim, dtype=complex)[0],
+            observables={},
+            t0=0.1,
+            t1=0.2,
+            integrator=IntegratorConfig(step=1e-3),
+        )
+        bundle = integrate(scenario)
+        _, u_r, u_l, g, _ = reference_integrate(scenario)
+        for got, want in ((bundle.u_r, u_r), (bundle.u_l, u_l), (bundle.g, g)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_perfbench_chains_bit_identical(self, perfbench_chain_files, n):
+        # BLAS-sized products; at 32 and 64 sites BLOCK_BYTES splits the 30 steps.
+        (path,) = [p for p in perfbench_chain_files if p.name == f"chain{n}.json"]
+        scenario = load_scenario(path)
+        bundle = integrate(scenario)
+        _, u_r, u_l, g, _ = reference_integrate(scenario)
+        for got, want in ((bundle.u_r, u_r), (bundle.u_l, u_l), (bundle.g, g)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "scenario",
@@ -331,8 +384,12 @@ class TestBlockedIntegratorParity:
             # The last node of the first block and the first node of the second.
             _switched_on_at(BLOCK_STEPS),
             _switched_on_at(BLOCK_STEPS + 1),
+            # The same at 64 sites, where BLOCK_BYTES shortens the block.
+            _switched_on_at(_steps_per_block(64), sites=64),
+            _switched_on_at(_steps_per_block(64) + 1, sites=64),
         ],
-        ids=["first-block", "t60", "ep-sweep", "block-end", "block-start"],
+        ids=["first-block", "t60", "ep-sweep", "block-end", "block-start",
+             "64-site-block-end", "64-site-block-start"],
     )
     def test_blowup_node_and_channel(self, scenario):
         with pytest.raises(NonFiniteError) as want:
@@ -343,11 +400,54 @@ class TestBlockedIntegratorParity:
             want.value.node_index, want.value.time, want.value.channel)
         assert str(got.value) == str(want.value)
 
+    def test_guard_reports_the_first_bad_channel_in_u_r_u_l_g_order(self):
+        # The stored channel order differs from the reported one.
+        block = np.zeros((2, len(_CHANNELS), 2, 2), dtype=complex)
+        block[1, _CHANNELS.index("u_l")] = block[1, _CHANNELS.index("g")] = np.inf
+        with pytest.raises(NonFiniteError) as err:
+            _check_finite(5, np.array([0.5, 0.75]), block)
+        assert (err.value.node_index, err.value.time, err.value.channel) == (6, 0.75, "u_l")
+
     def test_switch_scenarios_blow_up_where_designed(self):
-        for node in (BLOCK_STEPS, BLOCK_STEPS + 1):
+        short = _steps_per_block(64)
+        assert short < BLOCK_STEPS
+        for node, sites in ((BLOCK_STEPS, 2), (BLOCK_STEPS + 1, 2), (short, 64), (short + 1, 64)):
             with pytest.raises(NonFiniteError) as err:
-                reference_integrate(_switched_on_at(node))
+                reference_integrate(_switched_on_at(node, sites=sites))
             assert (err.value.node_index, err.value.channel) == (node, "u_r")
+
+
+def _open_chain(sites: int, steps: int) -> Scenario:
+    """Open PT chain with a constant H: hopping -1, gain and loss 0.5 at the ends."""
+    hopping = np.diag(np.ones(sites - 1), 1)
+    gain_loss = np.zeros((sites, sites), dtype=complex)
+    gain_loss[0, 0], gain_loss[-1, -1] = 1j, -1j
+    return Scenario(
+        hamiltonian=OperatorSpec([ProfileTerm.parse("-1.0", hopping + hopping.T),
+                                  ProfileTerm.parse("0.5", gain_loss)]),
+        metric_init=MetricInit("identity"),
+        psi0=np.eye(sites, dtype=complex)[0],
+        observables={},
+        t0=0.0,
+        t1=steps * 1e-3,
+        integrator=IntegratorConfig(step=1e-3),
+    )
+
+
+class TestBlockMemory:
+    # Peaks of the integrator that assembled one H stack per 256-step block and
+    # advanced each stage from it; the trajectory and E set them. Stage stacks
+    # for 256 steps at 64 sites would add about 350 MB: BLOCK_BYTES caps them.
+    @pytest.mark.parametrize("sites, steps, earlier_peak_mb", [(64, 300, 87.9), (128, 60, 76.1)])
+    def test_peak_stays_within_ten_percent(self, sites, steps, earlier_peak_mb):
+        scenario = _open_chain(sites, steps)
+        tracemalloc.start()
+        try:
+            integrate(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * earlier_peak_mb * 1e6
 
 
 def reference_json_text(a: np.ndarray) -> str:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import index_of_time
 from metricbundle.errors import TagMismatchError
 from metricbundle.evolution import integrate, rhs_vielbein
 from metricbundle.matops import (
@@ -43,7 +44,7 @@ def s_op(matrix):
 class TestTransportExamples:
     def test_identity_is_fixed_point(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
-        i = bundle.index_of_time(4.0)
+        i = index_of_time(bundle, 4.0)
         for transport in (to_heisenberg, to_heisenberg_like):
             out = transport(s_op(np.eye(2)), bundle, i)
             assert np.max(np.abs(out.matrix - np.eye(2))) <= 1e-9
@@ -51,14 +52,14 @@ class TestTransportExamples:
     def test_hamiltonian_commutes_with_its_own_flow(self, pt_unbroken_bundle):
         # Constant H: transported H equals H exactly (up to integrator error).
         _, bundle = pt_unbroken_bundle
-        i = bundle.index_of_time(5.0)
+        i = index_of_time(bundle, 5.0)
         out = to_heisenberg(s_op(H_PT), bundle, i)
         assert np.max(np.abs(out.matrix - H_PT)) <= 1e-9
 
     def test_heisenberg_transport_against_exponential(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         t = 2.0
-        i = bundle.index_of_time(t)
+        i = index_of_time(bundle, t)
         out = to_heisenberg(s_op(SIGMA_Z), bundle, i)
         exact = expm(1j * t * H_PT) @ SIGMA_Z @ expm(-1j * t * H_PT)
         assert np.max(np.abs(out.matrix - exact)) <= 1e-9
@@ -76,7 +77,7 @@ class TestTransportExamples:
         # sigma_x is accidentally invariant (sx H sx = adj(H) here), so probe
         # with sigma_z, which has no such protection.
         _, bundle = pt_unbroken_bundle
-        i = bundle.index_of_time(1.0)
+        i = index_of_time(bundle, 1.0)
         out = naive_dagger_transport(s_op(SIGMA_Z), bundle, i)
         assert out.rep is RepresentationTag.NAIVE
         assert eigenvalue_match_distance(out.matrix, SIGMA_Z) > 1e-2
@@ -124,7 +125,7 @@ class TestExpectationEquivalence:
         state_h = heisenberg_state(bundle)
         state_hl = heisenberg_like_state(bundle)
         for t in (0.0, 1.0, 5.0, 10.0):
-            i = bundle.index_of_time(t)
+            i = index_of_time(bundle, t)
             for name, spec in scenario.observables.items():
                 obs = s_op(spec.assemble(t))
                 val_s = expectation_schrodinger(bundle, i, obs.matrix)
@@ -145,7 +146,7 @@ class TestHermitizedHamiltonian:
     def test_zero_generator_gauge_cancels(self, driven_bundle):
         scenario, bundle = driven_bundle
         for t in (0.0, 3.0, 10.0):
-            i = bundle.index_of_time(t)
+            i = index_of_time(bundle, t)
             h_s = scenario.hamiltonian.assemble(t)
             de_dt = rhs_vielbein(h_s, bundle.e[i])
             flat = hermitized_hamiltonian(h_s, bundle.e[i], de_dt)
@@ -168,14 +169,14 @@ class TestHermitizedHamiltonian:
 
 def _eom_fd_error(bundle, transport):
     t = 2.0
-    i = bundle.index_of_time(t)
+    i = index_of_time(bundle, t)
     obs = s_op(SIGMA_Z)
     h_p = transport(s_op(H_PT), bundle, i)
     zero = TaggedOperator(h_p.rep, np.zeros((2, 2)))
     rhs = heisenberg_rhs(transport(obs, bundle, i), h_p, zero)
     delta = 100 * bundle.step
-    plus = transport(obs, bundle, bundle.index_of_time(t + delta)).matrix
-    minus = transport(obs, bundle, bundle.index_of_time(t - delta)).matrix
+    plus = transport(obs, bundle, index_of_time(bundle, t + delta)).matrix
+    minus = transport(obs, bundle, index_of_time(bundle, t - delta)).matrix
     fd = (plus - minus) / (2 * delta)
     return np.max(np.abs(fd - rhs)), max(1.0, np.max(np.abs(rhs)))
 
@@ -196,13 +197,13 @@ class TestHeisenbergEquationOfMotion:
 class TestCommutatorTransport:
     def test_similarity_transport_preserves_commutators(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
-        i = bundle.index_of_time(1.0)
+        i = index_of_time(bundle, 1.0)
         for a, b in ((SIGMA_X, SIGMA_Y), (SIGMA_X, SIGMA_Z), (SIGMA_Y, SIGMA_Z)):
             assert commutator_transport_check(s_op(a), s_op(b), bundle, i) <= 1e-10
 
     def test_naive_transport_breaks_commutators(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
-        i = bundle.index_of_time(1.0)
+        i = index_of_time(bundle, 1.0)
         naive = naive_commutator_residual(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
         correct = commutator_transport_check(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
         assert naive > 0.1
@@ -210,7 +211,7 @@ class TestCommutatorTransport:
 
     def test_naive_transport_fine_for_hermitian_dynamics(self, rabi_bundle):
         _, bundle = rabi_bundle
-        i = bundle.index_of_time(1.0)
+        i = index_of_time(bundle, 1.0)
         naive = naive_commutator_residual(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
         assert naive <= 1e-10
 
@@ -222,7 +223,7 @@ def test_transport_is_an_algebra_automorphism(seed, t):
     rng = np.random.default_rng(seed)
     scenario = get_demo("pt-dimer-unbroken", t1=4.0, step=0.01)
     bundle = integrate(scenario)
-    i = bundle.index_of_time(t)
+    i = index_of_time(bundle, t)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     for transport in (to_heisenberg, to_heisenberg_like):

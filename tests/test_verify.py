@@ -4,12 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from metricbundle.evolution import (
-    bundle_from_json_dict,
-    bundle_to_json_dict,
-    integrate,
-    to_json_text,
-)
+from conftest import bundle_from_json_dict
+from metricbundle.evolution import bundle_to_json_dict, integrate, to_json_text
 from metricbundle.model import (
     IntegratorConfig,
     MetricInit,
