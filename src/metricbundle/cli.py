@@ -16,8 +16,6 @@ singular matrix, step limit, eigen-convergence or Cholesky failure),
 from __future__ import annotations
 
 import argparse
-import csv
-import logging
 import math
 import os
 import sys
@@ -46,7 +44,6 @@ from .model import (
     scenario_to_json_text,
     with_overrides,
 )
-from .verify import render_table, run_suite
 from .zoo import DEMO_PREFIX, builtin_models, get_demo
 
 EXIT_OK = 0
@@ -55,21 +52,23 @@ EXIT_SCENARIO = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-log = logging.getLogger("metricbundle")
 
-
-def _setup_logging() -> None:
-    level = os.environ.get("METRICBUNDLE_LOG", "quiet").lower()
-    levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=levels.get(level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+def _info(message: str) -> None:
+    """An INFO line on stderr when METRICBUNDLE_LOG, read at each call, is info or debug."""
+    if os.environ.get("METRICBUNDLE_LOG", "quiet").lower() in ("info", "debug"):
+        print(f"INFO metricbundle: {message}", file=sys.stderr)
 
 
 def _error(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one error[usage] line, in place of argparse's usage block."""
+
+    def error(self, message):
+        _error("usage", message)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _times(args) -> dict:
@@ -77,12 +76,12 @@ def _times(args) -> dict:
     return {"t0": args.t0, "t1": args.t1, "step": args.step}
 
 
-def _resolve_scenario(ref: str, args) -> Scenario:
+def _resolve_scenario(ref: str, **times) -> Scenario:
     if ref.startswith(DEMO_PREFIX):
-        return get_demo(ref[len(DEMO_PREFIX):], **_times(args))
+        return get_demo(ref[len(DEMO_PREFIX):], **times)
     if not Path(ref).exists():
         raise SchemaError(f"scenario file not found: {ref}", "")
-    return with_overrides(load_scenario(ref), **_times(args))
+    return with_overrides(load_scenario(ref), **times)
 
 
 def _expectations(scenario: Scenario, bundle):
@@ -94,6 +93,8 @@ def _expectations(scenario: Scenario, bundle):
 
 
 def _write_trajectory_csv(path, scenario: Scenario, bundle) -> None:
+    import csv  # only CSV output loads it
+
     values = _expectations(scenario, bundle)
     names = list(values)
     with open(path, "w", newline="") as fh:
@@ -120,25 +121,27 @@ def _write_trajectory_json(path, scenario: Scenario, bundle) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    scenario = _resolve_scenario(args.scenario, args)
-    log.info("integrating %s", scenario.name or args.scenario)
+    scenario = _resolve_scenario(args.scenario, **_times(args))
+    _info(f"integrating {scenario.name or args.scenario}")
     bundle = integrate(scenario)
     if args.format == "csv":
         _write_trajectory_csv(args.output, scenario, bundle)
     else:
         _write_trajectory_json(args.output, scenario, bundle)
-    log.info("wrote %s (%d nodes)", args.output, bundle.n_nodes)
+    _info(f"wrote {args.output} ({bundle.n_nodes} nodes)")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from .verify import render_table, run_suite  # only verify loads the suite
+
     if not 0 < args.tolerance_scale < math.inf:
         _error("usage", f"--tolerance-scale must be finite and > 0, got {args.tolerance_scale}")
         return EXIT_USAGE
     if args.node_stride < 1:
         _error("usage", f"--node-stride must be at least 1, got {args.node_stride}")
         return EXIT_USAGE
-    scenario = _resolve_scenario(args.scenario, args)
+    scenario = _resolve_scenario(args.scenario, **_times(args))
     bundle = integrate(scenario)
     report = run_suite(
         bundle,
@@ -156,7 +159,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    scenario = _resolve_scenario(args.scenario, args)
+    scenario = _resolve_scenario(args.scenario)
     if args.observable not in scenario.observables:
         raise SchemaError(
             f"unknown observable {args.observable!r}; "
@@ -175,6 +178,8 @@ def _cmd_spectrum(args) -> int:
         raise SchemaError(f"bad --times value: {bad[0]!r} is not finite", "")
     rows = zip(times, sorted_eigenvalues(obs.assemble_many(times)))
     if args.output:
+        import csv  # only CSV output loads it
+
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh)
             dim = scenario.dim
@@ -205,7 +210,7 @@ def _cmd_demo(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metricbundle",
         description="Non-Hermitian quantum dynamics with a co-evolved Hilbert-space metric.",
     )
@@ -236,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument("--observable", required=True)
     p_spectrum.add_argument("--times", required=True, help="comma-separated times")
     p_spectrum.add_argument("-o", "--output", default=None, help="write CSV here")
-    add_common(p_spectrum)
     p_spectrum.set_defaults(func=_cmd_spectrum)
 
     p_demo = sub.add_parser("demo", help="emit a built-in scenario as JSON")
@@ -251,13 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to the documented code 1
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    except SystemExit as exc:  # --help exits 0, a usage error EXIT_USAGE
+        return exc.code
     try:
         return args.func(args)
     except NoPositiveDefiniteSolutionError as exc:

@@ -154,7 +154,8 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
     """
     config = scenario.integrator
     span = scenario.t1 - scenario.t0
-    n_steps = max(1, round(span / config.step))
+    ratio = span / config.step  # inf when the span or the ratio overflows a float
+    n_steps = max(1, round(ratio)) if ratio < np.inf else ratio
     if n_steps > config.max_steps:
         raise StepLimitExceededError(
             f"{n_steps} steps needed, max_steps is {config.max_steps}"

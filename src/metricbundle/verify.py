@@ -215,7 +215,9 @@ def run_suite(
     inner = (nodes >= delta_nodes) & (nodes + delta_nodes < bundle.n_nodes)
     below, above = nodes[inner] - delta_nodes, nodes[inner] + delta_nodes
     # Every node a per-observable check reads, and where each lies in it.
-    grid = np.union1d(nodes, np.concatenate([below, above]))
+    # Sorted, repeats dropped; np.union1d would import numpy.ma (numpy 2.4).
+    grid = np.sort(np.concatenate([nodes, below, above]))
+    grid = grid[np.diff(grid, prepend=-1) > 0]
     at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
 
     to_h = functools.partial(rep.to_heisenberg, bundle=bundle)

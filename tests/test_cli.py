@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -356,6 +359,41 @@ def test_malformed_scenario_exits_with_one_documented_line(case):
             assert sum(line.startswith("error[") for line in lines) == (code != EXIT_OK), lines
 
 
+FLAG_TEXT = st.text(max_size=10) | st.floats().map(repr) | st.integers().map(str)
+FUZZED_FLAGS = {
+    "evolve": ("--t0", "--t1", "--step", "--format"),
+    "verify": ("--node-stride", "--tolerance-scale"),
+}
+
+
+@st.composite
+def fuzzed_flags(draw):
+    command = draw(st.sampled_from(sorted(FUZZED_FLAGS)))
+    names = draw(st.lists(st.sampled_from(FUZZED_FLAGS[command]), min_size=1, unique=True))
+    return command, [f"{name}={draw(FLAG_TEXT)}" for name in names]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=fuzzed_flags())
+@example(case=("evolve", ["--t0=-1e308", "--t1=1e308"]))
+@example(case=("evolve", ["--format=\n"]))
+def test_arbitrary_flag_text_exits_with_one_documented_line(case):
+    command, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(_fuzz_base("pt-dimer-unbroken")))
+        argv = [command, str(path), *flags]
+        if command == "evolve":
+            argv += ["-o", f"{tmp}/x.out"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(5), argv
+    lines = err.getvalue().splitlines()
+    assert sum(line.startswith("error[") for line in lines) == (code != EXIT_OK), lines
+    assert "Traceback" not in err.getvalue()
+
+
 class TestVerify:
     def test_clean_scenario(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -485,6 +523,13 @@ class TestMalformedTimes:
         assert err.startswith("error[schema]:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [("--t0=-1e308", "--t1=1e308"), ("--step=1e-320",)])
+    def test_step_count_beyond_float_range_is_numeric_error(self, tmp_path, capsys, flags):
+        assert run("evolve", "demo:hermitian-rabi", "-o", str(tmp_path / "x.csv"),
+                   *flags) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error[numeric]: StepLimitExceededError: inf steps needed, max_steps is 10000000\n")
+
     def test_step_longer_than_span_is_one_step(self, tmp_path):
         out = tmp_path / "x.csv"
         flags = ("--t1", "1", "--step", "5")
@@ -609,14 +654,77 @@ class TestDemo:
 
 
 class TestUsage:
+    @staticmethod
+    def assert_one_usage_line(capsys, message):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[usage]: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_no_arguments(self, capsys):
         assert run() == EXIT_USAGE
+        self.assert_one_usage_line(capsys, "the following arguments are required: command\n")
 
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == EXIT_USAGE
+        self.assert_one_usage_line(capsys, "argument command: invalid choice: 'frobnicate' ")
 
     def test_bad_flag_value(self, capsys):
         assert run("evolve", "demo:hermitian-rabi", "-o", "x.csv", "--step", "lots") == EXIT_USAGE
+        self.assert_one_usage_line(capsys, "argument --step: invalid float value: 'lots'\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("evolve", "demo:hermitian-rabi"), "the following arguments are required: -o/--output"),
+        (("verify", "demo:hermitian-rabi", "--frobnicate"),
+         "unrecognized arguments: --frobnicate"),
+        # spectrum evaluates operators at its --times and integrates nothing.
+        (("spectrum", "demo:pt-ep", "--observable", "sigma_z", "--times", "0", "--t1", "2"),
+         "unrecognized arguments: --t1 2"),
+    ])
+    def test_parser_error_is_one_usage_line(self, capsys, argv, message):
+        assert run(*argv) == EXIT_USAGE
+        self.assert_one_usage_line(capsys, message + "\n")
+
+    def test_help_exits_ok(self, capsys):
+        assert run("evolve", "--help") == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: metricbundle evolve") and captured.err == ""
 
     def test_unknown_demo_reference(self, tmp_path, capsys):
         assert run("evolve", "demo:bogus", "-o", str(tmp_path / "x.csv")) == EXIT_SCENARIO
+
+
+class TestLogging:
+    ARGV = ("evolve", "demo:hermitian-rabi", "--t1", "0.01")
+
+    def lines(self, out):
+        return ("INFO metricbundle: integrating hermitian-rabi\n"
+                f"INFO metricbundle: wrote {out} (11 nodes)\n")
+
+    @pytest.mark.parametrize("level, shown", [
+        ("info", True), ("debug", True), ("quiet", False), ("verbose", False),
+    ])
+    def test_level_in_a_fresh_process(self, tmp_path, level, shown):
+        out = tmp_path / "x.csv"
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), METRICBUNDLE_LOG=level)
+        proc = subprocess.run([sys.executable, "-m", "metricbundle.cli", *self.ARGV, "-o", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == EXIT_OK
+        assert (proc.stdout, proc.stderr) == ("", self.lines(out) if shown else "")
+
+    def test_each_call_writes_to_the_stderr_of_its_time(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("METRICBUNDLE_LOG", "info")
+        out = tmp_path / "x.csv"
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run(*self.ARGV, "-o", str(out)) == EXIT_OK
+            assert err.getvalue() == self.lines(out)
+
+    def test_level_is_read_at_each_call(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "x.csv"
+        for level, shown in (("quiet", False), ("info", True), ("quiet", False)):
+            monkeypatch.setenv("METRICBUNDLE_LOG", level)
+            assert run(*self.ARGV, "-o", str(out)) == EXIT_OK
+            assert capsys.readouterr().err == (self.lines(out) if shown else "")
