@@ -92,23 +92,15 @@ def _expectations(scenario: Scenario, bundle):
     }
 
 
-def _write_trajectory_csv(path, scenario: Scenario, bundle) -> None:
+def _write_complex_csv(path, times, columns: dict) -> None:
+    """A t column, then NAME_re and NAME_im for each complex column; floats as their repr."""
     import csv  # only CSV output loads it
 
-    values = _expectations(scenario, bundle)
-    names = list(values)
+    parts = [part for column in columns.values() for part in (column.real, column.imag)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["t"]
-        for name in names:
-            header += [f"{name}_re", f"{name}_im"]
-        writer.writerow(header)
-        for i in range(bundle.n_nodes):
-            row = [repr(float(bundle.ts[i]))]
-            for name in names:
-                z = values[name][i]
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(row)
+        writer.writerow(["t", *(f"{name}_{part}" for name in columns for part in ("re", "im"))])
+        writer.writerows(np.column_stack([times, *parts]).tolist())
 
 
 def _write_trajectory_json(path, scenario: Scenario, bundle) -> None:
@@ -125,7 +117,7 @@ def _cmd_evolve(args) -> int:
     _info(f"integrating {scenario.name or args.scenario}")
     bundle = integrate(scenario)
     if args.format == "csv":
-        _write_trajectory_csv(args.output, scenario, bundle)
+        _write_complex_csv(args.output, bundle.ts, _expectations(scenario, bundle))
     else:
         _write_trajectory_json(args.output, scenario, bundle)
     _info(f"wrote {args.output} ({bundle.n_nodes} nodes)")
@@ -176,24 +168,12 @@ def _cmd_spectrum(args) -> int:
     bad = [t for t in times if not math.isfinite(t)]
     if bad:
         raise SchemaError(f"bad --times value: {bad[0]!r} is not finite", "")
-    rows = zip(times, sorted_eigenvalues(obs.assemble_many(times)))
+    values = sorted_eigenvalues(obs.assemble_many(times))
     if args.output:
-        import csv  # only CSV output loads it
-
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = scenario.dim
-            header = ["t"]
-            for k in range(dim):
-                header += [f"ev{k}_re", f"ev{k}_im"]
-            writer.writerow(header)
-            for t, vals in rows:
-                row = [repr(t)]
-                for z in vals:
-                    row += [repr(float(z.real)), repr(float(z.imag))]
-                writer.writerow(row)
+        _write_complex_csv(args.output, times,
+                           {f"ev{k}": values[:, k] for k in range(scenario.dim)})
     else:
-        for t, vals in rows:
+        for t, vals in zip(times, values):
             rendered = ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in vals)
             print(f"t={t:g}: {rendered}")
     return EXIT_OK

@@ -168,8 +168,11 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
     g0 = resolve_initial_metric(scenario)
     e0 = cholesky_upper(g0).astype(complex)
 
-    ts = scenario.t0 + step * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, len(_CHANNELS), dim, dim), dtype=complex)
+    try:
+        ts = scenario.t0 + step * np.arange(n_steps + 1)
+        out = np.empty((n_steps + 1, len(_CHANNELS), dim, dim), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # too large for numpy, or for memory
+        raise StepLimitExceededError(f"cannot allocate {n_steps} steps: {exc}") from exc
     out[0] = np.eye(dim), g0, np.eye(dim)
     rows = np.empty((4, 6, dim, dim), dtype=complex)  # per RK4 stage
     rates = rows[:, _RATES]  # (stage, channel)

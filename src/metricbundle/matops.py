@@ -27,7 +27,6 @@ __all__ = [
     "ATOL",
     "RTOL",
     "CONDITION_CAP",
-    "IDENTITY2",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -53,7 +52,6 @@ RTOL = 1e-9
 # not silent.
 CONDITION_CAP = 1e12
 
-IDENTITY2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -35,13 +35,11 @@ __all__ = [
     "to_heisenberg_like",
     "heisenberg_state",
     "heisenberg_like_state",
-    "expectation_heisenberg",
-    "expectation_heisenberg_like",
+    "expectation",
     "heisenberg_rhs",
     "hermitized_hamiltonian",
-    "commutator_transport_check",
+    "commutator_gap",
     "naive_dagger_transport",
-    "naive_commutator_residual",
 ]
 
 
@@ -63,6 +61,10 @@ class TaggedState:
 class TaggedOperator:
     rep: RepresentationTag
     matrix: np.ndarray  # (dim, dim), or (nodes, dim, dim) with one matrix per node
+
+    def __getitem__(self, nodes) -> TaggedOperator:
+        """The matrices at some nodes of the leading node axis, with the same tag."""
+        return TaggedOperator(self.rep, self.matrix[nodes])
 
 
 def _require(op: TaggedOperator, tag: RepresentationTag, what: str) -> None:
@@ -112,24 +114,20 @@ def heisenberg_like_state(bundle: EvolutionBundle) -> TaggedState:
     return TaggedState(RepresentationTag.HL, ket, ket.conj())
 
 
-def _bilinear(state: TaggedState, op: TaggedOperator, tag: RepresentationTag):
-    if state.rep is not tag or op.rep is not tag:
+def expectation(state: TaggedState, op: TaggedOperator):
+    """dual . O . ket of a frozen state, both tagged H or both HL.
+
+    With an operator stack the result is one value per node.
+    """
+    if state.rep is not op.rep or op.rep not in (RepresentationTag.H, RepresentationTag.HL):
         raise TagMismatchError(
-            f"expectation requires matching {tag.value} tags, "
+            "expectation requires matching H or HL tags, "
             f"got state={state.rep.value}, operator={op.rep.value}"
         )
     # Row times matrix times column, as for a single node, so that a stack
     # gives per node the same rounding as one node on its own.
     values = (state.dual[None, :] @ op.matrix @ state.ket[:, None])[..., 0, 0]
     return complex(values) if values.ndim == 0 else values
-
-
-def expectation_heisenberg(state: TaggedState, op: TaggedOperator):
-    return _bilinear(state, op, RepresentationTag.H)
-
-
-def expectation_heisenberg_like(state: TaggedState, op: TaggedOperator):
-    return _bilinear(state, op, RepresentationTag.HL)
 
 
 def heisenberg_rhs(
@@ -152,21 +150,17 @@ def hermitized_hamiltonian(h_s, e, de_dt) -> np.ndarray:
     return e @ as_stack(h_s) @ e_inv + 1j * as_stack(de_dt) @ e_inv
 
 
-def _commutator_gap(what, transport, oa_s, ob_s, bundle, index):
-    """Relative gap between transported commutator and commutator of transports."""
-    for op in (oa_s, ob_s):
-        _require(op, RepresentationTag.S, what)
-    comm_s = TaggedOperator(RepresentationTag.S, commutator(oa_s.matrix, ob_s.matrix))
-    oa, ob, transported = (transport(op, bundle, index).matrix for op in (oa_s, ob_s, comm_s))
-    scale = np.maximum(1.0, frobenius(oa) * frobenius(ob))
-    return frobenius(commutator(oa, ob) - transported) / scale
+def commutator_gap(transport, a_s: TaggedOperator, b_s: TaggedOperator,
+                   bundle: EvolutionBundle, index):
+    """Relative gap between transported commutator and commutator of transports.
 
-
-def commutator_transport_check(
-    oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index
-):
-    """Relative gap between transported commutator and commutator of transports."""
-    return _commutator_gap("commutator_transport_check", to_heisenberg, oa_s, ob_s, bundle, index)
+    transport is to_heisenberg, to_heisenberg_like or naive_dagger_transport,
+    each of which rejects an operator that is not S-tagged.
+    """
+    comm_s = TaggedOperator(RepresentationTag.S, commutator(a_s.matrix, b_s.matrix))
+    a, b, transported = (transport(op, bundle, index).matrix for op in (a_s, b_s, comm_s))
+    scale = np.maximum(1.0, frobenius(a) * frobenius(b))
+    return frobenius(commutator(a, b) - transported) / scale
 
 
 def naive_dagger_transport(
@@ -177,10 +171,3 @@ def naive_dagger_transport(
     u = bundle.u_r[index]
     return TaggedOperator(RepresentationTag.NAIVE, adjoint(u) @ obs_s.matrix @ u)
 
-
-def naive_commutator_residual(
-    oa_s: TaggedOperator, ob_s: TaggedOperator, bundle: EvolutionBundle, index
-):
-    """As commutator_transport_check but with the conventional transport."""
-    return _commutator_gap(
-        "naive_commutator_residual", naive_dagger_transport, oa_s, ob_s, bundle, index)

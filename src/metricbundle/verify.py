@@ -220,59 +220,53 @@ def run_suite(
     grid = grid[np.diff(grid, prepend=-1) > 0]
     at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
 
-    to_h = functools.partial(rep.to_heisenberg, bundle=bundle)
-    to_hl = functools.partial(rep.to_heisenberg_like, bundle=bundle)
-
     @functools.cache
     def h_in(transport):  # H in the picture, where the EOM checks read it
-        return transport(s_op(h_s()[inner]), index=nodes[inner])
+        return transport(s_op(h_s()[inner]), bundle, nodes[inner])
 
-    # Cross-picture expectation values and spectra, per observable.
-    state_h = rep.heisenberg_state(bundle)
-    state_hl = rep.heisenberg_like_state(bundle)
+    # The frozen-state pictures, which share one equation of motion: check
+    # suffix, EOM check name, transport, frozen state. The transports are read
+    # from the module at run time, where a tracer may have wrapped them.
+    pictures = (
+        ("h", "heisenberg", rep.to_heisenberg, rep.heisenberg_state(bundle)),
+        ("hl", "heisenberg_like", rep.to_heisenberg_like, rep.heisenberg_like_state(bundle)),
+    )
 
     def observable_checks(obs_name, obs):
         o_grid = functools.cache(lambda: obs.assemble_many(bundle.ts[grid]))
+        o_s = functools.cache(lambda: s_op(o_grid()[at_nodes]))
+        exp_s = functools.cache(lambda: rep.expectation_schrodinger(bundle, nodes, o_s().matrix))
         dt_s = functools.cache(lambda: s_op(obs.differentiate().assemble_many(ts[inner])))
+
+        # O at the sampled nodes, and on the EOM grid. The grid can hold nodes
+        # that are not sampled, so only the EOM checks read it.
+        @functools.cache
+        def sampled_in(transport):
+            return transport(o_s(), bundle, nodes)
 
         @functools.cache
         def grid_in(transport):
-            return transport(s_op(o_grid()), index=grid)
-
-        def o_s():
-            return s_op(o_grid()[at_nodes])
-
-        def o_h():
-            return rep.TaggedOperator(rep.RepresentationTag.H, grid_in(to_h).matrix[at_nodes])
-
-        o_hl = functools.cache(lambda: to_hl(o_s(), index=nodes))
-
-        def exp_gap_h():
-            return np.abs(rep.expectation_schrodinger(bundle, nodes, o_s().matrix)
-                          - rep.expectation_heisenberg(state_h, o_h()))
-
-        def exp_gap_hl():
-            return np.abs(rep.expectation_schrodinger(bundle, nodes, o_s().matrix)
-                          - rep.expectation_heisenberg_like(state_hl, o_hl()))
+            return transport(s_op(o_grid()), bundle, grid)
 
         def eom_fd(transport):
             if not inner.any():
                 return np.zeros(0)
             o_p = grid_in(transport)
             fd = (o_p.matrix[at_above] - o_p.matrix[at_below]) / (2 * delta)
-            obs_p = rep.TaggedOperator(o_p.rep, o_p.matrix[at_nodes][inner])
             return frobenius(fd - rep.heisenberg_rhs(
-                obs_p, h_in(transport), transport(dt_s(), index=nodes[inner])))
+                o_p[at_nodes[inner]], h_in(transport), transport(dt_s(), bundle, nodes[inner])))
 
-        add(f"expectation_s_vs_h[{obs_name}]", base, exp_gap_h)
-        add(f"expectation_s_vs_hl[{obs_name}]", base, exp_gap_hl)
-        add(f"isospectral_h[{obs_name}]", base,
-            lambda: eigenvalue_match_distance(o_h().matrix, o_s().matrix))
-        add(f"isospectral_hl[{obs_name}]", base,
-            lambda: eigenvalue_match_distance(o_hl().matrix, o_s().matrix))
-        add(f"heisenberg_eom_fd[{obs_name}]", fd_budget, lambda: eom_fd(to_h), at=nodes[inner])
-        add(f"heisenberg_like_eom_fd[{obs_name}]", fd_budget, lambda: eom_fd(to_hl),
-            at=nodes[inner])
+        for suffix, _, transport, state in pictures:
+            add(f"expectation_s_vs_{suffix}[{obs_name}]", base,
+                lambda transport=transport, state=state:
+                    np.abs(exp_s() - rep.expectation(state, sampled_in(transport))))
+        for suffix, _, transport, _ in pictures:
+            add(f"isospectral_{suffix}[{obs_name}]", base,
+                lambda transport=transport:
+                    eigenvalue_match_distance(sampled_in(transport).matrix, o_s().matrix))
+        for _, eom_name, transport, _ in pictures:
+            add(f"{eom_name}_eom_fd[{obs_name}]", fd_budget,
+                lambda transport=transport: eom_fd(transport), at=nodes[inner])
 
     for obs_name, obs in scenario.observables.items():
         observable_checks(obs_name, obs)
@@ -280,7 +274,8 @@ def run_suite(
     # Commutator transport for operator pairs (2-level systems only).
     for pair_name, a, b in _pauli_pairs(bundle.dim):
         add(f"commutator_transport[{pair_name}]", base,
-            lambda a=a, b=b: rep.commutator_transport_check(s_op(a), s_op(b), bundle, nodes))
+            lambda a=a, b=b: rep.commutator_gap(rep.to_heisenberg, s_op(a), s_op(b),
+                                                bundle, nodes))
 
     # Conventional-transport negative control: for a genuinely non-Hermitian
     # Hamiltonian this check is EXPECTED to fail (that is the point).
@@ -289,8 +284,8 @@ def run_suite(
         i = min(int(round((t_target - bundle.ts[0]) / bundle.step)), bundle.n_nodes - 1)
         near = np.array([i])
         add("conventional_dagger_transport", base,
-            lambda: rep.naive_commutator_residual(
-                s_op(SIGMA_X), s_op(SIGMA_Y), bundle, near),
+            lambda: rep.commutator_gap(
+                rep.naive_dagger_transport, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, near),
             at=near, context="su(2) pair near t0+1")
 
     summary = {

@@ -33,15 +33,14 @@ from metricbundle.model import solve_stationary_metric
 from metricbundle.representations import (
     RepresentationTag,
     TaggedOperator,
-    commutator_transport_check,
-    expectation_heisenberg,
-    expectation_heisenberg_like,
+    commutator_gap,
+    expectation,
     expectation_schrodinger,
     heisenberg_like_state,
     heisenberg_rhs,
     heisenberg_state,
     hermitized_hamiltonian,
-    naive_commutator_residual,
+    naive_dagger_transport,
     to_heisenberg,
     to_heisenberg_like,
 )
@@ -136,9 +135,8 @@ def test_04_three_picture_expectations(pt_unbroken, driven):
             for _, obs in _acceptance_observables():
                 val_s = expectation_schrodinger(bundle, i, obs)
                 tagged = s_op(obs)
-                val_h = expectation_heisenberg(state_h, to_heisenberg(tagged, bundle, i))
-                val_hl = expectation_heisenberg_like(
-                    state_hl, to_heisenberg_like(tagged, bundle, i))
+                val_h = expectation(state_h, to_heisenberg(tagged, bundle, i))
+                val_hl = expectation(state_hl, to_heisenberg_like(tagged, bundle, i))
                 worst = max(worst, abs(val_s - val_h), abs(val_s - val_hl))
     record(4, "three-picture-expectations", worst <= 1e-8, f"max gap {worst:.2e}")
 
@@ -206,8 +204,8 @@ def test_07_commutator_transport(pt_unbroken):
     worst = 0.0
     for i in (0, bundle.n_nodes // 2, bundle.n_nodes - 1):
         for a, b in pairs:
-            worst = max(worst, commutator_transport_check(
-                s_op(a), s_op(b), bundle, i))
+            worst = max(worst, commutator_gap(
+                to_heisenberg, s_op(a), s_op(b), bundle, i))
     record(7, "commutator-transport", worst <= 1e-8, f"max residual {worst:.2e}")
 
 
@@ -228,8 +226,8 @@ def test_08_zero_gauge_generator(pt_unbroken, driven):
 def test_09_naive_transport_negative_control(pt_unbroken):
     _, bundle = pt_unbroken
     i = index_of_time(bundle, 1.0)
-    naive = naive_commutator_residual(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
-    correct = commutator_transport_check(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
+    naive = commutator_gap(naive_dagger_transport, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
+    correct = commutator_gap(to_heisenberg, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
     ratio = naive / max(correct, 1e-300)
 
     rabi = integrate(get_demo("hermitian-rabi", t1=1.0))

@@ -24,6 +24,7 @@ from metricbundle.cli import (
     main,
 )
 from metricbundle.evolution import integrate
+from metricbundle.matops import sorted_eigenvalues
 from metricbundle.model import (
     IntegratorConfig,
     MetricInit,
@@ -78,6 +79,22 @@ def reference_trajectory_text(scenario: Scenario) -> str:
         },
     }
     return json.dumps(doc) + "\n"
+
+
+def reference_csv_text(times, columns: dict) -> str:
+    """A CSV export as first written: one csv row per time, each float as its repr."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    header = ["t"]
+    for name in columns:
+        header += [f"{name}_re", f"{name}_im"]
+    writer.writerow(header)
+    for i, t in enumerate(times):
+        row = [repr(float(t))]
+        for column in columns.values():
+            row += [repr(float(column[i].real)), repr(float(column[i].imag))]
+        writer.writerow(row)
+    return buffer.getvalue()
 
 
 class TestEvolve:
@@ -167,6 +184,38 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error[schema]: /metric/matrix:") and err.count("\n") == 1
         assert "cholesky_upper" in err
+
+
+class TestCsvExport:
+    """evolve and spectrum -o write the CSV of the per-row writer, byte for byte."""
+
+    def test_evolve_matches_reference(self, tmp_path):
+        scenario = get_demo("time-dependent-observable", t1=0.05)
+        observables = {**scenario.observables, 'a,"b"': scenario.observables["rotating"]}
+        path = tmp_path / "s.json"
+        save_scenario(dataclasses.replace(scenario, observables=observables), path)
+        out = tmp_path / "traj.csv"
+        assert run("evolve", str(path), "-o", str(out)) == EXIT_OK
+        scenario = load_scenario(path)
+        bundle = integrate(scenario)
+        nodes = np.arange(bundle.n_nodes)
+        columns = {
+            name: rep.expectation_schrodinger(bundle, nodes, obs.assemble_many(bundle.ts))
+            for name, obs in scenario.observables.items()
+        }
+        assert out.read_bytes() == reference_csv_text(bundle.ts, columns).encode()
+        assert b'"a,""b""_re","a,""b""_im"\r\n' in out.read_bytes()
+
+    def test_spectrum_matches_reference(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "demo:time-dependent-observable", "--observable", "rotating",
+                   "--times", "0,-0.0,3", "-o", str(out)) == EXIT_OK
+        times = [0.0, -0.0, 3.0]
+        obs = get_demo("time-dependent-observable").observables["rotating"]
+        values = sorted_eigenvalues(obs.assemble_many(times))
+        columns = {f"ev{k}": values[:, k] for k in range(values.shape[1])}
+        assert out.read_bytes() == reference_csv_text(times, columns).encode()
+        assert b"\r\n-0.0," in out.read_bytes()
 
 
 class TestTrajectoryJson:
@@ -529,6 +578,19 @@ class TestMalformedTimes:
                    *flags) == EXIT_NUMERIC
         assert capsys.readouterr().err == (
             "error[numeric]: StepLimitExceededError: inf steps needed, max_steps is 10000000\n")
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_step_count_too_large_to_allocate_is_numeric_error(self, tmp_path, capsys, command):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc["integrator"]["max_steps"] = 10**40
+        doc["t1"] = 1e16  # 1e19 steps: more nodes than numpy can index
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, str(path), "-o", str(tmp_path / "x.out")) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error[numeric]: StepLimitExceededError: "
+                              "cannot allocate 10000000000000000000 steps: ")
 
     def test_step_longer_than_span_is_one_step(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -19,15 +19,13 @@ from metricbundle.model import solve_stationary_metric
 from metricbundle.representations import (
     RepresentationTag,
     TaggedOperator,
-    commutator_transport_check,
-    expectation_heisenberg,
-    expectation_heisenberg_like,
+    commutator_gap,
+    expectation,
     expectation_schrodinger,
     heisenberg_like_state,
     heisenberg_rhs,
     heisenberg_state,
     hermitized_hamiltonian,
-    naive_commutator_residual,
     naive_dagger_transport,
     to_heisenberg,
     to_heisenberg_like,
@@ -96,10 +94,10 @@ class TestTagDiscipline:
         state_h = heisenberg_state(bundle)
         op_hl = to_heisenberg_like(s_op(SIGMA_Z), bundle, 0)
         with pytest.raises(TagMismatchError):
-            expectation_heisenberg(state_h, op_hl)
+            expectation(state_h, op_hl)
         op_h = to_heisenberg(s_op(SIGMA_Z), bundle, 0)
         with pytest.raises(TagMismatchError):
-            expectation_heisenberg_like(heisenberg_like_state(bundle), op_h)
+            expectation(heisenberg_like_state(bundle), op_h)
 
     def test_rhs_requires_h_tags(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
@@ -129,10 +127,8 @@ class TestExpectationEquivalence:
             for name, spec in scenario.observables.items():
                 obs = s_op(spec.assemble(t))
                 val_s = expectation_schrodinger(bundle, i, obs.matrix)
-                val_h = expectation_heisenberg(state_h, to_heisenberg(obs, bundle, i))
-                val_hl = expectation_heisenberg_like(
-                    state_hl, to_heisenberg_like(obs, bundle, i)
-                )
+                val_h = expectation(state_h, to_heisenberg(obs, bundle, i))
+                val_hl = expectation(state_hl, to_heisenberg_like(obs, bundle, i))
                 assert abs(val_s - val_h) <= 1e-8
                 assert abs(val_s - val_hl) <= 1e-8
 
@@ -199,20 +195,20 @@ class TestCommutatorTransport:
         _, bundle = pt_unbroken_bundle
         i = index_of_time(bundle, 1.0)
         for a, b in ((SIGMA_X, SIGMA_Y), (SIGMA_X, SIGMA_Z), (SIGMA_Y, SIGMA_Z)):
-            assert commutator_transport_check(s_op(a), s_op(b), bundle, i) <= 1e-10
+            assert commutator_gap(to_heisenberg, s_op(a), s_op(b), bundle, i) <= 1e-10
 
     def test_naive_transport_breaks_commutators(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         i = index_of_time(bundle, 1.0)
-        naive = naive_commutator_residual(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
-        correct = commutator_transport_check(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
+        naive = commutator_gap(naive_dagger_transport, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
+        correct = commutator_gap(to_heisenberg, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
         assert naive > 0.1
         assert naive / max(correct, 1e-300) > 100.0
 
     def test_naive_transport_fine_for_hermitian_dynamics(self, rabi_bundle):
         _, bundle = rabi_bundle
         i = index_of_time(bundle, 1.0)
-        naive = naive_commutator_residual(s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
+        naive = commutator_gap(naive_dagger_transport, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
         assert naive <= 1e-10
 
 

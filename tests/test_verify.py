@@ -6,6 +6,7 @@ import pytest
 
 from conftest import bundle_from_json_dict
 from metricbundle.evolution import bundle_to_json_dict, integrate, to_json_text
+from metricbundle.matops import SIGMA_X, SIGMA_Y, SIGMA_Z
 from metricbundle.model import (
     IntegratorConfig,
     MetricInit,
@@ -182,6 +183,20 @@ class TestErrorPath:
             elif not c.name.startswith(inverts_e):
                 assert c == clean[c.name]
 
+    def test_singular_vielbein_at_an_unsampled_node_fails_only_the_hl_eom_checks(self):
+        # Nodes 0, 26 and 51 with delta 25 nodes: only the EOM checks read node 1.
+        scenario = get_demo("pt-dimer-unbroken", t1=0.51, step=0.01)
+        bundle = integrate(scenario)
+        e = bundle.e.copy()
+        e[1] = np.diag([3.0, 0.0])
+        clean = {c.name: c for c in run_suite(bundle, scenario, node_stride=26).checks}
+        report = run_suite(dataclasses.replace(bundle, e=e), scenario, node_stride=26)
+        changed = [c for c in report.checks if c != clean[c.name]]
+        assert [c.name for c in changed] == [
+            f"heisenberg_like_eom_fd[{name}]" for name in scenario.observables]
+        for c in changed:
+            assert c.error.startswith("SingularMatrixError:"), c.name
+
     @pytest.mark.parametrize("demo, t1, stride", [
         ("pt-ep", 0.05, 100),  # nodes 0 and 50, delta 25 nodes
         ("hermitian-rabi", 0.001, 10),  # one step: nodes 0 and 1, delta 1 node
@@ -226,17 +241,26 @@ def _pt_chain(n: int = 8, gamma: float = 0.4) -> Scenario:
 
 
 def per_node_reference(bundle, scenario, node_stride=10):
-    """Worst residual and node of five check families, one node at a time."""
+    """Worst residual and node of nine check families, one node at a time."""
     n = bundle.n_nodes
     nodes = list(range(0, n, node_stride))
     if nodes[-1] != n - 1:
         nodes.append(n - 1)
     eye = np.eye(bundle.dim)
     dn = max(1, min(node_stride, (n - 1) // 2))
+    ket_hl = bundle.e[0] @ bundle.psi[0]
+    frozen = {"h": (bundle.psi[0].conj() @ bundle.g0, bundle.psi[0]),
+              "hl": (ket_hl.conj(), ket_hl)}
 
     def spectral_distance(a, b):
         return np.max(np.abs(np.sort_complex(np.linalg.eigvals(a))
                              - np.sort_complex(np.linalg.eigvals(b))))
+
+    def expectation_gap(i, obs, picture, transport):
+        psi, o = bundle.psi[i], obs.assemble(bundle.ts[i])
+        value_s = (psi.conj()[None, :] @ bundle.g[i] @ o @ psi[:, None])[0, 0]
+        dual, ket = frozen[picture]
+        return abs(value_s - (dual[None, :] @ transport(obs, i) @ ket[:, None])[0, 0])
 
     def o_h(obs, j):
         return bundle.u_l[j] @ obs.assemble(bundle.ts[j]) @ bundle.u_r[j]
@@ -252,6 +276,14 @@ def per_node_reference(bundle, scenario, node_stride=10):
         o = transport(obs, i)
         return np.linalg.norm(fd - (1j * (h_p @ o - o @ h_p) + transport(d_obs, i)))
 
+    def commutator_gap(i, a, b):
+        def heisenberg(m):
+            return bundle.u_l[i] @ m @ bundle.u_r[i]
+
+        ta, tb = heisenberg(a), heisenberg(b)
+        gap = np.linalg.norm(ta @ tb - tb @ ta - heisenberg(a @ b - b @ a))
+        return gap / max(1.0, np.linalg.norm(ta) * np.linalg.norm(tb))
+
     families = {
         "propagator_inverse_left":
             lambda i: np.linalg.norm(bundle.u_l[i] @ bundle.u_r[i] - eye),
@@ -259,13 +291,22 @@ def per_node_reference(bundle, scenario, node_stride=10):
             lambda i: -np.linalg.eigvalsh(0.5 * (bundle.g[i] + bundle.g[i].conj().T))[0],
     }
     for name, obs in scenario.observables.items():
-        families[f"isospectral_hl[{name}]"] = lambda i, obs=obs: spectral_distance(
-            bundle.e[i] @ obs.assemble(bundle.ts[i]) @ np.linalg.inv(bundle.e[i]),
-            obs.assemble(bundle.ts[i]))
+        for picture, transport in (("h", o_h), ("hl", o_hl)):
+            families[f"expectation_s_vs_{picture}[{name}]"] = (
+                lambda i, obs=obs, picture=picture, transport=transport:
+                    expectation_gap(i, obs, picture, transport))
+            families[f"isospectral_{picture}[{name}]"] = (
+                lambda i, obs=obs, transport=transport:
+                    spectral_distance(transport(obs, i), obs.assemble(bundle.ts[i])))
         for family, transport in (("heisenberg_eom_fd", o_h), ("heisenberg_like_eom_fd", o_hl)):
             families[f"{family}[{name}]"] = (
                 lambda i, obs=obs, d_obs=obs.differentiate(), transport=transport:
                     eom_fd(i, obs, d_obs, transport))
+    if bundle.dim == 2:
+        for pair, a, b in (("sx_sy", SIGMA_X, SIGMA_Y), ("sx_sz", SIGMA_X, SIGMA_Z),
+                           ("sy_sz", SIGMA_Y, SIGMA_Z)):
+            families[f"commutator_transport[{pair}]"] = (
+                lambda i, a=a, b=b: commutator_gap(i, a, b))
 
     worst = {}
     for name, residual in families.items():
@@ -278,13 +319,50 @@ def per_node_reference(bundle, scenario, node_stride=10):
     return worst
 
 
-@pytest.mark.parametrize("name", [*sorted(builtin_models()), "pt-chain-8"])
+@pytest.mark.parametrize(
+    "name", [*sorted(builtin_models()), "pt-chain-8", "pt-dimer-unbroken-stride-26"])
 def test_stacked_checks_match_per_node_loop(name):
-    scenario = _pt_chain() if name == "pt-chain-8" else get_demo(name, t1=0.75)
+    node_stride = 10
+    if name == "pt-chain-8":
+        scenario = _pt_chain()
+    elif name == "pt-dimer-unbroken-stride-26":
+        # Nodes 0, 26 and 51 with delta 25 nodes: the EOM checks read nodes 1
+        # and 51 for node 26, so the EOM grid holds a node that is not sampled.
+        scenario, node_stride = get_demo("pt-dimer-unbroken", t1=0.51, step=0.01), 26
+    else:
+        scenario = get_demo(name, t1=0.75)
     bundle = integrate(scenario)
-    checks = {c.name: c for c in run_suite(bundle, scenario).checks}
-    for name, (residual, context) in per_node_reference(bundle, scenario).items():
+    checks = {c.name: c for c in run_suite(bundle, scenario, node_stride).checks}
+    for name, (residual, context) in per_node_reference(bundle, scenario, node_stride).items():
         c = checks[name]
         assert not c.error, name
         assert abs(c.residual - residual) <= 1e-12 * max(1.0, abs(residual)), name
         assert c.context == context, name
+
+
+GENERIC_CHECKS = [
+    "propagator_inverse_left", "propagator_inverse_right", "metric_hermitian",
+    "metric_positive_definite", "metric_closed_form", "vielbein_reconstructs_metric",
+    "norm_conservation", "hermitized_generator_gauge",
+]
+OBSERVABLE_CHECKS = [
+    "expectation_s_vs_h", "expectation_s_vs_hl", "isospectral_h", "isospectral_hl",
+    "heisenberg_eom_fd", "heisenberg_like_eom_fd",
+]
+SU2_CHECKS = [
+    "commutator_transport[sx_sy]", "commutator_transport[sx_sz]",
+    "commutator_transport[sy_sz]", "conventional_dagger_transport",
+]
+
+
+@pytest.mark.parametrize("name, observables, tail, total", [
+    ("time-dependent-observable", ["sigma_x", "sigma_y", "sigma_z", "rotating"], SU2_CHECKS, 36),
+    ("pt-chain-8", ["position", "drifting"], [], 20),
+])
+def test_check_names_in_report_order(name, observables, tail, total):
+    scenario = _pt_chain() if name == "pt-chain-8" else get_demo(name, t1=0.75)
+    names = [c.name for c in run_suite(integrate(scenario), scenario).checks]
+    assert names == [*GENERIC_CHECKS,
+                     *(f"{check}[{obs}]" for obs in observables for check in OBSERVABLE_CHECKS),
+                     *tail]
+    assert len(names) == total
