@@ -44,10 +44,10 @@ class UnknownVariableError(ProfileSyntaxError):
 
 
 class EvalError(MetricBundleError):
-    """Numeric failure while evaluating a profile expression."""
+    """Numeric failure in a profile expression (at a node's offset) or an operator (None)."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+    def __init__(self, message: str, offset: int | None):
+        super().__init__(message if offset is None else f"{message} (at offset {offset})")
         self.offset = offset
 
 

@@ -1,10 +1,11 @@
 """Dense complex matrix kernel with one fixed tolerance policy.
 
 All physics layers funnel their linear algebra through this module so that
-tolerances and failure modes (singular propagator, non-positive metric, ...)
-are decided in exactly one place, by the constants ATOL, RTOL and
-CONDITION_CAP. Matrices are plain square complex numpy arrays; vectors are
-1-d complex arrays. Every function is pure.
+its failure modes (singular propagator, non-positive metric, ...) are decided
+in one place, by ATOL, RTOL and CONDITION_CAP. Other fixed thresholds live
+where they are used: model's stationary-metric solver (1e8, 1e-10) and
+profile's integer-exponent test (1e-9). Matrices are plain square complex
+numpy arrays; vectors are 1-d complex arrays. Every function is pure.
 
 The kernels also take stacks of matrices, shape (nodes, d, d), and return one
 value per matrix. A stack is validated once; when a matrix in it fails a

@@ -14,6 +14,8 @@ A scenario file is a single JSON document; complex numbers are always
       "name": optional string, "expected_failures": optional [check-name prefixes]
     }
 
+Any other key at the top level, in "metric" or in "integrator" is a SchemaError.
+
 The schema round-trips bit-exactly: coefficient source text is preserved
 verbatim and floats survive JSON via repr.
 """
@@ -35,6 +37,7 @@ from . import profile
 from .errors import (
     DimensionMismatchError,
     EigenConvergenceError,
+    EvalError,
     NoPositiveDefiniteSolutionError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -106,21 +109,26 @@ class OperatorSpec:
 
         Each term's profile is evaluated once over all the times. A constant
         operator gives its one matrix broadcast over the times, without copies.
+        Raises EvalError at the first time whose matrix is not finite (overflows).
         """
         if self.is_constant():
-            return np.broadcast_to(self._constant, (len(ts), self.dim, self.dim))
-        out = np.zeros((len(ts), self.dim, self.dim), dtype=complex)
-        for term in self.terms:
-            out += profile.eval_profile(term.expr, ts)[:, None, None] * term.matrix
-        return out
+            out = self._constant[None]
+        else:
+            out = np.zeros((len(ts), self.dim, self.dim), dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                for term in self.terms:
+                    out += profile.eval_profile(term.expr, ts)[:, None, None] * term.matrix
+        bad = ~np.isfinite(out).all(axis=(1, 2))
+        if bad.any():
+            raise EvalError(f"operator is not finite at t = {float(ts[np.argmax(bad)])!r}", None)
+        return np.broadcast_to(out, (len(ts), self.dim, self.dim))
 
     def differentiate(self) -> "OperatorSpec":
-        """Analytic d/dt, term by term, via AST differentiation."""
-        terms = []
-        for term in self.terms:
-            dexpr = profile.differentiate(term.expr)
-            terms.append(ProfileTerm(profile.print_profile(dexpr), dexpr, term.matrix))
-        return OperatorSpec(terms)
+        """Analytic d/dt, term by term; each term's source is "d/dt (<its source>)"."""
+        return OperatorSpec([
+            ProfileTerm(f"d/dt ({term.source})", profile.differentiate(term.expr), term.matrix)
+            for term in self.terms
+        ])
 
     def is_constant(self) -> bool:
         """True when no term depends on t (e.g. "-1.0" or "2^3", not only literals)."""
@@ -129,7 +137,8 @@ class OperatorSpec:
     @functools.cached_property
     def _constant(self) -> np.ndarray:
         # Evaluated on first use, so a term that fails to evaluate fails there.
-        return sum(profile.eval_profile(t.expr, 0.0) * t.matrix for t in self.terms)
+        with np.errstate(over="ignore", invalid="ignore"):  # assemble_many reports it
+            return sum(profile.eval_profile(t.expr, 0.0) * t.matrix for t in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorSpec):
@@ -454,11 +463,16 @@ def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:
     return constant_operator(_complex_array_from_json(value, (dim, dim), pointer))
 
 
+_REQUIRED_KEYS = {"dim", "hamiltonian", "metric", "psi0", "observables", "t0", "t1", "integrator"}
+# The keys of each object whose keys the schema fixes, by pointer.
+_KNOWN_KEYS = {"": _REQUIRED_KEYS | {"name", "expected_failures"}, "/metric": {"mode", "matrix"},
+               "/integrator": {field.name for field in dataclasses.fields(IntegratorConfig)}}
+
+
 def scenario_from_json_dict(doc: Any) -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object", "")
-    required = {"dim", "hamiltonian", "metric", "psi0", "observables", "t0", "t1", "integrator"}
-    missing = required - set(doc)
+    missing = _REQUIRED_KEYS - set(doc)
     if missing:
         raise SchemaError(f"missing fields: {sorted(missing)}", "")
     dim = doc["dim"]
@@ -492,10 +506,7 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     if not isinstance(integ_doc, dict):
         raise SchemaError("integrator must be an object", "/integrator")
     integrator = IntegratorConfig(
-        method=integ_doc.get("method", "rk4"),
-        step=integ_doc.get("step", 1e-3),
-        max_steps=integ_doc.get("max_steps", 10_000_000),
-    )
+        **{key: value for key, value in integ_doc.items() if key in _KNOWN_KEYS["/integrator"]})
 
     name = doc.get("name", "")
     if not isinstance(name, str):
@@ -508,7 +519,7 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
         raise SchemaError("prefix is empty, so it matches every check",
                           f"/expected_failures/{expected.index('')}")
 
-    return Scenario(
+    scenario = Scenario(
         hamiltonian=hamiltonian,
         metric_init=metric,
         psi0=psi0,
@@ -519,6 +530,12 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
         name=name,
         expected_failures=tuple(expected),
     )
+    # Checked last, so that an unknown key never hides an error in a known field.
+    for pointer, section in (("", doc), ("/metric", metric_doc), ("/integrator", integ_doc)):
+        for key in section:
+            if key not in _KNOWN_KEYS[pointer]:
+                raise SchemaError("unknown key", f"{pointer}/{key}")
+    return scenario
 
 
 def scenario_to_json_dict(scenario: Scenario) -> dict:

@@ -41,7 +41,6 @@ __all__ = [
     "parse_profile",
     "eval_profile",
     "contains_time",
-    "print_profile",
     "differentiate",
 ]
 
@@ -108,8 +107,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ProfileSyntaxError(
                 f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
             )
-        if m.lastgroup is None:
-            break
         tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
@@ -118,7 +115,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -143,25 +139,21 @@ class _Parser:
             raise ProfileSyntaxError(f"unexpected trailing {value!r}", offset)
         return node
 
-    def expr(self) -> ProfileExpr:
-        node = self.term()
+    def binary(self, ops: str, operand) -> ProfileExpr:
+        """operand ((one of ops) operand)*, as left-associative BinOps."""
+        node = operand()
         while True:
             kind, value, offset = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                node = BinOp(value, node, self.term(), offset=offset)
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.next()
+            node = BinOp(value, node, operand(), offset=offset)
+
+    def expr(self) -> ProfileExpr:
+        return self.binary("+-", self.term)
 
     def term(self) -> ProfileExpr:
-        node = self.unary()
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value in "*/":
-                self.next()
-                node = BinOp(value, node, self.unary(), offset=offset)
-            else:
-                return node
+        return self.binary("*/", self.unary)
 
     def unary(self) -> ProfileExpr:
         kind, value, offset = self.peek()
@@ -280,52 +272,13 @@ def _fault(faults: list, mask, message: str, offset: int) -> None:
         faults.append((int(np.argmax(mask)), len(faults), message, offset))
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(node: ProfileExpr) -> int:
-    match node:
-        case BinOp(op=op):
-            return _PREC[op]
-        case Neg():
-            return _PREC["neg"]
-        case Pow():
-            return _PREC["^"]
-        case _:
-            return _PREC["atom"]
-
-
-def print_profile(node: ProfileExpr) -> str:
-    """Render to source text; parse(print(x)) reproduces x."""
-    match node:
-        case Const(value=v):
-            if v >= 0:
-                return repr(v)
-            return f"({v!r})"
-        case TimeVar():
-            return "t"
-        case Neg(arg=a):
-            inner = print_profile(a)
-            if _prec(a) < _PREC["neg"]:
-                inner = f"({inner})"
-            return f"-{inner}"
-        case BinOp(op=op, left=l, right=r):
-            ls = print_profile(l)
-            rs = print_profile(r)
-            if _prec(l) < _PREC[op]:
-                ls = f"({ls})"
-            # left-associative: parenthesize right child at equal precedence
-            if _prec(r) <= _PREC[op]:
-                rs = f"({rs})"
-            return f"{ls} {op} {rs}"
-        case Pow(base=b, exponent=n):
-            bs = print_profile(b)
-            if _prec(b) <= _PREC["^"]:
-                bs = f"({bs})"
-            return f"{bs}^{n}" if n >= 0 else f"{bs}^({n})"
-        case Call(func=f, arg=a):
-            return f"{f}({print_profile(a)})"
-    raise TypeError(f"not a profile node: {node!r}")
+# d/du of each known function, as a tree over its argument u.
+_DERIVATIVES = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "exp": lambda u: Call("exp", u),
+    "tanh": lambda u: BinOp("-", Const(1.0), Pow(Call("tanh", u), 2)),
+}
 
 
 def differentiate(node: ProfileExpr) -> ProfileExpr:
@@ -337,10 +290,8 @@ def differentiate(node: ProfileExpr) -> ProfileExpr:
             return Const(1.0)
         case Neg(arg=a):
             return Neg(differentiate(a))
-        case BinOp(op="+", left=l, right=r):
-            return BinOp("+", differentiate(l), differentiate(r))
-        case BinOp(op="-", left=l, right=r):
-            return BinOp("-", differentiate(l), differentiate(r))
+        case BinOp(op="+" | "-" as op, left=l, right=r):
+            return BinOp(op, differentiate(l), differentiate(r))
         case BinOp(op="*", left=l, right=r):
             return BinOp(
                 "+",
@@ -362,13 +313,6 @@ def differentiate(node: ProfileExpr) -> ProfileExpr:
                 BinOp("*", Const(float(n)), Pow(b, n - 1)),
                 differentiate(b),
             )
-        case Call(func="sin", arg=a):
-            return BinOp("*", Call("cos", a), differentiate(a))
-        case Call(func="cos", arg=a):
-            return BinOp("*", Neg(Call("sin", a)), differentiate(a))
-        case Call(func="exp", arg=a):
-            return BinOp("*", Call("exp", a), differentiate(a))
-        case Call(func="tanh", arg=a):
-            chain = BinOp("-", Const(1.0), Pow(Call("tanh", a), 2))
-            return BinOp("*", chain, differentiate(a))
+        case Call(func=f, arg=a):
+            return BinOp("*", _DERIVATIVES[f](a), differentiate(a))
     raise TypeError(f"not a profile node: {node!r}")

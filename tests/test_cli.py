@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,86 @@ class TestScenarioFileErrors:
         assert err.startswith("error[schema]: /hamiltonian/0/matrix:")
         assert err.count("\n") == 1 and len(err.encode()) <= 200
 
+    @pytest.mark.parametrize("pointer", ["/stpe", "/metric/stpe", "/integrator/stpe"])
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_unknown_key_is_rejected_at_its_pointer(self, tmp_path, capsys, pointer, command):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        set_at(doc, pointer, 0.01)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, str(path), "-o", str(tmp_path / "out")) == EXIT_SCENARIO
+        assert capsys.readouterr().err == f"error[schema]: {pointer}: unknown key\n"
+
+    def test_unknown_key_does_not_hide_an_error_in_a_known_field(self, tmp_path, capsys):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        doc["integrator"]["stpe"] = 0.01
+        doc["t1"] = -1.0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == EXIT_SCENARIO
+        assert capsys.readouterr().err == "error[schema]: /t1: t1 must exceed t0\n"
+
+
+# diag(1e10, 1) and 1e10 sigma_x: finite, but 1e300 times either is not.
+BIG_DIAGONAL = [[[1e10, 0], [0, 0]], [[0, 0], [1, 0]]]
+BIG_SIGMA_X = [[[0, 0], [1e10, 0]], [[1e10, 0], [0, 0]]]
+
+
+class TestOverflowingOperator:
+    """An operator whose assembled matrix overflows is one EvalError, with no numpy warning."""
+
+    # coefficient -> the error: 1e300 overflows at every time, 1e300 * t from t = 0.018 on.
+    CASES = {
+        "1e300": "operator is not finite at t = 0.0",
+        "1e300 * t": "operator is not finite at t = 0.018000000000000002",
+    }
+
+    @staticmethod
+    def scenario_file(tmp_path, coeff, where):
+        doc = scenario_to_json_dict(get_demo("pt-dimer-unbroken", t1=0.05))
+        if where == "hamiltonian":
+            doc["hamiltonian"].append({"coeff": coeff, "matrix": BIG_SIGMA_X})
+        else:
+            doc["observables"]["big"] = [{"coeff": coeff, "matrix": BIG_DIAGONAL}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def run_without_warnings(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run(*argv)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["observables", "hamiltonian"])
+    @pytest.mark.parametrize("coeff", sorted(CASES))
+    def test_evolve_exits_with_one_schema_line(self, tmp_path, capsys, coeff, where, fmt):
+        path = self.scenario_file(tmp_path, coeff, where)
+        out = tmp_path / f"traj.{fmt}"
+        code = self.run_without_warnings("evolve", path, "-o", str(out), "--format", fmt)
+        assert code == EXIT_SCENARIO
+        assert capsys.readouterr().err == f"error[schema]: EvalError: {self.CASES[coeff]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coeff", sorted(CASES))
+    def test_verify_reports_the_error_in_each_check_of_the_observable(
+            self, tmp_path, capsys, coeff):
+        path = self.scenario_file(tmp_path, coeff, "observables")
+        report = tmp_path / "report.json"
+        assert self.run_without_warnings("verify", path, "-o", str(report)) == EXIT_VERIFY
+        assert capsys.readouterr().err == "error[verify]: 6 unexpected check failures\n"
+        assert "NaN" not in report.read_text()
+        big = {c["name"]: c for c in json.loads(report.read_text())["checks"]
+               if c["name"].endswith("[big]")}
+        assert sorted(big) == sorted(
+            f"{family}[big]" for family in (
+                "expectation_s_vs_h", "expectation_s_vs_hl", "isospectral_h",
+                "isospectral_hl", "heisenberg_eom_fd", "heisenberg_like_eom_fd"))
+        for check in big.values():
+            assert not check["pass"] and check["residual"] == float("inf")
+            assert check["error"].startswith("EvalError: operator is not finite at ")
+
 
 def _pointers(doc, prefix=""):
     """JSON pointer of every value in doc, the root ("") included."""
@@ -379,14 +460,21 @@ JSON_VALUES = st.recursive(
 )
 
 
+NEW_KEYS = st.text(min_size=1, max_size=6).filter(lambda key: "/" not in key)
+
+
 @st.composite
 def malformed_scenarios(draw):
     demo = draw(st.sampled_from(sorted(builtin_models())))
-    pointer = draw(st.sampled_from(list(_pointers(_fuzz_base(demo)))))
+    if draw(st.sampled_from(range(4))) == 3:  # a key added at a level whose keys are fixed
+        pointer = f"{draw(st.sampled_from(['', '/metric', '/integrator']))}/{draw(NEW_KEYS)}"
+    else:
+        pointer = draw(st.sampled_from(list(_pointers(_fuzz_base(demo)))))
     return demo, pointer, draw(JSON_VALUES)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+# About one case in four adds a key, so some 200 cases still change a value.
+@settings(max_examples=260, derandomize=True, deadline=None)
 @given(case=malformed_scenarios())
 @example(case=("hermitian-rabi", "/psi0/0", [10**400, 0]))
 def test_malformed_scenario_exits_with_one_documented_line(case):

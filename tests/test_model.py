@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import G_PT
-from metricbundle import model
+from metricbundle import model, profile
 from metricbundle.errors import (
     EvalError,
     NoPositiveDefiniteSolutionError,
@@ -74,6 +74,19 @@ class TestAssemble:
         d = spec.differentiate()
         t = 0.9
         assert np.allclose(d.assemble(t), np.cos(t) * SIGMA_X)
+
+    def test_differentiate_labels_each_term_and_keeps_its_tree(self):
+        spec = OperatorSpec([ProfileTerm.parse("sin(t)", SIGMA_X),
+                             ProfileTerm.parse("2 * t^2", SIGMA_Z)])
+        d = spec.differentiate()
+        assert [term.source for term in d.terms] == ["d/dt (sin(t))", "d/dt (2 * t^2)"]
+        for term, d_term in zip(spec.terms, d.terms):
+            assert repr(d_term.expr) == repr(profile.differentiate(term.expr))  # offsets too
+            assert np.array_equal(d_term.matrix, term.matrix)
+        assert d == spec.differentiate()
+        other = OperatorSpec([ProfileTerm.parse("cos(t)", SIGMA_X),
+                              ProfileTerm.parse("2 * t^2", SIGMA_Z)])
+        assert d != other.differentiate()
 
 
 def _hermitian_nullspace(h: np.ndarray) -> list[np.ndarray]:
@@ -318,6 +331,11 @@ class TestScenarioSchema:
         scenario = scenario_from_json_dict(doc)
         assert scenario.dim == 2
         assert np.array_equal(scenario.observables["sz"].assemble(0.0), SIGMA_Z)
+
+    def test_omitted_integrator_keys_take_the_config_defaults(self):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc["integrator"] = {}
+        assert scenario_from_json_dict(doc).integrator == model.IntegratorConfig()
 
     def test_psi0_dimension_mismatch_names_field(self):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi"))

@@ -21,7 +21,6 @@ from metricbundle.profile import (
     differentiate,
     eval_profile,
     parse_profile,
-    print_profile,
 )
 
 # exp(-1) * cos(3), frozen from a 50-digit mpmath evaluation:
@@ -122,30 +121,47 @@ class TestEval:
         assert str(err.value) == "division by zero (at offset 1)"
 
 
-# AST strategy for the round-trip property
-def _exprs():
+# (text, tree) pairs built together: every operand is parenthesized, so the
+# text's tree is known without a precedence rule, and the parser has an oracle
+# that shares no code with it.
+def _neg(arg):
+    return f"-({arg[0]})", Neg(arg[1])
+
+
+def _binop(op, left, right):
+    return f"({left[0]}) {op} ({right[0]})", BinOp(op, left[1], right[1])
+
+
+def _pow(base, exponent):
+    return f"({base[0]})^({exponent})", Pow(base[1], exponent)
+
+
+def _call(func, arg):
+    return f"{func}({arg[0]})", Call(func, arg[1])
+
+
+def _texts_and_trees():
     leaves = st.one_of(
-        st.builds(Const, st.floats(0.0, 100.0, allow_nan=False)),
-        st.builds(TimeVar),
+        st.floats(0.0, 100.0, allow_nan=False).map(lambda v: (repr(v), Const(v))),
+        st.just(("t", TimeVar())),
     )
 
     def extend(children):
         return st.one_of(
-            st.builds(Neg, children),
-            st.builds(
-                BinOp, st.sampled_from("+-*/"), children, children
-            ),
-            st.builds(Pow, children, st.integers(-3, 3)),
-            st.builds(Call, st.sampled_from(["sin", "cos", "exp", "tanh"]), children),
+            st.builds(_neg, children),
+            st.builds(_binop, st.sampled_from("+-*/"), children, children),
+            st.builds(_pow, children, st.integers(-3, 3)),
+            st.builds(_call, st.sampled_from(["sin", "cos", "exp", "tanh"]), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
 
 
 @settings(max_examples=200, deadline=None)
-@given(node=_exprs())
-def test_print_parse_round_trip(node):
-    assert parse_profile(print_profile(node)) == node
+@given(case=_texts_and_trees())
+def test_parse_of_parenthesized_text_is_its_tree(case):
+    text, tree = case
+    assert parse_profile(text) == tree
 
 
 _times = st.lists(
@@ -167,10 +183,10 @@ def _eval_or_error(node, t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(node=_exprs(), times=_times)
-def test_array_evaluation_matches_each_time(node, times):
-    # Printing and parsing back gives every node its source offset.
-    node = parse_profile(print_profile(node))
+@given(case=_texts_and_trees(), times=_times)
+def test_array_evaluation_matches_each_time(case, times):
+    # Parsed from text, every node has its source offset.
+    node = parse_profile(case[0])
     each = [_eval_or_error(node, t) for t in times]
     whole = _eval_or_error(node, np.array(times))
     errors = [v for v in each if isinstance(v, EvalError)]
@@ -179,6 +195,35 @@ def test_array_evaluation_matches_each_time(node, times):
         assert (whole.offset, str(whole)) == (errors[0].offset, str(errors[0]))
     else:
         assert whole.tolist() == each
+
+
+# One derivative tree per rule, node for node: the operands taken from the
+# source keep their parse offsets, and every new node has offset 0.
+@pytest.mark.parametrize("text, want", [
+    ("t + 2", BinOp("+", Const(1.0), Const(0.0))),
+    ("t - 2", BinOp("-", Const(1.0), Const(0.0))),
+    ("2 * t", BinOp("+", BinOp("*", Const(0.0), TimeVar(offset=4)),
+                    BinOp("*", Const(2.0), Const(1.0)))),
+    ("1 / t", BinOp("/", BinOp("-", BinOp("*", Const(0.0), TimeVar(offset=4)),
+                               BinOp("*", Const(1.0), Const(1.0))),
+                    Pow(TimeVar(offset=4), 2))),
+    ("t^3", BinOp("*", BinOp("*", Const(3.0), Pow(TimeVar(), 2)), Const(1.0))),
+    ("t^0", Const(0.0)),
+    ("-t", Neg(Const(1.0))),
+    ("sin(t)", BinOp("*", Call("cos", TimeVar(offset=4)), Const(1.0))),
+    ("cos(t)", BinOp("*", Neg(Call("sin", TimeVar(offset=4))), Const(1.0))),
+    ("exp(t)", BinOp("*", Call("exp", TimeVar(offset=4)), Const(1.0))),
+    ("tanh(t)", BinOp("*", BinOp("-", Const(1.0), Pow(Call("tanh", TimeVar(offset=5)), 2)),
+                      Const(1.0))),
+    ("sin(2*t)", BinOp(
+        "*",
+        Call("cos", BinOp("*", Const(2.0, offset=4), TimeVar(offset=6), offset=5)),
+        BinOp("+", BinOp("*", Const(0.0), TimeVar(offset=6)),
+              BinOp("*", Const(2.0, offset=4), Const(1.0))))),
+], ids=["+", "-", "*", "/", "^", "^0", "neg", "sin", "cos", "exp", "tanh", "chain"])
+def test_derivative_tree_per_rule(text, want):
+    # repr shows the offsets, which == ignores.
+    assert repr(differentiate(parse_profile(text))) == repr(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,9 +248,3 @@ def test_derivative_matches_finite_difference(text, t):
     fd = (eval_profile(node, t + h) - eval_profile(node, t - h)) / (2 * h)
     exact = eval_profile(deriv, t)
     assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
-
-
-def test_derivative_round_trips_through_printer():
-    node = parse_profile("0.5*sin(2*t)")
-    deriv = differentiate(node)
-    assert parse_profile(print_profile(deriv)) == deriv

@@ -4,8 +4,10 @@ Each probe runs in a fresh interpreter, since this process has long since
 imported every module of the package.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +100,14 @@ def test_export_is_its_submodule_object(name):
     assert getattr(sys.modules[obj.__module__], name) is obj
     assert obj.__module__.startswith("metricbundle.")
     assert name in dir(metricbundle)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(
+    metricbundle.__path__)))
+def test_every_name_in_a_submodules_all_resolves(module):
+    # A stale entry would break `from metricbundle.<module> import *`.
+    mod = importlib.import_module(f"metricbundle.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_unknown_name_is_attribute_error():
