@@ -39,7 +39,6 @@ __all__ = [
     "cholesky_upper",
     "eigenvalues",
     "sorted_eigenvalues",
-    "eigenvalue_match_distance",
     "hermitian_deviation",
     "min_eig_hermitian",
     "frobenius",
@@ -83,11 +82,15 @@ def _first(bad: np.ndarray):
 
 
 def frobenius(a):
-    """Frobenius norm: a float for a vector or matrix, an array for a stack."""
+    """Frobenius norm: a float for a vector or matrix, an array for a stack.
+
+    A norm beyond the float range is inf, with no numpy warning.
+    """
     a = np.asarray(a)
-    if a.ndim <= 2:
-        return float(np.linalg.norm(a))
-    return np.linalg.norm(a, axis=(-2, -1))
+    with np.errstate(over="ignore"):
+        if a.ndim <= 2:
+            return float(np.linalg.norm(a))
+        return np.linalg.norm(a, axis=(-2, -1))
 
 
 def adjoint(a) -> np.ndarray:
@@ -161,15 +164,6 @@ def sorted_eigenvalues(a) -> np.ndarray:
     """Eigenvalues sorted lexicographically by (real, imag), per matrix."""
     vals = eigenvalues(a)
     return np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), axis=-1)
-
-
-def eigenvalue_match_distance(a, b):
-    """Max pairwise distance after sorted lexicographic matching."""
-    va = sorted_eigenvalues(a)
-    vb = sorted_eigenvalues(b)
-    if va.shape[-1] != vb.shape[-1]:
-        raise DimensionMismatchError("spectra have different sizes")
-    return np.max(np.abs(va - vb), axis=-1)
 
 
 def min_eig_hermitian(g):

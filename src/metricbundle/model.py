@@ -270,10 +270,12 @@ def solve_stationary_metric(h) -> tuple[np.ndarray, dict[str, Any]]:
     Raises NoPositiveDefiniteSolutionError when no positive-definite solution
     exists (complex spectrum: broken phase) or only a singular one does
     (coalescing eigenvectors, degenerate=True: e.g. an exceptional point), and
-    EigenConvergenceError when a LAPACK routine fails.
+    EigenConvergenceError when a LAPACK routine fails or the norm of H overflows.
     """
     h = as_matrix(h, "hamiltonian")
     scale = max(1.0, frobenius(h))
+    if scale == math.inf:  # every tolerance below would be inf, and every test pass
+        raise EigenConvergenceError("stationary metric: the norm of H overflows")
     cluster_tol = max(ATOL, RTOL * scale)
     try:
         vals, vecs = np.linalg.eig(h)

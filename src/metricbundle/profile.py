@@ -272,47 +272,43 @@ def _fault(faults: list, mask, message: str, offset: int) -> None:
         faults.append((int(np.argmax(mask)), len(faults), message, offset))
 
 
-# d/du of each known function, as a tree over its argument u.
+# d/du of each known function, as a tree over its argument u whose new nodes
+# take the offset at.
 _DERIVATIVES = {
-    "sin": lambda u: Call("cos", u),
-    "cos": lambda u: Neg(Call("sin", u)),
-    "exp": lambda u: Call("exp", u),
-    "tanh": lambda u: BinOp("-", Const(1.0), Pow(Call("tanh", u), 2)),
+    "sin": lambda u, at: Call("cos", u, at),
+    "cos": lambda u, at: Neg(Call("sin", u, at), at),
+    "exp": lambda u, at: Call("exp", u, at),
+    "tanh": lambda u, at: BinOp("-", Const(1.0, at), Pow(Call("tanh", u, at), 2, at), at),
 }
 
 
 def differentiate(node: ProfileExpr) -> ProfileExpr:
-    """Analytic derivative with respect to t."""
+    """Analytic derivative with respect to t.
+
+    Every node built here takes the offset of the node it differentiates, so
+    an error in the derivative points into the source text.
+    """
+    at = getattr(node, "offset", 0)
     match node:
         case Const():
-            return Const(0.0)
+            return Const(0.0, at)
         case TimeVar():
-            return Const(1.0)
+            return Const(1.0, at)
         case Neg(arg=a):
-            return Neg(differentiate(a))
+            return Neg(differentiate(a), at)
         case BinOp(op="+" | "-" as op, left=l, right=r):
-            return BinOp(op, differentiate(l), differentiate(r))
-        case BinOp(op="*", left=l, right=r):
-            return BinOp(
-                "+",
-                BinOp("*", differentiate(l), r),
-                BinOp("*", l, differentiate(r)),
-            )
-        case BinOp(op="/", left=l, right=r):
-            num = BinOp(
-                "-",
-                BinOp("*", differentiate(l), r),
-                BinOp("*", l, differentiate(r)),
-            )
-            return BinOp("/", num, Pow(r, 2))
+            return BinOp(op, differentiate(l), differentiate(r), at)
+        case BinOp(op="*" | "/" as op, left=l, right=r):
+            # d(l r) = dl r + l dr, and d(l / r) = (dl r - l dr) / r^2.
+            terms = (BinOp("*", differentiate(l), r, at), BinOp("*", l, differentiate(r), at))
+            if op == "*":
+                return BinOp("+", *terms, at)
+            return BinOp("/", BinOp("-", *terms, at), Pow(r, 2, at), at)
         case Pow(base=b, exponent=n):
             if n == 0:
-                return Const(0.0)
-            return BinOp(
-                "*",
-                BinOp("*", Const(float(n)), Pow(b, n - 1)),
-                differentiate(b),
-            )
+                return Const(0.0, at)
+            factor = BinOp("*", Const(float(n), at), Pow(b, n - 1, at), at)
+            return BinOp("*", factor, differentiate(b), at)
         case Call(func=f, arg=a):
-            return BinOp("*", _DERIVATIVES[f](a), differentiate(a))
+            return BinOp("*", _DERIVATIVES[f](a, at), differentiate(a), at)
     raise TypeError(f"not a profile node: {node!r}")

@@ -83,7 +83,9 @@ def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
     if obs.shape[-1] != psi.shape[-1]:
         raise DimensionMismatchError("observable dimension mismatch")
     # Left to right, ((adj(psi) G) O) psi, as row times matrices times column.
-    values = (psi.conj()[..., None, :] @ bundle.g[index] @ obs @ psi[..., :, None])[..., 0, 0]
+    # A value that overflows is infinite, with no numpy warning.
+    with np.errstate(all="ignore"):
+        values = (psi.conj()[..., None, :] @ bundle.g[index] @ obs @ psi[..., :, None])[..., 0, 0]
     return complex(values) if values.ndim == 0 else values
 
 

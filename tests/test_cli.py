@@ -367,6 +367,15 @@ class TestScenarioFileErrors:
         assert capsys.readouterr().err == "error[schema]: /t1: t1 must exceed t0\n"
 
 
+def run_without_warnings(*argv):
+    """run, with a numpy RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run(*argv)
+
+
+SIGMA_Z_JSON = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+SIGMA_X_JSON = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 # diag(1e10, 1) and 1e10 sigma_x: finite, but 1e300 times either is not.
 BIG_DIAGONAL = [[[1e10, 0], [0, 0]], [[0, 0], [1, 0]]]
 BIG_SIGMA_X = [[[0, 0], [1e10, 0]], [[1e10, 0], [0, 0]]]
@@ -392,19 +401,13 @@ class TestOverflowingOperator:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    @staticmethod
-    def run_without_warnings(*argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            return run(*argv)
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("where", ["observables", "hamiltonian"])
     @pytest.mark.parametrize("coeff", sorted(CASES))
     def test_evolve_exits_with_one_schema_line(self, tmp_path, capsys, coeff, where, fmt):
         path = self.scenario_file(tmp_path, coeff, where)
         out = tmp_path / f"traj.{fmt}"
-        code = self.run_without_warnings("evolve", path, "-o", str(out), "--format", fmt)
+        code = run_without_warnings("evolve", path, "-o", str(out), "--format", fmt)
         assert code == EXIT_SCENARIO
         assert capsys.readouterr().err == f"error[schema]: EvalError: {self.CASES[coeff]}\n"
         assert not out.exists()
@@ -414,7 +417,7 @@ class TestOverflowingOperator:
             self, tmp_path, capsys, coeff):
         path = self.scenario_file(tmp_path, coeff, "observables")
         report = tmp_path / "report.json"
-        assert self.run_without_warnings("verify", path, "-o", str(report)) == EXIT_VERIFY
+        assert run_without_warnings("verify", path, "-o", str(report)) == EXIT_VERIFY
         assert capsys.readouterr().err == "error[verify]: 6 unexpected check failures\n"
         assert "NaN" not in report.read_text()
         big = {c["name"]: c for c in json.loads(report.read_text())["checks"]
@@ -426,6 +429,44 @@ class TestOverflowingOperator:
         for check in big.values():
             assert not check["pass"] and check["residual"] == float("inf")
             assert check["error"].startswith("EvalError: operator is not finite at ")
+
+
+class TestOverflowingValue:
+    """A finite operator whose expectation, difference or norm overflows: no numpy warning."""
+
+    @staticmethod
+    def scenario_file(tmp_path, demo, coeff, **times):
+        doc = scenario_to_json_dict(get_demo(demo, **times))
+        doc["observables"]["a"] = [{"coeff": coeff, "matrix": SIGMA_Z_JSON}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_verify_eom_difference_and_derivative_overflow(self, tmp_path, capsys):
+        path = self.scenario_file(tmp_path, "pt-dimer-unbroken", "1e308 * (t + t)", t1=0.05)
+        report = tmp_path / "report.json"
+        assert run_without_warnings("verify", path, "-o", str(report)) == EXIT_VERIFY
+        assert capsys.readouterr().err == "error[verify]: 6 unexpected check failures\n"
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        for name in ("heisenberg_eom_fd[a]", "heisenberg_like_eom_fd[a]"):
+            # Offset 6 is the `*` whose derivative's product overflows.
+            assert checks[name]["error"] == "EvalError: non-finite value (at offset 6)"
+
+    def test_verify_residual_norm_overflows(self, tmp_path, capsys):
+        path = self.scenario_file(tmp_path, "pt-dimer-broken", "1e300", t1=3)
+        assert run_without_warnings("verify", path) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "23/36 passed, 0 unexpected failures" in out
+        assert [line.split()[1] for line in out.splitlines() if "_eom_fd[a]" in line] == [
+            "inf", "inf"]
+
+    def test_evolve_expectation_overflows(self, tmp_path, capsys):
+        path = self.scenario_file(tmp_path, "pt-dimer-broken", "1e300")
+        out = tmp_path / "traj.csv"
+        assert run_without_warnings("evolve", path, "-o", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        last = out.read_text().splitlines()[-1].split(",")
+        assert (last[0], last[-2:]) == ("10.0", ["-inf", "0.0"])
 
 
 def _pointers(doc, prefix=""):
@@ -473,17 +514,9 @@ def malformed_scenarios(draw):
     return demo, pointer, draw(JSON_VALUES)
 
 
-# About one case in four adds a key, so some 200 cases still change a value.
-@settings(max_examples=260, derandomize=True, deadline=None)
-@given(case=malformed_scenarios())
-@example(case=("hermitian-rabi", "/psi0/0", [10**400, 0]))
-def test_malformed_scenario_exits_with_one_documented_line(case):
-    demo, pointer, value = case
-    doc = _fuzz_base(demo)
-    if pointer:
-        set_at(doc, pointer, value)
-    else:
-        doc = value
+def assert_one_documented_line_each(doc) -> None:
+    """verify and evolve of a scenario file holding doc each exit with a documented
+    code, printing one error[CODE] line when it is not 0."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
         path.write_text(json.dumps(doc))
@@ -494,6 +527,21 @@ def test_malformed_scenario_exits_with_one_documented_line(case):
             assert code in (EXIT_OK, EXIT_SCENARIO, EXIT_NUMERIC, EXIT_VERIFY), argv
             lines = err.getvalue().splitlines()
             assert sum(line.startswith("error[") for line in lines) == (code != EXIT_OK), lines
+
+
+# About one case in four adds a key, so some 200 cases still change a value.
+@settings(max_examples=260, derandomize=True, deadline=None)
+@given(case=malformed_scenarios())
+@example(case=("hermitian-rabi", "/psi0/0", [10**400, 0]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_malformed_scenario_exits_with_one_documented_line(case):
+    demo, pointer, value = case
+    doc = _fuzz_base(demo)
+    if pointer:
+        set_at(doc, pointer, value)
+    else:
+        doc = value
+    assert_one_documented_line_each(doc)
 
 
 FLAG_TEXT = st.text(max_size=10) | st.floats().map(repr) | st.integers().map(str)
@@ -514,6 +562,7 @@ def fuzzed_flags(draw):
 @given(case=fuzzed_flags())
 @example(case=("evolve", ["--t0=-1e308", "--t1=1e308"]))
 @example(case=("evolve", ["--format=\n"]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_arbitrary_flag_text_exits_with_one_documented_line(case):
     command, flags = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -529,6 +578,38 @@ def test_arbitrary_flag_text_exits_with_one_documented_line(case):
     lines = err.getvalue().splitlines()
     assert sum(line.startswith("error[") for line in lines) == (code != EXIT_OK), lines
     assert "Traceback" not in err.getvalue()
+
+
+# Coefficient text at and near the float limits; `^` takes an integer exponent.
+EXTREME_LEAVES = [
+    "t", "1e308", "1.7976931348623157e308", "1e-308", "5e-324", "exp(709)", "exp(709 * t)",
+    "1 / 1e-308", "1e308 * t", "2^1023", "(1e-200)^2",
+]
+EXTREME_COEFFICIENTS = st.recursive(
+    st.sampled_from(EXTREME_LEAVES),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({p[0]}) {p[1]} ({p[2]})"),
+        st.tuples(inner, st.sampled_from([2, 3, 40, 400, -400, 1025])).map(
+            lambda p: f"({p[0]})^{p[1]}"),
+        st.tuples(st.sampled_from(["exp", "sin", "cos", "tanh"]), inner).map(
+            lambda p: f"{p[0]}({p[1]})"),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(demo=st.sampled_from(sorted(builtin_models())),
+       where=st.sampled_from(["observables", "hamiltonian"]), coeff=EXTREME_COEFFICIENTS)
+@example(demo="pt-dimer-unbroken", where="hamiltonian", coeff="1e308")  # the stationary solve
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coefficient_near_the_float_limits_exits_with_one_documented_line(demo, where, coeff):
+    doc = _fuzz_base(demo)
+    if where == "hamiltonian":
+        doc["hamiltonian"].append({"coeff": coeff, "matrix": SIGMA_X_JSON})
+    else:
+        doc["observables"]["a"] = [{"coeff": coeff, "matrix": SIGMA_Z_JSON}]
+    assert_one_documented_line_each(doc)
 
 
 class TestVerify:

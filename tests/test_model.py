@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import G_PT
 from metricbundle import model, profile
 from metricbundle.errors import (
+    EigenConvergenceError,
     EvalError,
     NoPositiveDefiniteSolutionError,
     SchemaError,
@@ -285,6 +287,17 @@ class TestStationaryMetric:
         assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
         assert meta["nullspace_dim"] == dim_ref == 16
         _assert_stationary_metric(g, h)
+
+    def test_hamiltonian_whose_norm_overflows_is_rejected(self):
+        # Broken phase: with an infinite norm every tolerance would be inf, and
+        # a metric would be accepted.
+        h = 1e155 * (SIGMA_X + 2j * SIGMA_Z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EigenConvergenceError, match="the norm of H overflows"):
+                solve_stationary_metric(h)
+            with pytest.raises(NoPositiveDefiniteSolutionError):
+                solve_stationary_metric(1e-5 * h)
 
     @pytest.mark.parametrize("n, seed", [(32, 6), (64, 1)])
     def test_large_chain_solves(self, n, seed):

@@ -198,28 +198,33 @@ def test_array_evaluation_matches_each_time(case, times):
 
 
 # One derivative tree per rule, node for node: the operands taken from the
-# source keep their parse offsets, and every new node has offset 0.
+# source keep their parse offsets, and every new node takes the offset of the
+# node it differentiates.
 @pytest.mark.parametrize("text, want", [
-    ("t + 2", BinOp("+", Const(1.0), Const(0.0))),
-    ("t - 2", BinOp("-", Const(1.0), Const(0.0))),
-    ("2 * t", BinOp("+", BinOp("*", Const(0.0), TimeVar(offset=4)),
-                    BinOp("*", Const(2.0), Const(1.0)))),
-    ("1 / t", BinOp("/", BinOp("-", BinOp("*", Const(0.0), TimeVar(offset=4)),
-                               BinOp("*", Const(1.0), Const(1.0))),
-                    Pow(TimeVar(offset=4), 2))),
-    ("t^3", BinOp("*", BinOp("*", Const(3.0), Pow(TimeVar(), 2)), Const(1.0))),
-    ("t^0", Const(0.0)),
-    ("-t", Neg(Const(1.0))),
-    ("sin(t)", BinOp("*", Call("cos", TimeVar(offset=4)), Const(1.0))),
-    ("cos(t)", BinOp("*", Neg(Call("sin", TimeVar(offset=4))), Const(1.0))),
-    ("exp(t)", BinOp("*", Call("exp", TimeVar(offset=4)), Const(1.0))),
-    ("tanh(t)", BinOp("*", BinOp("-", Const(1.0), Pow(Call("tanh", TimeVar(offset=5)), 2)),
-                      Const(1.0))),
-    ("sin(2*t)", BinOp(
-        "*",
-        Call("cos", BinOp("*", Const(2.0, offset=4), TimeVar(offset=6), offset=5)),
-        BinOp("+", BinOp("*", Const(0.0), TimeVar(offset=6)),
-              BinOp("*", Const(2.0, offset=4), Const(1.0))))),
+    ("t + 2", BinOp("+", Const(1.0, 0), Const(0.0, 4), 2)),
+    ("t - 2", BinOp("-", Const(1.0, 0), Const(0.0, 4), 2)),
+    ("2 * t", BinOp("+", BinOp("*", Const(0.0, 0), TimeVar(4), 2),
+                    BinOp("*", Const(2.0, 0), Const(1.0, 4), 2), 2)),
+    ("1 / t", BinOp("/", BinOp("-", BinOp("*", Const(0.0, 0), TimeVar(4), 2),
+                               BinOp("*", Const(1.0, 0), Const(1.0, 4), 2), 2),
+                    Pow(TimeVar(4), 2, 2), 2)),
+    ("t^3", BinOp("*", BinOp("*", Const(3.0, 1), Pow(TimeVar(0), 2, 1), 1), Const(1.0, 0), 1)),
+    ("t^0", Const(0.0, 1)),
+    ("-t", Neg(Const(1.0, 1), 0)),
+    ("sin(t)", BinOp("*", Call("cos", TimeVar(4), 0), Const(1.0, 4), 0)),
+    ("cos(t)", BinOp("*", Neg(Call("sin", TimeVar(4), 0), 0), Const(1.0, 4), 0)),
+    ("exp(t)", BinOp("*", Call("exp", TimeVar(4), 0), Const(1.0, 4), 0)),
+    ("tanh(t)", BinOp("*", BinOp("-", Const(1.0, 0), Pow(Call("tanh", TimeVar(5), 0), 2, 0), 0),
+                      Const(1.0, 5), 0)),
+    ("1 + sin(2*t)", BinOp(
+        "+",
+        Const(0.0, 0),
+        BinOp("*",
+              Call("cos", BinOp("*", Const(2.0, 8), TimeVar(10), 9), 4),
+              BinOp("+", BinOp("*", Const(0.0, 8), TimeVar(10), 9),
+                    BinOp("*", Const(2.0, 8), Const(1.0, 10), 9), 9),
+              4),
+        2)),
 ], ids=["+", "-", "*", "/", "^", "^0", "neg", "sin", "cos", "exp", "tanh", "chain"])
 def test_derivative_tree_per_rule(text, want):
     # repr shows the offsets, which == ignores.

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import bundle_from_json_dict
+from metricbundle import matops
+from metricbundle import representations as rep
 from metricbundle.evolution import bundle_to_json_dict, integrate, to_json_text
 from metricbundle.matops import SIGMA_X, SIGMA_Y, SIGMA_Z
 from metricbundle.model import (
@@ -319,8 +322,9 @@ def per_node_reference(bundle, scenario, node_stride=10):
     return worst
 
 
-@pytest.mark.parametrize(
-    "name", [*sorted(builtin_models()), "pt-chain-8", "pt-dimer-unbroken-stride-26"])
+@pytest.mark.parametrize("name", [
+    *sorted(builtin_models()), "pt-chain-8", "pt-dimer-unbroken-stride-26",
+    "pt-dimer-unbroken-20-nodes"])
 def test_stacked_checks_match_per_node_loop(name):
     node_stride = 10
     if name == "pt-chain-8":
@@ -329,6 +333,9 @@ def test_stacked_checks_match_per_node_loop(name):
         # Nodes 0, 26 and 51 with delta 25 nodes: the EOM checks read nodes 1
         # and 51 for node 26, so the EOM grid holds a node that is not sampled.
         scenario, node_stride = get_demo("pt-dimer-unbroken", t1=0.51, step=0.01), 26
+    elif name == "pt-dimer-unbroken-20-nodes":
+        # Nodes 0, 10 and 19 with delta 9 nodes: the same shape at the default stride.
+        scenario = get_demo("pt-dimer-unbroken", t1=0.019)
     else:
         scenario = get_demo(name, t1=0.75)
     bundle = integrate(scenario)
@@ -366,3 +373,30 @@ def test_check_names_in_report_order(name, observables, tail, total):
                      *(f"{check}[{obs}]" for obs in observables for check in OBSERVABLE_CHECKS),
                      *tail]
     assert len(names) == total
+
+
+def test_each_operand_is_transported_and_diagonalized_once(monkeypatch):
+    scenario = get_demo("time-dependent-observable", t1=0.75)
+    bundle = integrate(scenario)
+    counts = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((rep, "to_heisenberg"), (rep, "to_heisenberg_like"), (rep, "inverse"),
+                         (matops, "eigenvalues")):
+        count(module, name)
+    run_suite(bundle, scenario)
+    # Four observables, each transported at the sampled nodes and its d/dt at
+    # the inner ones, per picture; H once per picture; three commutator pairs.
+    assert counts["to_heisenberg"] + counts["to_heisenberg_like"] == 4 * 2 * 2 + 2 + 3 * 3 == 27
+    # E inverted per HL transport, and once for the hermitized generator.
+    assert counts["inverse"] == 4 * 2 + 1 + 1 == 10
+    # Per observable: O_S once, O_H and O_HL once each.
+    assert counts["eigenvalues"] == 4 * 3 == 12
