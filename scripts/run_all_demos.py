@@ -1,54 +1,39 @@
 #!/usr/bin/env python3
-"""Integrate and verify every built-in demo scenario, printing each report.
+"""Run `metricbundle verify` on every built-in demo, printing each report.
 
-Scenarios that cannot be integrated (e.g. the broken-phase dimer over a long
-span blows up past the finite-range guard) are reported as such rather than
-aborting the sweep. Exits nonzero if any scenario produced an unexpected
-check failure.
+Each demo, in sorted order, runs as `metricbundle verify demo:<name>
+--node-stride N` does, through the CLI's entry point, so it prints the same
+table and reports a failure with the same error[CODE] line. A usage error
+(a bad --node-stride) stops the sweep and exits 1; otherwise the script exits
+with the largest exit code any demo returned (0 when every demo passes).
 
 Usage:
     python3 scripts/run_all_demos.py [--node-stride N]
 """
 
-import argparse
 import sys
 import time
 
-from metricbundle.errors import MetricBundleError
-from metricbundle.evolution import integrate
-from metricbundle.verify import render_table, run_suite
-from metricbundle.zoo import builtin_models, get_demo
+from metricbundle import cli
+from metricbundle.zoo import builtin_models
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--node-stride", type=int, default=10)
-    args = parser.parse_args()
-    if args.node_stride < 1:
-        print(f"error: --node-stride must be at least 1, got {args.node_stride}", file=sys.stderr)
-        return 2
+def main(argv=None):
+    parser = cli.Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--node-stride", default="10", help="passed to verify as given")
+    args = parser.parse_args(argv)
 
-    unexpected = 0
+    worst = cli.EXIT_OK
     for name in sorted(builtin_models()):
-        scenario = get_demo(name)
         print(f"=== {name} " + "=" * max(0, 60 - len(name)))
         start = time.perf_counter()
-        try:
-            bundle = integrate(scenario)
-        except MetricBundleError as exc:
-            print(f"integration aborted: {type(exc).__name__}: {exc}")
-            print()
-            continue
-        report = run_suite(bundle, scenario, node_stride=args.node_stride)
-        print(render_table(report))
+        code = cli.main(["verify", f"demo:{name}", "--node-stride", args.node_stride])
+        if code == cli.EXIT_USAGE:
+            return code
         print(f"({time.perf_counter() - start:.2f}s)")
         print()
-        unexpected += len(report.unexpected_failures)
-
-    if unexpected:
-        print(f"{unexpected} unexpected failures across the zoo", file=sys.stderr)
-        return 1
-    return 0
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

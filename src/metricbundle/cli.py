@@ -63,7 +63,7 @@ def _error(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """Reports a usage error as one error[usage] line, in place of argparse's usage block."""
 
     def error(self, message):
@@ -190,7 +190,7 @@ def _cmd_demo(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="metricbundle",
         description="Non-Hermitian quantum dynamics with a co-evolved Hilbert-space metric.",
     )
@@ -242,28 +242,28 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except NoPositiveDefiniteSolutionError as exc:
+    except (MetricBundleError, OSError) as exc:
+        return report_failure(exc)
+
+
+def report_failure(exc: MetricBundleError | OSError) -> int:
+    """Print the one error[CODE] line for exc to stderr and return its exit code."""
+    if isinstance(exc, NoPositiveDefiniteSolutionError):
         hint = "system in broken phase; supply explicit metric or use identity"
         _error("schema", f"{exc} ({hint})")
         return EXIT_SCENARIO
-    except SchemaError as exc:
+    if isinstance(exc, SchemaError):
         _error("schema", str(exc))
         return EXIT_SCENARIO
-    except (
-        NonFiniteError,
-        SingularMatrixError,
-        StepLimitExceededError,
-        EigenConvergenceError,
-        NotPositiveDefiniteError,
-    ) as exc:
+    if isinstance(exc, (NonFiniteError, SingularMatrixError, StepLimitExceededError,
+                        EigenConvergenceError, NotPositiveDefiniteError)):
         _error("numeric", f"{type(exc).__name__}: {exc}")
         return EXIT_NUMERIC
-    except MetricBundleError as exc:
+    if isinstance(exc, MetricBundleError):
         _error("schema", f"{type(exc).__name__}: {exc}")
         return EXIT_SCENARIO
-    except OSError as exc:
-        _error("usage", str(exc))
-        return EXIT_USAGE
+    _error("usage", str(exc))  # an OSError
+    return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -163,6 +163,8 @@ class MetricInit:
             raise SchemaError(f"unknown metric mode {_short_repr(self.mode)}", "/metric/mode")
         if self.mode == "explicit" and self.matrix is None:
             raise SchemaError("explicit metric requires a matrix", "/metric/matrix")
+        if self.mode != "explicit" and self.matrix is not None:
+            raise SchemaError(f"{self.mode} metric takes no matrix", "/metric/matrix")
 
 
 def _short_repr(value, limit: int = 40) -> str:
@@ -465,6 +467,11 @@ def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:
     return constant_operator(_complex_array_from_json(value, (dim, dim), pointer))
 
 
+def _pointer_token(key) -> str:
+    """key as one JSON-pointer token (RFC 6901): "~" escaped as "~0", "/" as "~1"."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
 _REQUIRED_KEYS = {"dim", "hamiltonian", "metric", "psi0", "observables", "t0", "t1", "integrator"}
 # The keys of each object whose keys the schema fixes, by pointer.
 _KNOWN_KEYS = {"": _REQUIRED_KEYS | {"name", "expected_failures"}, "/metric": {"mode", "matrix"},
@@ -489,7 +496,9 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     matrix = None
     if metric_doc["mode"] == "explicit" and "matrix" in metric_doc:
         matrix = _complex_array_from_json(metric_doc["matrix"], (dim, dim), "/metric/matrix")
-    metric = MetricInit(metric_doc["mode"], matrix)
+    metric = MetricInit(metric_doc["mode"], matrix)  # an unknown mode is named first
+    if "matrix" in metric_doc and metric.mode != "explicit":
+        raise SchemaError(f"{metric.mode} metric takes no matrix", "/metric/matrix")
 
     psi0 = _complex_array_from_json(doc["psi0"], (dim,), "/psi0")
 
@@ -497,7 +506,7 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     if not isinstance(obs_doc, dict):
         raise SchemaError("observables must be an object", "/observables")
     observables = {
-        obs_name: _observable_from_json(v, dim, f"/observables/{obs_name}")
+        obs_name: _observable_from_json(v, dim, f"/observables/{_pointer_token(obs_name)}")
         for obs_name, v in obs_doc.items()
     }
 
@@ -536,37 +545,31 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     for pointer, section in (("", doc), ("/metric", metric_doc), ("/integrator", integ_doc)):
         for key in section:
             if key not in _KNOWN_KEYS[pointer]:
-                raise SchemaError("unknown key", f"{pointer}/{key}")
+                raise SchemaError("unknown key", f"{pointer}/{_pointer_token(key)}")
     return scenario
 
 
 def scenario_to_json_dict(scenario: Scenario) -> dict:
+    def terms(spec: OperatorSpec) -> list:
+        return [{"coeff": t.source, "matrix": complex_pairs(t.matrix).tolist()}
+                for t in spec.terms]
+
     doc: dict[str, Any] = {
         "dim": scenario.dim,
-        "hamiltonian": [
-            {"coeff": t.source, "matrix": complex_pairs(t.matrix).tolist()}
-            for t in scenario.hamiltonian.terms
-        ],
+        "hamiltonian": terms(scenario.hamiltonian),
         "metric": {"mode": scenario.metric_init.mode},
         "psi0": complex_pairs(scenario.psi0).tolist(),
         "observables": {
             obs_name: (
                 complex_pairs(obs.terms[0].matrix).tolist()
                 if len(obs.terms) == 1 and obs.terms[0].source == "1"
-                else [
-                    {"coeff": t.source, "matrix": complex_pairs(t.matrix).tolist()}
-                    for t in obs.terms
-                ]
+                else terms(obs)
             )
             for obs_name, obs in scenario.observables.items()
         },
         "t0": scenario.t0,
         "t1": scenario.t1,
-        "integrator": {
-            "method": scenario.integrator.method,
-            "step": scenario.integrator.step,
-            "max_steps": scenario.integrator.max_steps,
-        },
+        "integrator": dataclasses.asdict(scenario.integrator),
     }
     if scenario.metric_init.matrix is not None:
         doc["metric"]["matrix"] = complex_pairs(scenario.metric_init.matrix).tolist()

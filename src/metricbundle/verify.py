@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -119,16 +120,6 @@ def _sample_indices(n_nodes: int, stride: int) -> np.ndarray:
     return np.array(idx)
 
 
-def _pauli_pairs(dim: int):
-    if dim != 2:
-        return []
-    return [
-        ("sx_sy", SIGMA_X, SIGMA_Y),
-        ("sx_sz", SIGMA_X, SIGMA_Z),
-        ("sy_sz", SIGMA_Y, SIGMA_Z),
-    ]
-
-
 def run_suite(
     bundle: EvolutionBundle,
     scenario: Scenario,
@@ -139,10 +130,13 @@ def run_suite(
 
     Each check family is evaluated once on the stacked sampled nodes, as one
     residual per node; the report keeps the largest and the first node that
-    attains it. Raises ValueError when node_stride is below 1.
+    attains it. Raises ValueError when node_stride is below 1, or when
+    tolerance_scale is not finite and greater than 0.
     """
     if node_stride < 1:
         raise ValueError(f"node_stride must be at least 1, got {node_stride}")
+    if not 0 < tolerance_scale < math.inf:
+        raise ValueError(f"tolerance_scale must be finite and > 0, got {tolerance_scale}")
     span = float(bundle.ts[-1] - bundle.ts[0])
     base = budget(bundle.step, span, bundle.dim)
     nodes = _sample_indices(bundle.n_nodes, node_stride)
@@ -271,15 +265,16 @@ def run_suite(
     for obs_name, obs in scenario.observables.items():
         observable_checks(obs_name, obs)
 
-    # Commutator transport for operator pairs (2-level systems only).
-    for pair_name, a, b in _pauli_pairs(bundle.dim):
-        add(f"commutator_transport[{pair_name}]", base,
-            lambda a=a, b=b: rep.commutator_gap(rep.to_heisenberg, s_op(a), s_op(b),
-                                                bundle, nodes))
-
-    # Conventional-transport negative control: for a genuinely non-Hermitian
-    # Hamiltonian this check is EXPECTED to fail (that is the point).
     if bundle.dim == 2:
+        # Commutator transport for the su(2) pairs.
+        for pair_name, a, b in (("sx_sy", SIGMA_X, SIGMA_Y), ("sx_sz", SIGMA_X, SIGMA_Z),
+                                ("sy_sz", SIGMA_Y, SIGMA_Z)):
+            add(f"commutator_transport[{pair_name}]", base,
+                lambda a=a, b=b: rep.commutator_gap(rep.to_heisenberg, s_op(a), s_op(b),
+                                                    bundle, nodes))
+
+        # Conventional-transport negative control: for a genuinely non-Hermitian
+        # Hamiltonian this check is EXPECTED to fail (that is the point).
         t_target = min(bundle.ts[0] + 1.0, bundle.ts[-1])
         i = min(int(round((t_target - bundle.ts[0]) / bundle.step)), bundle.n_nodes - 1)
         near = np.array([i])

@@ -357,6 +357,17 @@ class TestScenarioFileErrors:
         assert run(command, str(path), "-o", str(tmp_path / "out")) == EXIT_SCENARIO
         assert capsys.readouterr().err == f"error[schema]: {pointer}: unknown key\n"
 
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_metric_matrix_outside_explicit_mode_is_rejected(self, tmp_path, capsys, command):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        doc["metric"] = {"mode": "identity", "matrix": "garbage"}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, str(path), "-o", str(tmp_path / "out")) == EXIT_SCENARIO
+        assert capsys.readouterr().err == (
+            "error[schema]: /metric/matrix: identity metric takes no matrix\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_does_not_hide_an_error_in_a_known_field(self, tmp_path, capsys):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
         doc["integrator"]["stpe"] = 0.01

@@ -399,6 +399,45 @@ class TestScenarioSchema:
         with pytest.raises(SchemaError):
             MetricInit("explicit", None)
 
+    @pytest.mark.parametrize("mode", ["identity", "stationary"])
+    @pytest.mark.parametrize("matrix", ["garbage", None, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+                             ids=["garbage", "null", "valid"])
+    def test_matrix_outside_explicit_mode_is_schema_error(self, mode, matrix):
+        doc = scenario_to_json_dict(get_demo("pt-dimer-unbroken"))
+        doc["metric"] = {"mode": mode, "matrix": matrix}
+        with pytest.raises(SchemaError, match=f"{mode} metric takes no matrix") as err:
+            scenario_from_json_dict(doc)
+        assert err.value.pointer == "/metric/matrix"
+        with pytest.raises(SchemaError) as err:
+            MetricInit(mode, np.eye(2, dtype=complex))
+        assert err.value.pointer == "/metric/matrix"
+
+    def test_unknown_metric_mode_is_named_before_its_matrix(self):
+        doc = scenario_to_json_dict(get_demo("pt-dimer-unbroken"))
+        doc["metric"] = {"mode": "bogus", "matrix": "garbage"}
+        with pytest.raises(SchemaError) as err:
+            scenario_from_json_dict(doc)
+        assert err.value.pointer == "/metric/mode"
+
+    @pytest.mark.parametrize("section, key, pointer", [
+        ("", "a/b", "/a~1b"),
+        ("metric", "~", "/metric/~0"),
+        ("integrator", "x~y/z", "/integrator/x~0y~1z"),
+    ])
+    def test_unknown_key_pointer_escapes_its_token(self, section, key, pointer):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        (doc[section] if section else doc)[key] = 0
+        with pytest.raises(SchemaError, match="unknown key") as err:
+            scenario_from_json_dict(doc)
+        assert err.value.pointer == pointer
+
+    def test_observable_pointer_escapes_its_name(self):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc["observables"] = {"a/b": [[[1, 0], [0, 0]], [[0, 0], "x"]]}
+        with pytest.raises(SchemaError) as err:
+            scenario_from_json_dict(doc)
+        assert err.value.pointer == "/observables/a~1b/1/1"
+
     def test_explicit_metric_round_trip(self):
         doc = scenario_to_json_dict(get_demo("pt-dimer-unbroken"))
         doc["metric"] = {

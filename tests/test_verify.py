@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,13 @@ class TestReportShape:
         scenario, bundle = pt_unbroken_bundle
         with pytest.raises(ValueError, match="node_stride must be at least 1"):
             run_suite(bundle, scenario, node_stride=stride)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_scale_not_finite_and_positive_is_rejected(self, pt_unbroken_bundle,
+                                                                 scale):
+        scenario, bundle = pt_unbroken_bundle
+        with pytest.raises(ValueError, match="tolerance_scale must be finite and > 0"):
+            run_suite(bundle, scenario, tolerance_scale=scale)
 
     def test_tolerance_scale_loosens_budgets(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
