@@ -35,14 +35,6 @@ class ProfileSyntaxError(MetricBundleError):
         self.offset = offset
 
 
-class UnknownFunctionError(ProfileSyntaxError):
-    pass
-
-
-class UnknownVariableError(ProfileSyntaxError):
-    pass
-
-
 class EvalError(MetricBundleError):
     """Numeric failure in a profile expression (at a node's offset) or an operator (None)."""
 

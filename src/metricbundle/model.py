@@ -140,14 +140,6 @@ class OperatorSpec:
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_many reports it
             return sum(profile.eval_profile(t.expr, 0.0) * t.matrix for t in self.terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, OperatorSpec):
-            return NotImplemented
-        return len(self.terms) == len(other.terms) and all(
-            a.source == b.source and np.array_equal(a.matrix, b.matrix)
-            for a, b in zip(self.terms, other.terms)
-        )
-
 
 def constant_operator(matrix) -> OperatorSpec:
     return OperatorSpec([ProfileTerm.parse("1", matrix)])
@@ -455,8 +447,9 @@ def _terms_from_json(value, dim: int, pointer: str) -> OperatorSpec:
         matrix = _complex_array_from_json(entry["matrix"], (dim, dim), f"{pointer}/{i}/matrix")
         try:
             terms.append(ProfileTerm.parse(entry["coeff"], matrix))
-        # The parser recurses, so a deeply nested coefficient is a RecursionError.
-        except (ProfileSyntaxError, RecursionError) as exc:
+        # The parser recurses, so a deeply nested coefficient is a RecursionError;
+        # it folds each exponent, which can fail to evaluate (EvalError).
+        except (ProfileSyntaxError, EvalError, RecursionError) as exc:
             raise SchemaError(f"bad coefficient: {exc}", f"{pointer}/{i}/coeff") from exc
     return OperatorSpec(terms)
 

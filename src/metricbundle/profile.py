@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EvalError,
-    ProfileSyntaxError,
-    UnknownFunctionError,
-    UnknownVariableError,
-)
+from .errors import EvalError, ProfileSyntaxError
 
 __all__ = [
     "ProfileExpr",
@@ -181,12 +176,12 @@ class _Parser:
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":
                 if value not in FUNCTIONS:
-                    raise UnknownFunctionError(f"unknown function {value!r}", offset)
+                    raise ProfileSyntaxError(f"unknown function {value!r}", offset)
                 self.next()
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(value, arg, offset=offset)
-            raise UnknownVariableError(f"unknown variable {value!r}", offset)
+            raise ProfileSyntaxError(f"unknown variable {value!r}", offset)
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")

@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -88,11 +88,20 @@ class VerificationReport:
     integrator: dict[str, Any]
     base_budget: float
     checks: tuple[CheckResult, ...]
-    summary: dict[str, int] = field(default_factory=dict)
 
     @property
     def unexpected_failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed and not c.expected_fail]
+
+    @property
+    def summary(self) -> dict[str, int]:
+        passed = sum(c.passed for c in self.checks)
+        return {
+            "total": len(self.checks),
+            "passed": passed,
+            "failed": len(self.checks) - passed,
+            "unexpected_failed": len(self.unexpected_failures),
+        }
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -283,12 +292,6 @@ def run_suite(
                 rep.naive_dagger_transport, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, near),
             at=near, context="su(2) pair near t0+1")
 
-    summary = {
-        "total": len(results),
-        "passed": sum(1 for c in results if c.passed),
-        "failed": sum(1 for c in results if not c.passed),
-        "unexpected_failed": sum(1 for c in results if not c.passed and not c.expected_fail),
-    }
     return VerificationReport(
         scenario_digest=scenario_digest(scenario),
         scenario_name=scenario.name,
@@ -300,7 +303,6 @@ def run_suite(
         },
         base_budget=base * tolerance_scale,
         checks=tuple(results),
-        summary=summary,
     )
 
 

@@ -45,8 +45,9 @@ def run(*argv):
 
 
 def set_at(doc, pointer: str, value) -> None:
-    """Replace the value at a JSON pointer (list indices as digits) in place."""
-    *parents, key = pointer.strip("/").split("/")
+    """Replace the value at a JSON pointer (RFC 6901, list indices as digits) in place."""
+    *parents, key = [token.replace("~1", "/").replace("~0", "~")
+                     for token in pointer.split("/")[1:]]
     for parent in parents:
         doc = doc[int(parent) if isinstance(doc, list) else parent]
     doc[int(key) if isinstance(doc, list) else key] = value
@@ -336,6 +337,25 @@ class TestScenarioFileErrors:
         assert capsys.readouterr().err == (
             f"error[schema]: {pointer}: complex number part must be finite\n")
 
+    # An exponent folds at parse time, so a fold that fails is a bad coefficient.
+    @pytest.mark.parametrize("coeff, message", [
+        ("t^1e400", "non-finite value (at offset 2)"),
+        ("t^(exp(800))", "non-finite value (at offset 3)"),
+        ("t^(1/0)", "division by zero (at offset 4)"),
+    ])
+    @pytest.mark.parametrize("pointer", ["/hamiltonian/0/coeff", "/observables/rotating/0/coeff"])
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_exponent_that_cannot_be_evaluated_is_rejected_at_its_pointer(
+            self, tmp_path, capsys, coeff, message, pointer, command):
+        doc = scenario_to_json_dict(get_demo("time-dependent-observable", t1=0.1))
+        set_at(doc, pointer, coeff)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, str(path), "-o", str(tmp_path / "out")) == EXIT_SCENARIO
+        assert capsys.readouterr().err == (
+            f"error[schema]: {pointer}: bad coefficient: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     def test_dim_too_large_for_a_float_gives_one_short_line(self, tmp_path, capsys, command):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
@@ -480,6 +500,11 @@ class TestOverflowingValue:
         assert (last[0], last[-2:]) == ("10.0", ["-inf", "0.0"])
 
 
+def _token(key) -> str:
+    """key as one JSON-pointer token (RFC 6901): "~" escaped as "~0", "/" as "~1"."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
 def _pointers(doc, prefix=""):
     """JSON pointer of every value in doc, the root ("") included."""
     yield prefix
@@ -490,7 +515,7 @@ def _pointers(doc, prefix=""):
     else:
         return
     for key, child in children:
-        yield from _pointers(child, f"{prefix}/{key}")
+        yield from _pointers(child, f"{prefix}/{_token(key)}")
 
 
 def _fuzz_base(demo: str) -> dict:
@@ -512,17 +537,24 @@ JSON_VALUES = st.recursive(
 )
 
 
-NEW_KEYS = st.text(min_size=1, max_size=6).filter(lambda key: "/" not in key)
+# About half of them from an alphabet that makes "/" and "~" common, to exercise escaping.
+NEW_KEYS = st.text(min_size=1, max_size=6) | st.text("/~01a", min_size=1, max_size=4)
 
 
 @st.composite
 def malformed_scenarios(draw):
+    """A demo and one to three (pointer, value) changes to its scenario document."""
     demo = draw(st.sampled_from(sorted(builtin_models())))
-    if draw(st.sampled_from(range(4))) == 3:  # a key added at a level whose keys are fixed
-        pointer = f"{draw(st.sampled_from(['', '/metric', '/integrator']))}/{draw(NEW_KEYS)}"
-    else:
-        pointer = draw(st.sampled_from(list(_pointers(_fuzz_base(demo)))))
-    return demo, pointer, draw(JSON_VALUES)
+    pointers = list(_pointers(_fuzz_base(demo)))
+    changes = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.sampled_from(range(4))) == 3:  # a key added at a level whose keys are fixed
+            parent = draw(st.sampled_from(["", "/metric", "/integrator"]))
+            pointer = f"{parent}/{_token(draw(NEW_KEYS))}"
+        else:
+            pointer = draw(st.sampled_from(pointers))
+        changes.append((pointer, draw(JSON_VALUES)))
+    return demo, changes
 
 
 def assert_one_documented_line_each(doc) -> None:
@@ -540,18 +572,23 @@ def assert_one_documented_line_each(doc) -> None:
             assert sum(line.startswith("error[") for line in lines) == (code != EXIT_OK), lines
 
 
-# About one case in four adds a key, so some 200 cases still change a value.
+# About one change in four adds a key; the rest change a value.
 @settings(max_examples=260, derandomize=True, deadline=None)
 @given(case=malformed_scenarios())
-@example(case=("hermitian-rabi", "/psi0/0", [10**400, 0]))
+@example(case=("hermitian-rabi", [("/psi0/0", [10**400, 0])]))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_scenario_exits_with_one_documented_line(case):
-    demo, pointer, value = case
+    demo, changes = case
     doc = _fuzz_base(demo)
-    if pointer:
-        set_at(doc, pointer, value)
-    else:
-        doc = value
+    replaced = []
+    for pointer, value in changes:
+        if any(pointer.startswith(f"{earlier}/") for earlier in replaced):
+            continue  # an earlier change replaced its parent
+        if pointer:
+            set_at(doc, pointer, value)
+        else:
+            doc = value
+        replaced.append(pointer)
     assert_one_documented_line_each(doc)
 
 
@@ -591,7 +628,8 @@ def test_arbitrary_flag_text_exits_with_one_documented_line(case):
     assert "Traceback" not in err.getvalue()
 
 
-# Coefficient text at and near the float limits; `^` takes an integer exponent.
+# Coefficient text at and near the float limits. `^` takes an integer exponent, folded
+# at parse time: a fixed one, or an expression that may fail to fold or to evaluate.
 EXTREME_LEAVES = [
     "t", "1e308", "1.7976931348623157e308", "1e-308", "5e-324", "exp(709)", "exp(709 * t)",
     "1 / 1e-308", "1e308 * t", "2^1023", "(1e-200)^2",
@@ -600,8 +638,8 @@ EXTREME_COEFFICIENTS = st.recursive(
     st.sampled_from(EXTREME_LEAVES),
     lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({p[0]}) {p[1]} ({p[2]})"),
-        st.tuples(inner, st.sampled_from([2, 3, 40, 400, -400, 1025])).map(
-            lambda p: f"({p[0]})^{p[1]}"),
+        st.tuples(inner, st.sampled_from(["2", "3", "40", "400", "-400", "1025"])
+                  | inner.map(lambda e: f"({e})")).map(lambda p: f"({p[0]})^{p[1]}"),
         st.tuples(st.sampled_from(["exp", "sin", "cos", "tanh"]), inner).map(
             lambda p: f"{p[0]}({p[1]})"),
     ),

@@ -85,10 +85,6 @@ class TestAssemble:
         for term, d_term in zip(spec.terms, d.terms):
             assert repr(d_term.expr) == repr(profile.differentiate(term.expr))  # offsets too
             assert np.array_equal(d_term.matrix, term.matrix)
-        assert d == spec.differentiate()
-        other = OperatorSpec([ProfileTerm.parse("cos(t)", SIGMA_X),
-                              ProfileTerm.parse("2 * t^2", SIGMA_Z)])
-        assert d != other.differentiate()
 
 
 def _hermitian_nullspace(h: np.ndarray) -> list[np.ndarray]:
@@ -326,7 +322,10 @@ class TestScenarioSchema:
         loaded = load_scenario(path)
         assert loaded.name == scenario.name
         assert np.array_equal(loaded.psi0, scenario.psi0)
-        assert loaded.hamiltonian == scenario.hamiltonian
+        for term, original in zip(loaded.hamiltonian.terms, scenario.hamiltonian.terms,
+                                  strict=True):
+            assert term.source == original.source
+            assert np.array_equal(term.matrix, original.matrix)
 
     def test_minimal_identity_metric_scenario(self):
         doc = {

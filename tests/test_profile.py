@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricbundle.errors import (
-    EvalError,
-    ProfileSyntaxError,
-    UnknownFunctionError,
-    UnknownVariableError,
-)
+from metricbundle.errors import EvalError, ProfileSyntaxError
 from metricbundle.profile import (
     BinOp,
     Call,
@@ -59,11 +54,11 @@ class TestParse:
         assert err.value.offset == 4
 
     def test_unknown_function(self):
-        with pytest.raises(UnknownFunctionError):
+        with pytest.raises(ProfileSyntaxError, match="unknown function"):
             parse_profile("sinh(t)")
 
     def test_unknown_variable(self):
-        with pytest.raises(UnknownVariableError):
+        with pytest.raises(ProfileSyntaxError, match="unknown variable"):
             parse_profile("2 * x")
 
     def test_time_dependent_exponent_rejected(self):
