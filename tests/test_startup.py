@@ -94,6 +94,37 @@ def test_package_import_loads_no_submodule_it_does_not_need():
     assert [name for name in loaded if name.startswith("metricbundle.")] == []
 
 
+# Names that the package once re-exported; each now has one import path, its submodule.
+SUBMODULE_OF = {
+    "MetricBundleError": "errors",
+    "EvolutionBundle": "evolution",
+    "closed_form_metric": "evolution",
+    "integrate": "evolution",
+    "IntegratorConfig": "model",
+    "MetricInit": "model",
+    "OperatorSpec": "model",
+    "Scenario": "model",
+    "load_scenario": "model",
+    "save_scenario": "model",
+    "solve_stationary_metric": "model",
+    "VerificationReport": "verify",
+    "budget": "verify",
+    "run_suite": "verify",
+    "builtin_models": "zoo",
+    "get_demo": "zoo",
+}
+
+
+@pytest.mark.parametrize("name", SUBMODULE_OF)
+def test_export_is_its_submodule_object(name):
+    module = importlib.import_module(f"metricbundle.{SUBMODULE_OF[name]}")
+    obj = getattr(module, name)
+    assert obj.__module__ == module.__name__
+    assert name in getattr(module, "__all__", [name])
+    assert not hasattr(metricbundle, name)
+    assert name not in dir(metricbundle)
+
+
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(
     metricbundle.__path__)))
 def test_every_name_in_a_submodules_all_resolves(module):
