@@ -131,14 +131,13 @@ class OperatorSpec:
         ])
 
     def is_constant(self) -> bool:
-        """True when no term depends on t (e.g. "-1.0" or "2^3", not only literals)."""
-        return not any(profile.contains_time(t.expr) for t in self.terms)
+        """True when no term depends on t, as the parser folds "-1.0" or "2^3" to a Const."""
+        return all(isinstance(term.expr, profile.Const) for term in self.terms)
 
     @functools.cached_property
     def _constant(self) -> np.ndarray:
-        # Evaluated on first use, so a term that fails to evaluate fails there.
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_many reports it
-            return sum(profile.eval_profile(t.expr, 0.0) * t.matrix for t in self.terms)
+            return sum(term.expr.value * term.matrix for term in self.terms)
 
 
 def constant_operator(matrix) -> OperatorSpec:
@@ -447,9 +446,8 @@ def _terms_from_json(value, dim: int, pointer: str) -> OperatorSpec:
         matrix = _complex_array_from_json(entry["matrix"], (dim, dim), f"{pointer}/{i}/matrix")
         try:
             terms.append(ProfileTerm.parse(entry["coeff"], matrix))
-        # The parser recurses, so a deeply nested coefficient is a RecursionError;
-        # it folds each exponent, which can fail to evaluate (EvalError).
-        except (ProfileSyntaxError, EvalError, RecursionError) as exc:
+        # The parser evaluates each sub-expression without t, which can fail (EvalError).
+        except (ProfileSyntaxError, EvalError) as exc:
             raise SchemaError(f"bad coefficient: {exc}", f"{pointer}/{i}/coeff") from exc
     return OperatorSpec(terms)
 

@@ -10,13 +10,16 @@ right-associative, so 2^3^2 == 2^(3^2) == 512):
     power  := atom ('^' unary)?         # exponent must fold to an integer
     atom   := NUMBER | 't' | NAME '(' expr ')' | '(' expr ')'
 
-Known functions: sin, cos, exp, tanh. The only variable is t. Exponents may
-be any constant sub-expression (no t) evaluating to an integer; they are
-folded at parse time so differentiation stays in the language.
+Known functions: sin, cos, exp, tanh. The only variable is t. At most 100
+operators and parentheses (+ - * / ^ and "(") per coefficient keep its parse,
+tree and derivative shallow enough to evaluate. Each sub-expression without t
+is folded, as it is parsed, to the Const of the value eval_profile gives it:
+an exponent is an integer Const, and one that cannot be evaluated raises there.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -35,7 +38,6 @@ __all__ = [
     "Call",
     "parse_profile",
     "eval_profile",
-    "contains_time",
     "differentiate",
 ]
 
@@ -112,6 +114,11 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        # Each of these deepens the parse by at most 7 frames, the tree by one level and
+        # its derivative's by three: 100 stay well inside Python's recursion limit.
+        operators = [at for kind, value, at in self.tokens if kind == "op" and value != ")"]
+        if len(operators) > 100:
+            raise ProfileSyntaxError("more than 100 operators and parentheses", operators[100])
 
     def peek(self):
         return self.tokens[self.i]
@@ -142,7 +149,7 @@ class _Parser:
             if kind != "op" or value not in ops:
                 return node
             self.next()
-            node = BinOp(value, node, operand(), offset=offset)
+            node = _fold(BinOp(value, node, operand(), offset=offset))
 
     def expr(self) -> ProfileExpr:
         return self.binary("+-", self.term)
@@ -154,7 +161,7 @@ class _Parser:
         kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return Neg(self.unary(), offset=offset)
+            return _fold(Neg(self.unary(), offset=offset))
         return self.power()
 
     def power(self) -> ProfileExpr:
@@ -163,13 +170,17 @@ class _Parser:
         if kind == "op" and value == "^":
             self.next()
             exponent = self.unary()  # recursion through unary keeps ^ right-associative
-            return Pow(base, _fold_integer_exponent(exponent, offset), offset=offset)
+            if not isinstance(exponent, Const):
+                raise ProfileSyntaxError("exponent must not depend on t", offset)
+            if abs(exponent.value - round(exponent.value)) > 1e-9:
+                raise ProfileSyntaxError(f"exponent must be an integer, got {exponent.value}", offset)
+            return _fold(Pow(base, round(exponent.value), offset=offset))
         return base
 
     def atom(self) -> ProfileExpr:
         kind, value, offset = self.next()
         if kind == "num":
-            return Const(float(value), offset=offset)
+            return _fold(Const(float(value), offset=offset))
         if kind == "name":
             if value == "t":
                 return TimeVar(offset=offset)
@@ -180,7 +191,7 @@ class _Parser:
                 self.next()
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(value, arg, offset=offset)
+                return _fold(Call(value, arg, offset=offset))
             raise ProfileSyntaxError(f"unknown variable {value!r}", offset)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -189,27 +200,15 @@ class _Parser:
         raise ProfileSyntaxError(f"unexpected {value!r}" if value else "unexpected end of input", offset)
 
 
-def _fold_integer_exponent(node: ProfileExpr, offset: int) -> int:
-    if contains_time(node):
-        raise ProfileSyntaxError("exponent must not depend on t", offset)
-    value = eval_profile(node, 0.0)
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9:
-        raise ProfileSyntaxError(f"exponent must be an integer, got {value}", offset)
-    return int(rounded)
-
-
-def contains_time(node: ProfileExpr) -> bool:
-    """True when the expression depends on t."""
+def _fold(node: ProfileExpr) -> ProfileExpr:
+    """node, or the Const of its value when its operands are Consts; a literal must be finite."""
     match node:
-        case TimeVar():
-            return True
-        case Neg(arg=a) | Call(arg=a) | Pow(base=a):
-            return contains_time(a)
-        case BinOp(left=l, right=r):
-            return contains_time(l) or contains_time(r)
-        case _:
-            return False
+        case Const(value=v) if not math.isfinite(v):
+            raise EvalError("non-finite value", node.offset)
+        case (Neg(arg=Const()) | Call(arg=Const()) | Pow(base=Const())
+              | BinOp(left=Const(), right=Const())):
+            return Const(eval_profile(node, 0.0), node.offset)
+    return node
 
 
 def parse_profile(text: str) -> ProfileExpr:

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from metricbundle.cli import (
     EXIT_VERIFY,
     main,
 )
+from metricbundle.errors import EvalError, ProfileSyntaxError
 from metricbundle.evolution import integrate
 from metricbundle.matops import sorted_eigenvalues
 from metricbundle.model import (
@@ -37,6 +37,8 @@ from metricbundle.model import (
     scenario_to_json_dict,
     scenario_to_json_text,
 )
+from metricbundle.profile import parse_profile
+from metricbundle.verify import run_suite
 from metricbundle.zoo import builtin_models, get_demo
 
 
@@ -356,6 +358,80 @@ class TestScenarioFileErrors:
             f"error[schema]: {pointer}: bad coefficient: {message}\n")
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def coefficient_file(path, coeff, where) -> str:
+        """hermitian-rabi with coeff as the one term of its Hamiltonian or of sigma_z,
+        written to path; returns the coefficient's pointer."""
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        if where == "hamiltonian":
+            doc["hamiltonian"][0]["coeff"] = coeff
+        else:
+            doc["observables"]["sigma_z"] = [{"coeff": coeff,
+                                              "matrix": doc["observables"]["sigma_z"]}]
+        path.write_text(json.dumps(doc))
+        return "/hamiltonian/0/coeff" if where == "hamiltonian" else "/observables/sigma_z/0/coeff"
+
+    # A sub-expression without t is evaluated when its coefficient is parsed, so one
+    # that cannot be evaluated is a bad coefficient, even where nothing evaluates it.
+    @pytest.mark.parametrize("coeff, message", [
+        ("1/0", "division by zero (at offset 1)"),
+        ("2^(2^62)", "non-finite value (at offset 1)"),
+        ("exp(1000)", "non-finite value (at offset 0)"),
+        ("1e400", "non-finite value (at offset 0)"),
+        ("t*(1/0)", "division by zero (at offset 4)"),
+        # Two faults: t/t fails at t = 0 only when evaluated, 1/0 when parsed.
+        ("t/t + 1/0", "division by zero (at offset 7)"),
+    ])
+    @pytest.mark.parametrize("where", ["hamiltonian", "observables"])
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_part_without_t_that_cannot_be_evaluated_is_rejected_at_its_pointer(
+            self, tmp_path, monkeypatch, capsys, coeff, message, where, command):
+        monkeypatch.chdir(tmp_path)
+        pointer = self.coefficient_file(tmp_path / "s.json", coeff, where)
+        assert run(command, "s.json", *self.FLAGS[command]) == EXIT_SCENARIO
+        assert capsys.readouterr() == (
+            "", f"error[schema]: {pointer}: bad coefficient: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    # Chains whose evaluation, and parentheses whose parse, would recurse past Python's
+    # limit.
+    @pytest.mark.parametrize("coeff, offset", [
+        (" + ".join(["t"] * 1000), 402),
+        (" + ".join(["t"] * 5000), 402),
+        (" + ".join(["1"] * 5000), 402),
+        ("(" * 1000 + "t" + ")" * 1000, 100),
+    ], ids=["1000-t", "5000-t", "5000-1", "1000-parentheses"])
+    @pytest.mark.parametrize("where", ["hamiltonian", "observables"])
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_coefficient_past_the_operator_bound_is_rejected_at_its_pointer(
+            self, tmp_path, monkeypatch, capsys, coeff, offset, where, command):
+        monkeypatch.chdir(tmp_path)
+        pointer = self.coefficient_file(tmp_path / "s.json", coeff, where)
+        assert run(command, "s.json", *self.FLAGS[command]) == EXIT_SCENARIO
+        assert capsys.readouterr() == ("", (
+            f"error[schema]: {pointer}: bad coefficient: "
+            f"more than 100 operators and parentheses (at offset {offset})\n"))
+
+    # 100 operators and parentheses, in the shapes whose tree, derivative tree and parse
+    # are deepest.
+    @pytest.mark.parametrize("coeff", [
+        "t" + "/2" * 100,
+        "(" * 50 + "t" + "^2)" * 50,
+        "tanh(" * 99 + "t/9" + ")" * 99,
+        "-" * 100 + "t",
+    ], ids=["division", "power", "tanh", "negation"])
+    def test_coefficient_at_the_operator_bound_evaluates_and_differentiates(
+            self, tmp_path, monkeypatch, capsys, coeff):
+        monkeypatch.chdir(tmp_path)
+        self.coefficient_file(tmp_path / "s.json", coeff, "observables")
+        for command in sorted(self.FLAGS):
+            assert run(command, "s.json", *self.FLAGS[command], "-o", "out") == EXIT_OK
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads((tmp_path / "out").read_text())["checks"]}
+        for family in ("heisenberg_eom_fd", "heisenberg_like_eom_fd"):
+            check = checks[f"{family}[sigma_z]"]
+            assert check["pass"] and "error" not in check and check["context"].startswith("node ")
+
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     def test_dim_too_large_for_a_float_gives_one_short_line(self, tmp_path, capsys, command):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
@@ -398,13 +474,6 @@ class TestScenarioFileErrors:
         assert capsys.readouterr().err == "error[schema]: /t1: t1 must exceed t0\n"
 
 
-def run_without_warnings(*argv):
-    """run, with a numpy RuntimeWarning raised as an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        return run(*argv)
-
-
 SIGMA_Z_JSON = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
 SIGMA_X_JSON = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 # diag(1e10, 1) and 1e10 sigma_x: finite, but 1e300 times either is not.
@@ -438,7 +507,7 @@ class TestOverflowingOperator:
     def test_evolve_exits_with_one_schema_line(self, tmp_path, capsys, coeff, where, fmt):
         path = self.scenario_file(tmp_path, coeff, where)
         out = tmp_path / f"traj.{fmt}"
-        code = run_without_warnings("evolve", path, "-o", str(out), "--format", fmt)
+        code = run("evolve", path, "-o", str(out), "--format", fmt)
         assert code == EXIT_SCENARIO
         assert capsys.readouterr().err == f"error[schema]: EvalError: {self.CASES[coeff]}\n"
         assert not out.exists()
@@ -448,7 +517,7 @@ class TestOverflowingOperator:
             self, tmp_path, capsys, coeff):
         path = self.scenario_file(tmp_path, coeff, "observables")
         report = tmp_path / "report.json"
-        assert run_without_warnings("verify", path, "-o", str(report)) == EXIT_VERIFY
+        assert run("verify", path, "-o", str(report)) == EXIT_VERIFY
         assert capsys.readouterr().err == "error[verify]: 6 unexpected check failures\n"
         assert "NaN" not in report.read_text()
         big = {c["name"]: c for c in json.loads(report.read_text())["checks"]
@@ -476,16 +545,27 @@ class TestOverflowingValue:
     def test_verify_eom_difference_and_derivative_overflow(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, "pt-dimer-unbroken", "1e308 * (t + t)", t1=0.05)
         report = tmp_path / "report.json"
-        assert run_without_warnings("verify", path, "-o", str(report)) == EXIT_VERIFY
+        assert run("verify", path, "-o", str(report)) == EXIT_VERIFY
         assert capsys.readouterr().err == "error[verify]: 6 unexpected check failures\n"
         checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
         for name in ("heisenberg_eom_fd[a]", "heisenberg_like_eom_fd[a]"):
             # Offset 6 is the `*` whose derivative's product overflows.
             assert checks[name]["error"] == "EvalError: non-finite value (at offset 6)"
 
+    def test_verify_eom_derivative_of_a_part_without_t_is_zero(self, tmp_path, capsys):
+        # (1e-200)^(-1) is folded to 1e200 when parsed, so its derivative is 0, not the
+        # power rule's -(1e-200)^(-2) * 0, whose power overflows.
+        path = self.scenario_file(tmp_path, "pt-dimer-unbroken", "t + (1e-200)^(-1)", t1=0.05)
+        report = tmp_path / "report.json"
+        assert run("verify", path, "-o", str(report)) == EXIT_VERIFY
+        assert capsys.readouterr().err == "error[verify]: 6 unexpected check failures\n"
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        for name in ("heisenberg_eom_fd[a]", "heisenberg_like_eom_fd[a]"):
+            assert "error" not in checks[name] and checks[name]["context"].startswith("node ")
+
     def test_verify_residual_norm_overflows(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, "pt-dimer-broken", "1e300", t1=3)
-        assert run_without_warnings("verify", path) == EXIT_OK
+        assert run("verify", path) == EXIT_OK
         out = capsys.readouterr().out
         assert "23/36 passed, 0 unexpected failures" in out
         assert [line.split()[1] for line in out.splitlines() if "_eom_fd[a]" in line] == [
@@ -494,7 +574,7 @@ class TestOverflowingValue:
     def test_evolve_expectation_overflows(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, "pt-dimer-broken", "1e300")
         out = tmp_path / "traj.csv"
-        assert run_without_warnings("evolve", path, "-o", str(out)) == EXIT_OK
+        assert run("evolve", path, "-o", str(out)) == EXIT_OK
         assert capsys.readouterr().err == ""
         last = out.read_text().splitlines()[-1].split(",")
         assert (last[0], last[-2:]) == ("10.0", ["-inf", "0.0"])
@@ -557,9 +637,11 @@ def malformed_scenarios(draw):
     return demo, changes
 
 
-def assert_one_documented_line_each(doc) -> None:
+def assert_one_documented_line_each(doc) -> list[tuple[int, list[str]]]:
     """verify and evolve of a scenario file holding doc each exit with a documented
-    code, printing one error[CODE] line when it is not 0."""
+    code, printing one error[CODE] line when it is not 0; returns each code and its
+    error lines."""
+    outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
         path.write_text(json.dumps(doc))
@@ -568,15 +650,16 @@ def assert_one_documented_line_each(doc) -> None:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (EXIT_OK, EXIT_SCENARIO, EXIT_NUMERIC, EXIT_VERIFY), argv
-            lines = err.getvalue().splitlines()
-            assert sum(line.startswith("error[") for line in lines) == (code != EXIT_OK), lines
+            lines = [line for line in err.getvalue().splitlines() if line.startswith("error[")]
+            assert len(lines) == (code != EXIT_OK), err.getvalue()
+            outcomes.append((code, lines))
+    return outcomes
 
 
 # About one change in four adds a key; the rest change a value.
 @settings(max_examples=260, derandomize=True, deadline=None)
 @given(case=malformed_scenarios())
 @example(case=("hermitian-rabi", [("/psi0/0", [10**400, 0])]))
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_scenario_exits_with_one_documented_line(case):
     demo, changes = case
     doc = _fuzz_base(demo)
@@ -610,7 +693,6 @@ def fuzzed_flags(draw):
 @given(case=fuzzed_flags())
 @example(case=("evolve", ["--t0=-1e308", "--t1=1e308"]))
 @example(case=("evolve", ["--format=\n"]))
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_arbitrary_flag_text_exits_with_one_documented_line(case):
     command, flags = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -634,31 +716,50 @@ EXTREME_LEAVES = [
     "t", "1e308", "1.7976931348623157e308", "1e-308", "5e-324", "exp(709)", "exp(709 * t)",
     "1 / 1e-308", "1e308 * t", "2^1023", "(1e-200)^2",
 ]
-EXTREME_COEFFICIENTS = st.recursive(
-    st.sampled_from(EXTREME_LEAVES),
-    lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({p[0]}) {p[1]} ({p[2]})"),
-        st.tuples(inner, st.sampled_from(["2", "3", "40", "400", "-400", "1025"])
-                  | inner.map(lambda e: f"({e})")).map(lambda p: f"({p[0]})^{p[1]}"),
-        st.tuples(st.sampled_from(["exp", "sin", "cos", "tanh"]), inner).map(
-            lambda p: f"{p[0]}({p[1]})"),
-    ),
-    max_leaves=4,
-)
+
+
+def extreme_expressions(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda p: f"({p[0]}) {p[1]} ({p[2]})"),
+            st.tuples(inner, st.sampled_from(["2", "3", "40", "400", "-400", "1025"])
+                      | inner.map(lambda e: f"({e})")).map(lambda p: f"({p[0]})^{p[1]}"),
+            st.tuples(st.sampled_from(["exp", "sin", "cos", "tanh"]), inner).map(
+                lambda p: f"{p[0]}({p[1]})"),
+        ),
+        max_leaves=4,
+    )
+
+
+EXTREME_COEFFICIENTS = extreme_expressions(EXTREME_LEAVES)
+# t times a drawn part without t, which is evaluated when the coefficient is parsed.
+WITH_PART_WITHOUT_T = extreme_expressions(
+    [leaf for leaf in EXTREME_LEAVES if "t" not in leaf]).map(lambda e: f"t * ({e})")
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(demo=st.sampled_from(sorted(builtin_models())),
-       where=st.sampled_from(["observables", "hamiltonian"]), coeff=EXTREME_COEFFICIENTS)
+       where=st.sampled_from(["observables", "hamiltonian"]),
+       coeff=EXTREME_COEFFICIENTS | WITH_PART_WITHOUT_T)
 @example(demo="pt-dimer-unbroken", where="hamiltonian", coeff="1e308")  # the stationary solve
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@example(demo="hermitian-rabi", where="observables", coeff="t * ((1e308) * (1e308))")
 def test_coefficient_near_the_float_limits_exits_with_one_documented_line(demo, where, coeff):
     doc = _fuzz_base(demo)
     if where == "hamiltonian":
+        pointer = f"/hamiltonian/{len(doc['hamiltonian'])}/coeff"
         doc["hamiltonian"].append({"coeff": coeff, "matrix": SIGMA_X_JSON})
     else:
+        pointer = "/observables/a/0/coeff"
         doc["observables"]["a"] = [{"coeff": coeff, "matrix": SIGMA_Z_JSON}]
-    assert_one_documented_line_each(doc)
+    (verify_code, verify_lines), (evolve_code, evolve_lines) = assert_one_documented_line_each(doc)
+    try:
+        parse_profile(coeff)
+    except (EvalError, ProfileSyntaxError) as exc:  # it fails wherever it is used
+        assert verify_code == evolve_code == EXIT_SCENARIO
+        assert verify_lines == evolve_lines == [
+            f"error[schema]: {pointer}: bad coefficient: {exc}"]
 
 
 class TestVerify:
@@ -702,6 +803,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error[usage]:") and err.count("\n") == 1
         assert flag in err
+
+    @pytest.mark.parametrize("flag, value", [
+        *(("--node-stride", value) for value in ("-1", "0", "1")),
+        *(("--tolerance-scale", value)
+          for value in ("0.0", "-0.0", "-1.0", "nan", "inf", "-inf", "5e-324", "1.0")),
+    ])
+    def test_cli_and_run_suite_accept_the_same_settings(self, capsys, flag, value):
+        # The CLI checks the flags before integrating, run_suite its arguments after.
+        scenario = get_demo("hermitian-rabi", t1=0.01)
+        argument = {"--node-stride": ("node_stride", int),
+                    "--tolerance-scale": ("tolerance_scale", float)}[flag]
+        try:
+            run_suite(integrate(scenario), scenario, **{argument[0]: argument[1](value)})
+            rejected = False
+        except ValueError:
+            rejected = True
+        code = run("verify", "demo:hermitian-rabi", "--t1", "0.01", f"{flag}={value}")
+        assert (code == EXIT_USAGE) == rejected, capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ("demo:pt-ep", "--t1", "0.05", "--node-stride", "100"),

@@ -33,10 +33,26 @@ class TestParse:
         )
 
     def test_power_right_associative(self):
-        # 2^3^2 = 2^(3^2) = 512; exponents fold to integers at parse time
-        node = parse_profile("2^3^2")
-        assert node == Pow(Const(2.0), 9)
-        assert eval_profile(node, 0.0) == 512.0
+        # 2^3^2 = 2^(3^2) = 512; a sub-expression without t folds to its value
+        assert parse_profile("2^3^2") == Const(512.0)
+        assert parse_profile("t^3^2") == Pow(TimeVar(), 9)
+
+    def test_sub_expression_without_t_folds_to_its_value(self):
+        node = parse_profile("t * (-2 + exp(1))")
+        assert node == BinOp("*", TimeVar(), Const(-2.0 + math.exp(1.0)))
+        assert node.right.offset == 8  # the + it folds
+        assert differentiate(node.right) == Const(0.0)
+
+    @pytest.mark.parametrize("text, offset", [("1e400", 0), ("t + 2e308", 4)])
+    def test_literal_beyond_the_float_range_is_an_eval_error(self, text, offset):
+        with pytest.raises(EvalError, match=f"^non-finite value \\(at offset {offset}\\)$"):
+            parse_profile(text)
+
+    def test_at_most_100_operators_and_parentheses(self):
+        assert eval_profile(parse_profile("-(" * 50 + "t" + ")" * 50), 3.0) == 3.0
+        with pytest.raises(ProfileSyntaxError) as err:
+            parse_profile("-(" * 50 + "t" + ")" * 49 + "+ t)")
+        assert str(err.value) == "more than 100 operators and parentheses (at offset 150)"
 
     def test_unary_minus_binds_looser_than_power(self):
         assert eval_profile(parse_profile("-2^2"), 0.0) == -4.0
@@ -118,21 +134,41 @@ class TestEval:
 
 # (text, tree) pairs built together: every operand is parenthesized, so the
 # text's tree is known without a precedence rule, and the parser has an oracle
-# that shares no code with it.
+# that shares no code with it. As the parser does, the oracle folds a node whose
+# operands are all Consts to the Const of its value; where that evaluation
+# fails, the tree is its EvalError, and so is every tree built on it.
+def _folded(node, *operands):
+    errors = [x for x in operands if isinstance(x, EvalError)]
+    if errors:
+        return errors[0]
+    if all(isinstance(x, Const) for x in operands):
+        try:
+            return Const(eval_profile(node, 0.0))
+        except EvalError as exc:
+            return exc
+    return node
+
+
 def _neg(arg):
-    return f"-({arg[0]})", Neg(arg[1])
+    return f"-({arg[0]})", _folded(Neg(arg[1]), arg[1])
 
 
 def _binop(op, left, right):
-    return f"({left[0]}) {op} ({right[0]})", BinOp(op, left[1], right[1])
+    node = BinOp(op, left[1], right[1])
+    return f"({left[0]}) {op} ({right[0]})", _folded(node, left[1], right[1])
 
 
 def _pow(base, exponent):
-    return f"({base[0]})^({exponent})", Pow(base[1], exponent)
+    return f"({base[0]})^({exponent})", _folded(Pow(base[1], exponent), base[1])
 
 
 def _call(func, arg):
-    return f"{func}({arg[0]})", Call(func, arg[1])
+    return f"{func}({arg[0]})", _folded(Call(func, arg[1]), arg[1])
+
+
+def _message(exc: EvalError) -> str:
+    """An EvalError's message without its offset, which the oracle's trees do not carry."""
+    return str(exc).removesuffix(f" (at offset {exc.offset})")
 
 
 def _texts_and_trees():
@@ -156,7 +192,12 @@ def _texts_and_trees():
 @given(case=_texts_and_trees())
 def test_parse_of_parenthesized_text_is_its_tree(case):
     text, tree = case
-    assert parse_profile(text) == tree
+    if isinstance(tree, EvalError):
+        with pytest.raises(EvalError) as err:
+            parse_profile(text)
+        assert _message(err.value) == _message(tree)
+    else:
+        assert parse_profile(text) == tree
 
 
 _times = st.lists(
@@ -180,8 +221,13 @@ def _eval_or_error(node, t):
 @settings(max_examples=300, deadline=None)
 @given(case=_texts_and_trees(), times=_times)
 def test_array_evaluation_matches_each_time(case, times):
-    # Parsed from text, every node has its source offset.
-    node = parse_profile(case[0])
+    # Parsed from text, every node has its source offset. A text whose parse
+    # raises holds a sub-expression without t that cannot be evaluated.
+    try:
+        node = parse_profile(case[0])
+    except EvalError:
+        assert isinstance(case[1], EvalError)
+        return
     each = [_eval_or_error(node, t) for t in times]
     whole = _eval_or_error(node, np.array(times))
     errors = [v for v in each if isinstance(v, EvalError)]
