@@ -33,8 +33,8 @@ def residuals(bundle, scenario):
         "propagator_inverse": frobenius(bundle.u_l @ bundle.u_r - eye).max(),
         "metric_closed_form": frobenius(bundle.g - closed_form_metric(bundle, nodes)).max(),
     }
-    if scenario.hamiltonian.is_constant():
-        h = scenario.hamiltonian.assemble(0.0)
+    h = scenario.hamiltonian.constant
+    if h is not None:
         t = float(bundle.ts[-1] - bundle.ts[0])
         out["u_r_vs_expm"] = frobenius(bundle.u_r[-1] - expm(-1j * t * h))
     return out

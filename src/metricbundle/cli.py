@@ -16,6 +16,7 @@ singular matrix, step limit, eigen-convergence or Cholesky failure),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -189,6 +190,7 @@ def _cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = Parser(
         prog="metricbundle",

@@ -23,7 +23,6 @@ verbatim and floats survive JSON via repr.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -99,6 +98,14 @@ class OperatorSpec:
                 raise DimensionMismatchError("term matrices must share one dimension")
         self.terms = terms
         self.dim = dim
+        # M when no term depends on t (the parser folds "-1.0" or "2^3" to a Const),
+        # assembled once here; EvalError when it overflows. None otherwise.
+        self.constant = None
+        if all(isinstance(term.expr, profile.Const) for term in terms):
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                self.constant = sum(term.expr.value * term.matrix for term in terms)
+            if not np.isfinite(self.constant).all():
+                raise EvalError("operator is not finite", None)
 
     def assemble(self, t: float) -> np.ndarray:
         """M(t) at one time: assemble_many at that time."""
@@ -108,20 +115,19 @@ class OperatorSpec:
         """M(t) at each of the times ts, shape (len(ts), dim, dim).
 
         Each term's profile is evaluated once over all the times. A constant
-        operator gives its one matrix broadcast over the times, without copies.
-        Raises EvalError at the first time whose matrix is not finite (overflows).
+        operator gives its one matrix, checked when built, broadcast without copies;
+        any other raises EvalError at the first time whose matrix is not finite.
         """
-        if self.is_constant():
-            out = self._constant[None]
-        else:
-            out = np.zeros((len(ts), self.dim, self.dim), dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                for term in self.terms:
-                    out += profile.eval_profile(term.expr, ts)[:, None, None] * term.matrix
+        if self.constant is not None:
+            return np.broadcast_to(self.constant, (len(ts), self.dim, self.dim))
+        out = np.zeros((len(ts), self.dim, self.dim), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for term in self.terms:
+                out += profile.eval_profile(term.expr, ts)[:, None, None] * term.matrix
         bad = ~np.isfinite(out).all(axis=(1, 2))
         if bad.any():
             raise EvalError(f"operator is not finite at t = {float(ts[np.argmax(bad)])!r}", None)
-        return np.broadcast_to(out, (len(ts), self.dim, self.dim))
+        return out
 
     def differentiate(self) -> "OperatorSpec":
         """Analytic d/dt, term by term; each term's source is "d/dt (<its source>)"."""
@@ -130,15 +136,6 @@ class OperatorSpec:
             for term in self.terms
         ])
 
-    def is_constant(self) -> bool:
-        """True when no term depends on t, as the parser folds "-1.0" or "2^3" to a Const."""
-        return all(isinstance(term.expr, profile.Const) for term in self.terms)
-
-    @functools.cached_property
-    def _constant(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # assemble_many reports it
-            return sum(term.expr.value * term.matrix for term in self.terms)
-
 
 def constant_operator(matrix) -> OperatorSpec:
     return OperatorSpec([ProfileTerm.parse("1", matrix)])
@@ -146,16 +143,31 @@ def constant_operator(matrix) -> OperatorSpec:
 
 @dataclass(frozen=True)
 class MetricInit:
+    """How G(t0) is made. An explicit matrix is checked here and stored as a complex array."""
+
     mode: str  # identity | explicit | stationary
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("identity", "explicit", "stationary"):
             raise SchemaError(f"unknown metric mode {_short_repr(self.mode)}", "/metric/mode")
-        if self.mode == "explicit" and self.matrix is None:
+        if self.mode != "explicit":
+            if self.matrix is not None:
+                raise SchemaError(f"{self.mode} metric takes no matrix", "/metric/matrix")
+            return
+        if self.matrix is None:
             raise SchemaError("explicit metric requires a matrix", "/metric/matrix")
-        if self.mode != "explicit" and self.matrix is not None:
-            raise SchemaError(f"{self.mode} metric takes no matrix", "/metric/matrix")
+        g = as_matrix(self.matrix, "metric")
+        if hermitian_deviation(g) > ATOL + RTOL:
+            raise SchemaError("explicit metric is not Hermitian", "/metric/matrix")
+        if min_eig_hermitian(g) <= 0:
+            raise SchemaError("explicit metric is not positive-definite", "/metric/matrix")
+        try:
+            cholesky_upper(g)  # also rejects near-singular metrics
+        except NotPositiveDefiniteError as exc:
+            raise SchemaError(f"explicit metric is not positive-definite: {exc}",
+                              "/metric/matrix") from exc
+        object.__setattr__(self, "matrix", g)
 
 
 def _short_repr(value, limit: int = 40) -> str:
@@ -339,25 +351,13 @@ def _accept_candidate(g, h, scale: float):
 
 
 def resolve_initial_metric(scenario: Scenario) -> np.ndarray:
-    """Produce G(t0) according to the metric init mode; validates PD."""
-    dim = scenario.dim
+    """G(t0) by the metric init mode; MetricInit has checked an explicit matrix."""
     init = scenario.metric_init
     if init.mode == "identity":
-        return np.eye(dim, dtype=complex)
+        return np.eye(scenario.dim, dtype=complex)
     if init.mode == "explicit":
-        g = as_matrix(init.matrix, "metric")
-        if hermitian_deviation(g) > ATOL + RTOL:
-            raise SchemaError("explicit metric is not Hermitian", "/metric/matrix")
-        if min_eig_hermitian(g) <= 0:
-            raise SchemaError("explicit metric is not positive-definite", "/metric/matrix")
-        try:
-            cholesky_upper(g)  # also rejects near-singular metrics
-        except NotPositiveDefiniteError as exc:
-            raise SchemaError(f"explicit metric is not positive-definite: {exc}",
-                              "/metric/matrix") from exc
-        return 0.5 * (g + g.conj().T)
-    g, _ = solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0))
-    return g
+        return 0.5 * (init.matrix + init.matrix.conj().T)
+    return solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0))[0]
 
 
 # --- JSON codec ------------------------------------------------------------
@@ -449,7 +449,10 @@ def _terms_from_json(value, dim: int, pointer: str) -> OperatorSpec:
         # The parser evaluates each sub-expression without t, which can fail (EvalError).
         except (ProfileSyntaxError, EvalError) as exc:
             raise SchemaError(f"bad coefficient: {exc}", f"{pointer}/{i}/coeff") from exc
-    return OperatorSpec(terms)
+    try:
+        return OperatorSpec(terms)
+    except EvalError as exc:  # a constant operator that overflows
+        raise SchemaError(str(exc), pointer) from exc
 
 
 def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:

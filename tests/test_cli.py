@@ -23,15 +23,23 @@ from metricbundle.cli import (
     EXIT_VERIFY,
     main,
 )
-from metricbundle.errors import EvalError, ProfileSyntaxError
+from metricbundle.errors import (
+    EigenConvergenceError,
+    EvalError,
+    NoPositiveDefiniteSolutionError,
+    ProfileSyntaxError,
+    SchemaError,
+)
 from metricbundle.evolution import integrate
 from metricbundle.matops import sorted_eigenvalues
 from metricbundle.model import (
     IntegratorConfig,
     MetricInit,
     Scenario,
+    complex_pairs,
     constant_operator,
     load_scenario,
+    resolve_initial_metric,
     save_scenario,
     scenario_from_json_dict,
     scenario_to_json_dict,
@@ -166,7 +174,7 @@ class TestEvolve:
         assert err.startswith("error[numeric]: EigenConvergenceError:") and err.count("\n") == 1
         assert "did not converge" in err
 
-    def test_explicit_metric_cholesky_cannot_factor_is_schema_error(self, tmp_path, capsys):
+    def test_explicit_metric_cholesky_cannot_factor_is_schema_error(self):
         # Smallest eigenvalue 6.8e-16 > 0, yet LAPACK's Cholesky factorization fails.
         metric = np.array([
             [1.5300000000000011, 0.72, 0.8549999999999999],
@@ -175,19 +183,20 @@ class TestEvolve:
         ])
         scenario = Scenario(
             hamiltonian=constant_operator(np.eye(3)),
-            metric_init=MetricInit("explicit", metric.astype(complex)),
+            metric_init=MetricInit("identity"),
             psi0=np.array([1, 0, 0], dtype=complex),
             observables={},
             t0=0.0,
             t1=0.01,
             integrator=IntegratorConfig(),
         )
-        path = tmp_path / "s.json"
-        save_scenario(scenario, path)
-        assert run("evolve", str(path), "-o", str(tmp_path / "x.csv")) == EXIT_SCENARIO
-        err = capsys.readouterr().err
-        assert err.startswith("error[schema]: /metric/matrix:") and err.count("\n") == 1
-        assert "cholesky_upper" in err
+        # MetricInit rejects the matrix, so it goes straight into the document.
+        doc = scenario_to_json_dict(scenario)
+        doc["metric"] = {"mode": "explicit", "matrix": complex_pairs(metric).tolist()}
+        outcomes = assert_one_documented_line_each(doc)
+        line = outcomes[0][1][0]
+        assert outcomes == [(EXIT_SCENARIO, [line])] * 3  # from verify, evolve and spectrum
+        assert line.startswith("error[schema]: /metric/matrix:") and "cholesky_upper" in line
 
 
 class TestCsvExport:
@@ -482,13 +491,16 @@ BIG_SIGMA_X = [[[0, 0], [1e10, 0]], [[1e10, 0], [0, 0]]]
 
 
 class TestOverflowingOperator:
-    """An operator whose assembled matrix overflows is one EvalError, with no numpy warning."""
+    """An operator whose assembled matrix overflows is one error line, with no numpy warning."""
 
-    # coefficient -> the error: 1e300 overflows at every time, 1e300 * t from t = 0.018 on.
+    # coefficient -> the error line: 1e300 is a constant operator, rejected when the file
+    # is read; 1e300 * t is assembled in the run and overflows from t = 0.018 on.
     CASES = {
-        "1e300": "operator is not finite at t = 0.0",
-        "1e300 * t": "operator is not finite at t = 0.018000000000000002",
+        "1e300": "error[schema]: {pointer}: operator is not finite\n",
+        "1e300 * t":
+            "error[schema]: EvalError: operator is not finite at t = 0.018000000000000002\n",
     }
+    POINTERS = {"observables": "/observables/big", "hamiltonian": "/hamiltonian"}
 
     @staticmethod
     def scenario_file(tmp_path, coeff, where):
@@ -509,7 +521,7 @@ class TestOverflowingOperator:
         out = tmp_path / f"traj.{fmt}"
         code = run("evolve", path, "-o", str(out), "--format", fmt)
         assert code == EXIT_SCENARIO
-        assert capsys.readouterr().err == f"error[schema]: EvalError: {self.CASES[coeff]}\n"
+        assert capsys.readouterr().err == self.CASES[coeff].format(pointer=self.POINTERS[where])
         assert not out.exists()
 
     @pytest.mark.parametrize("coeff", sorted(CASES))
@@ -517,6 +529,12 @@ class TestOverflowingOperator:
             self, tmp_path, capsys, coeff):
         path = self.scenario_file(tmp_path, coeff, "observables")
         report = tmp_path / "report.json"
+        if coeff == "1e300":  # the file is rejected before any check runs
+            assert run("verify", path, "-o", str(report)) == EXIT_SCENARIO
+            assert capsys.readouterr().err == self.CASES[coeff].format(
+                pointer=self.POINTERS["observables"])
+            assert not report.exists()
+            return
         assert run("verify", path, "-o", str(report)) == EXIT_VERIFY
         assert capsys.readouterr().err == "error[verify]: 6 unexpected check failures\n"
         assert "NaN" not in report.read_text()
@@ -638,14 +656,15 @@ def malformed_scenarios(draw):
 
 
 def assert_one_documented_line_each(doc) -> list[tuple[int, list[str]]]:
-    """verify and evolve of a scenario file holding doc each exit with a documented
-    code, printing one error[CODE] line when it is not 0; returns each code and its
-    error lines."""
+    """verify, evolve and spectrum of a scenario file holding doc each exit with a
+    documented code, printing one error[CODE] line when it is not 0; returns each code
+    and its error lines, in that order."""
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
         path.write_text(json.dumps(doc))
-        for argv in (["verify", str(path)], ["evolve", str(path), "-o", f"{tmp}/x.csv"]):
+        for argv in (["verify", str(path)], ["evolve", str(path), "-o", f"{tmp}/x.csv"],
+                     ["spectrum", str(path), "--observable", "sigma_z", "--times", "0"]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -660,7 +679,14 @@ def assert_one_documented_line_each(doc) -> list[tuple[int, list[str]]]:
 @settings(max_examples=260, derandomize=True, deadline=None)
 @given(case=malformed_scenarios())
 @example(case=("hermitian-rabi", [("/psi0/0", [10**400, 0])]))
+@example(case=("hermitian-rabi", [("/metric", {"mode": "explicit",
+                                               "matrix": [[[1, 0], [2, 0]], [[0, 0], [1, 0]]]})]))
+@example(case=("pt-dimer-unbroken",
+               [("/observables/big", [{"coeff": "1e300", "matrix": BIG_DIAGONAL}])]))
 def test_malformed_scenario_exits_with_one_documented_line(case):
+    """The file alone decides whether it is valid: evolve, verify and spectrum give
+    load_scenario's one error line, and a file that loads has nothing left to reject
+    but what needs the run."""
     demo, changes = case
     doc = _fuzz_base(demo)
     replaced = []
@@ -672,7 +698,20 @@ def test_malformed_scenario_exits_with_one_documented_line(case):
         else:
             doc = value
         replaced.append(pointer)
-    assert_one_documented_line_each(doc)
+    outcomes = assert_one_documented_line_each(doc)
+    try:
+        scenario = scenario_from_json_dict(json.loads(json.dumps(doc)))  # as load_scenario
+    except SchemaError as exc:
+        assert outcomes == [(EXIT_SCENARIO, [f"error[schema]: {exc}"])] * 3
+        return
+    try:
+        resolve_initial_metric(scenario)
+    except (NoPositiveDefiniteSolutionError, EigenConvergenceError):
+        pass  # the stationary solve needs H(t0), and --t0 can move t0
+    except EvalError:  # an operator in t, assembled at t0
+        assert scenario.hamiltonian.constant is None
+    for spec in (scenario.hamiltonian, *scenario.observables.values()):
+        assert spec.constant is None or np.isfinite(spec.constant).all()
 
 
 FLAG_TEXT = st.text(max_size=10) | st.floats().map(repr) | st.integers().map(str)
@@ -753,13 +792,12 @@ def test_coefficient_near_the_float_limits_exits_with_one_documented_line(demo, 
     else:
         pointer = "/observables/a/0/coeff"
         doc["observables"]["a"] = [{"coeff": coeff, "matrix": SIGMA_Z_JSON}]
-    (verify_code, verify_lines), (evolve_code, evolve_lines) = assert_one_documented_line_each(doc)
+    outcomes = assert_one_documented_line_each(doc)
     try:
         parse_profile(coeff)
     except (EvalError, ProfileSyntaxError) as exc:  # it fails wherever it is used
-        assert verify_code == evolve_code == EXIT_SCENARIO
-        assert verify_lines == evolve_lines == [
-            f"error[schema]: {pointer}: bad coefficient: {exc}"]
+        assert outcomes == [
+            (EXIT_SCENARIO, [f"error[schema]: {pointer}: bad coefficient: {exc}"])] * 3
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -23,6 +24,7 @@ from metricbundle.model import (
     _short_repr,
     constant_operator,
     load_scenario,
+    resolve_initial_metric,
     save_scenario,
     scenario_from_json_dict,
     scenario_to_json_dict,
@@ -59,11 +61,21 @@ class TestAssemble:
         spec = OperatorSpec(
             [ProfileTerm.parse("-1.0", SIGMA_X), ProfileTerm.parse("2^3 / 4", SIGMA_Z)]
         )
-        assert spec.is_constant()
+        assert np.array_equal(spec.constant, -SIGMA_X + 2.0 * SIGMA_Z)
         many = spec.assemble_many(np.linspace(0.0, 1.0, 5))
         assert many.strides[0] == 0  # one matrix broadcast over the times
         assert np.array_equal(many[3], -SIGMA_X + 2.0 * SIGMA_Z)
-        assert not OperatorSpec([ProfileTerm.parse("0 * t", SIGMA_X)]).is_constant()
+        assert OperatorSpec([ProfileTerm.parse("0 * t", SIGMA_X)]).constant is None
+
+    def test_constant_operator_that_overflows_fails_when_built(self):
+        big = np.diag([1e10, 1.0]).astype(complex)
+        with pytest.raises(EvalError, match=r"^operator is not finite$"):
+            OperatorSpec([ProfileTerm.parse("1e300", big)])
+        # An operator in t overflows only at some times, so it is checked where assembled.
+        spec = OperatorSpec([ProfileTerm.parse("1e300 * t", big)])
+        assert spec.constant is None
+        with pytest.raises(EvalError, match=r"^operator is not finite at t = 1\.0$"):
+            spec.assemble(1.0)
 
     def test_constant_term_that_fails_fails_where_used(self):
         # A coefficient without t is evaluated where it is parsed.
@@ -394,6 +406,27 @@ class TestScenarioSchema:
     def test_explicit_metric_validated(self):
         with pytest.raises(SchemaError):
             MetricInit("explicit", None)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 2], [0, 1]], "explicit metric is not Hermitian"),
+        (np.diag([1.0, -1.0]), "explicit metric is not positive-definite"),
+        # Smallest eigenvalue 6.8e-16 > 0, yet LAPACK's Cholesky factorization fails.
+        ([[1.5300000000000011, 0.72, 0.8549999999999999],
+          [0.72, 5.94, 8.244],
+          [0.8549999999999999, 8.244, 11.4561]],
+         "explicit metric is not positive-definite: cholesky_upper: "),
+    ], ids=["not-hermitian", "indefinite", "cholesky-fails"])
+    def test_bad_explicit_metric_is_schema_error_when_built(self, matrix, message):
+        with pytest.raises(SchemaError) as err:
+            MetricInit("explicit", matrix)
+        assert err.value.pointer == "/metric/matrix"
+        assert str(err.value).startswith(f"/metric/matrix: {message}")
+
+    def test_explicit_metric_from_a_list_is_stored_as_a_complex_array(self):
+        init = MetricInit("explicit", [[1, 0], [0, 1]])
+        assert isinstance(init.matrix, np.ndarray) and init.matrix.dtype == complex
+        scenario = dataclasses.replace(get_demo("hermitian-rabi"), metric_init=init)
+        assert np.array_equal(resolve_initial_metric(scenario), np.eye(2))
 
     @pytest.mark.parametrize("mode", ["identity", "stationary"])
     @pytest.mark.parametrize("matrix", ["garbage", None, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
