@@ -71,7 +71,3 @@ class NonFiniteError(MetricBundleError):
 
 class StepLimitExceededError(MetricBundleError):
     pass
-
-
-class TagMismatchError(MetricBundleError):
-    """A bilinear form or transport mixed representation tags."""

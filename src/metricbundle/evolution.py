@@ -62,7 +62,7 @@ def rhs_vielbein(h, e):
     return 1j * (e @ h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionBundle:
     """Time-gridded record of one integration run; immutable once produced."""
 

@@ -141,7 +141,7 @@ def constant_operator(matrix) -> OperatorSpec:
     return OperatorSpec([ProfileTerm.parse("1", matrix)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricInit:
     """How G(t0) is made. An explicit matrix is checked here and stored as a complex array."""
 
@@ -212,7 +212,7 @@ class IntegratorConfig:
             raise SchemaError("max_steps must be a positive integer", "/integrator/max_steps")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     hamiltonian: OperatorSpec
     metric_init: MetricInit

@@ -29,6 +29,7 @@ from .matops import (
     adjoint,
     frobenius,
     hermitian_deviation,
+    inverse,
     min_eig_hermitian,
     sorted_eigenvalues,
 )
@@ -181,8 +182,39 @@ def run_suite(
     u_l, u_r, g, e = bundle.u_l[nodes], bundle.u_r[nodes], bundle.g[nodes], bundle.e[nodes]
     eye = np.eye(bundle.dim)
 
-    def s_op(matrix):
-        return rep.TaggedOperator(rep.RepresentationTag.S, matrix)
+    # The Heisenberg equation of motion, in the H and the HL picture, vs a
+    # central finite difference of the transported operator (independent of
+    # the commutator path), at the sampled nodes where the difference fits on
+    # the grid. With no such node the checks are not evaluated, and fail.
+    delta_nodes = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
+    delta = delta_nodes * bundle.step
+    fd_budget = base + EOM_FD_COEFF * delta**2
+    inner = (nodes >= delta_nodes) & (nodes + delta_nodes < bundle.n_nodes)
+    below, above = nodes[inner] - delta_nodes, nodes[inner] + delta_nodes
+    # Every node a check reads, and where each lies in it: the sampled nodes,
+    # plus node 1 when n_nodes == 2 * node_stride >= 4 (then delta_nodes is
+    # node_stride - 1). Sorted, repeats dropped; np.union1d would import
+    # numpy.ma (numpy 2.4).
+    grid = np.sort(np.concatenate([nodes, below, above]))
+    grid = grid[np.diff(grid, prepend=-1) > 0]
+    at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
+    at_inner = at_nodes[inner]
+
+    # E is inverted once on the grid, when a check first needs it. Where that
+    # is refused, each check inverts the nodes it reads instead: it reports
+    # the first refused node among them, or evaluates if there is none.
+    e_grid = bundle.e[grid]
+
+    @functools.cache
+    def e_inv_grid():
+        try:
+            return inverse(e_grid)
+        except MetricBundleError:
+            return None
+
+    def e_inv(at):
+        inv = e_inv_grid()
+        return inverse(e_grid[at]) if inv is None else inv[at]
 
     # Propagator inverse identity.
     add("propagator_inverse_left", base, lambda: frobenius(u_l @ u_r - eye))
@@ -207,57 +239,48 @@ def run_suite(
     # Zero-gauge generator residual: both terms are built from the same
     # vielbein, so the cancellation is exact up to rounding.
     add("hermitized_generator_gauge", base, lambda: frobenius(
-        rep.hermitized_hamiltonian(h_s(), e, rhs_vielbein(h_s(), e))))
+        rep.hermitized_hamiltonian(h_s(), e, e_inv(at_nodes), rhs_vielbein(h_s(), e))))
 
-    # The Heisenberg equation of motion, in the H and the HL picture, vs a
-    # central finite difference of the transported operator (independent of
-    # the commutator path), at the sampled nodes where the difference fits on
-    # the grid. With no such node the checks are not evaluated, and fail.
-    delta_nodes = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
-    delta = delta_nodes * bundle.step
-    fd_budget = base + EOM_FD_COEFF * delta**2
-    inner = (nodes >= delta_nodes) & (nodes + delta_nodes < bundle.n_nodes)
-    below, above = nodes[inner] - delta_nodes, nodes[inner] + delta_nodes
-    # Every node a per-observable check reads, and where each lies in it: the
-    # sampled nodes, plus node 1 when n_nodes == 2 * node_stride >= 4 (then
-    # delta_nodes is node_stride - 1). Sorted, repeats dropped; np.union1d
-    # would import numpy.ma (numpy 2.4).
-    grid = np.sort(np.concatenate([nodes, below, above]))
-    grid = grid[np.diff(grid, prepend=-1) > 0]
-    at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
+    # An operator at grid positions in each frozen-state picture. The
+    # transports are read from the module at call time, where a tracer may
+    # have wrapped them.
+    def in_h(o, at):
+        return rep.to_heisenberg(o, bundle, grid[at])
+
+    def in_hl(o, at):
+        return rep.to_heisenberg_like(o, e_grid[at], e_inv(at))
 
     @functools.cache
     def h_in(transport):  # H in the picture, where the EOM checks read it
-        return transport(s_op(h_s()[inner]), bundle, nodes[inner])
+        return transport(h_s()[inner], at_inner)
 
     # The frozen-state pictures, which share one equation of motion: check
-    # suffix, EOM check name, transport, frozen state. The transports are read
-    # from the module at run time, where a tracer may have wrapped them.
+    # suffix, EOM check name, transport, frozen state.
     pictures = (
-        ("h", "heisenberg", rep.to_heisenberg, rep.heisenberg_state(bundle)),
-        ("hl", "heisenberg_like", rep.to_heisenberg_like, rep.heisenberg_like_state(bundle)),
+        ("h", "heisenberg", in_h, rep.heisenberg_state(bundle)),
+        ("hl", "heisenberg_like", in_hl, rep.heisenberg_like_state(bundle)),
     )
 
     def observable_checks(obs_name, obs):
         o_grid = functools.cache(lambda: obs.assemble_many(bundle.ts[grid]))
-        o_s = functools.cache(lambda: s_op(o_grid()[at_nodes]))
-        exp_s = functools.cache(lambda: rep.expectation_schrodinger(bundle, nodes, o_s().matrix))
-        spectrum_s = functools.cache(lambda: sorted_eigenvalues(o_s().matrix))
-        dt_s = functools.cache(lambda: s_op(obs.differentiate().assemble_many(ts[inner])))
+        o_s = functools.cache(lambda: o_grid()[at_nodes])
+        exp_s = functools.cache(lambda: rep.expectation_schrodinger(bundle, nodes, o_s()))
+        spectrum_s = functools.cache(lambda: sorted_eigenvalues(o_s()))
+        dt_s = functools.cache(lambda: obs.differentiate().assemble_many(ts[inner]))
 
         @functools.cache
         def sampled_in(transport):
-            return transport(o_s(), bundle, nodes)
+            return transport(o_s(), at_nodes)
 
         def eom_fd(transport):
             if not inner.any():
                 return np.zeros(0)
             # Only the EOM checks read the grid, whose extra node is not sampled.
             o_p = (sampled_in(transport) if len(grid) == len(nodes)
-                   else transport(s_op(o_grid()), bundle, grid))
-            fd = (o_p.matrix[at_above] - o_p.matrix[at_below]) / (2 * delta)
+                   else transport(o_grid(), slice(None)))
+            fd = (o_p[at_above] - o_p[at_below]) / (2 * delta)
             return frobenius(fd - rep.heisenberg_rhs(
-                o_p[at_nodes[inner]], h_in(transport), transport(dt_s(), bundle, nodes[inner])))
+                o_p[at_inner], h_in(transport), transport(dt_s(), at_inner)))
 
         for suffix, _, transport, state in pictures:
             add(f"expectation_s_vs_{suffix}[{obs_name}]", base,
@@ -266,7 +289,7 @@ def run_suite(
         for suffix, _, transport, _ in pictures:
             add(f"isospectral_{suffix}[{obs_name}]", base,
                 lambda transport=transport: np.max(np.abs(
-                    sorted_eigenvalues(sampled_in(transport).matrix) - spectrum_s()), axis=-1))
+                    sorted_eigenvalues(sampled_in(transport)) - spectrum_s()), axis=-1))
         for _, eom_name, transport, _ in pictures:
             add(f"{eom_name}_eom_fd[{obs_name}]", fd_budget,
                 lambda transport=transport: eom_fd(transport), at=nodes[inner])
@@ -279,8 +302,7 @@ def run_suite(
         for pair_name, a, b in (("sx_sy", SIGMA_X, SIGMA_Y), ("sx_sz", SIGMA_X, SIGMA_Z),
                                 ("sy_sz", SIGMA_Y, SIGMA_Z)):
             add(f"commutator_transport[{pair_name}]", base,
-                lambda a=a, b=b: rep.commutator_gap(rep.to_heisenberg, s_op(a), s_op(b),
-                                                    bundle, nodes))
+                lambda a=a, b=b: rep.commutator_gap(rep.to_heisenberg, a, b, bundle, nodes))
 
         # Conventional-transport negative control: for a genuinely non-Hermitian
         # Hamiltonian this check is EXPECTED to fail (that is the point).
@@ -289,7 +311,7 @@ def run_suite(
         near = np.array([i])
         add("conventional_dagger_transport", base,
             lambda: rep.commutator_gap(
-                rep.naive_dagger_transport, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, near),
+                rep.naive_dagger_transport, SIGMA_X, SIGMA_Y, bundle, near),
             at=near, context="su(2) pair near t0+1")
 
     return VerificationReport(

@@ -26,13 +26,12 @@ from metricbundle.matops import (
     commutator,
     frobenius,
     hermitian_deviation,
+    inverse,
     min_eig_hermitian,
     sorted_eigenvalues,
 )
 from metricbundle.model import solve_stationary_metric
 from metricbundle.representations import (
-    RepresentationTag,
-    TaggedOperator,
     commutator_gap,
     expectation,
     expectation_schrodinger,
@@ -74,8 +73,8 @@ def driven():
     return scenario, integrate(scenario)
 
 
-def s_op(matrix):
-    return TaggedOperator(RepresentationTag.S, matrix)
+def to_hl(o, bundle, i):
+    return to_heisenberg_like(o, bundle.e[i], inverse(bundle.e[i]))
 
 
 def test_01_hermitian_reduction():
@@ -134,9 +133,8 @@ def test_04_three_picture_expectations(pt_unbroken, driven):
         for i in range(0, bundle.n_nodes, bundle.n_nodes // 20):
             for _, obs in _acceptance_observables():
                 val_s = expectation_schrodinger(bundle, i, obs)
-                tagged = s_op(obs)
-                val_h = expectation(state_h, to_heisenberg(tagged, bundle, i))
-                val_hl = expectation(state_hl, to_heisenberg_like(tagged, bundle, i))
+                val_h = expectation(state_h, to_heisenberg(obs, bundle, i))
+                val_hl = expectation(state_hl, to_hl(obs, bundle, i))
                 worst = max(worst, abs(val_s - val_h), abs(val_s - val_hl))
     record(4, "three-picture-expectations", worst <= 1e-8, f"max gap {worst:.2e}")
 
@@ -146,9 +144,8 @@ def test_05_isospectrality(pt_unbroken, driven):
     for _, bundle in (pt_unbroken, driven):
         for i in np.linspace(0, bundle.n_nodes - 1, 10).astype(int):
             for _, obs in _acceptance_observables():
-                tagged = s_op(obs)
-                for transport in (to_heisenberg, to_heisenberg_like):
-                    out = transport(tagged, bundle, int(i)).matrix
+                for transport in (to_heisenberg, to_hl):
+                    out = transport(obs, bundle, int(i))
                     gap = np.max(np.abs(sorted_eigenvalues(out) - sorted_eigenvalues(obs)))
                     worst = max(worst, gap)
     record(5, "isospectrality", worst <= 1e-8, f"max spectral gap {worst:.2e}")
@@ -164,17 +161,12 @@ def _eom_error(scenario, obs_spec, delta):
         i = index_of_time(bundle, t)
 
         def o_h(j):
-            return to_heisenberg(
-                s_op(obs_spec.assemble(bundle.ts[j])), bundle, j).matrix
+            return to_heisenberg(obs_spec.assemble(bundle.ts[j]), bundle, j)
 
         fd = (o_h(i + dn) - o_h(i - dn)) / (2 * delta)
-        h_h = TaggedOperator(
-            RepresentationTag.H,
-            bundle.u_l[i] @ scenario.hamiltonian.assemble(t) @ bundle.u_r[i])
-        dt_h = TaggedOperator(
-            RepresentationTag.H,
-            bundle.u_l[i] @ d_obs.assemble(t) @ bundle.u_r[i])
-        rhs = heisenberg_rhs(TaggedOperator(RepresentationTag.H, o_h(i)), h_h, dt_h)
+        h_h = bundle.u_l[i] @ scenario.hamiltonian.assemble(t) @ bundle.u_r[i]
+        dt_h = bundle.u_l[i] @ d_obs.assemble(t) @ bundle.u_r[i]
+        rhs = heisenberg_rhs(o_h(i), h_h, dt_h)
         worst = max(worst, frobenius(fd - rhs))
     return worst
 
@@ -205,8 +197,7 @@ def test_07_commutator_transport(pt_unbroken):
     worst = 0.0
     for i in (0, bundle.n_nodes // 2, bundle.n_nodes - 1):
         for a, b in pairs:
-            worst = max(worst, commutator_gap(
-                to_heisenberg, s_op(a), s_op(b), bundle, i))
+            worst = max(worst, commutator_gap(to_heisenberg, a, b, bundle, i))
     record(7, "commutator-transport", worst <= 1e-8, f"max residual {worst:.2e}")
 
 
@@ -216,7 +207,7 @@ def test_08_zero_gauge_generator(pt_unbroken, driven):
         for i in range(0, bundle.n_nodes, bundle.n_nodes // 50):
             h = scenario.hamiltonian.assemble(bundle.ts[i])
             e = bundle.e[i]
-            flat = hermitized_hamiltonian(h, e, rhs_vielbein(h, e))
+            flat = hermitized_hamiltonian(h, e, inverse(e), rhs_vielbein(h, e))
             worst_flat = max(worst_flat, frobenius(flat))
             worst_recon = max(worst_recon, frobenius(e.conj().T @ e - bundle.g[i]))
     ok = worst_flat <= 1e-8 and worst_recon <= 1e-8
@@ -227,8 +218,8 @@ def test_08_zero_gauge_generator(pt_unbroken, driven):
 def test_09_naive_transport_negative_control(pt_unbroken):
     _, bundle = pt_unbroken
     i = index_of_time(bundle, 1.0)
-    naive = commutator_gap(naive_dagger_transport, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
-    correct = commutator_gap(to_heisenberg, s_op(SIGMA_X), s_op(SIGMA_Y), bundle, i)
+    naive = commutator_gap(naive_dagger_transport, SIGMA_X, SIGMA_Y, bundle, i)
+    correct = commutator_gap(to_heisenberg, SIGMA_X, SIGMA_Y, bundle, i)
     ratio = naive / max(correct, 1e-300)
 
     rabi = integrate(get_demo("hermitian-rabi", t1=1.0))
@@ -237,7 +228,7 @@ def test_09_naive_transport_negative_control(pt_unbroken):
     for obs in (SIGMA_X, SIGMA_Y, SIGMA_Z):
         u = rabi.u_r[j]
         gap = max(gap, float(np.max(np.abs(
-            u.conj().T @ obs @ u - to_heisenberg(s_op(obs), rabi, j).matrix))))
+            u.conj().T @ obs @ u - to_heisenberg(obs, rabi, j)))))
     ok = ratio >= 100.0 and gap <= 1e-10
     record(9, "naive-transport-negative-control", ok,
            f"non-hermitian ratio {ratio:.1e}, hermitian gap {gap:.2e}")

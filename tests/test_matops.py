@@ -166,6 +166,18 @@ class TestStacks:
         for k, m in enumerate(stack):
             assert np.allclose(stacked[k], kernel(m), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_slice_of_a_batched_inverse_is_the_inverse_of_the_slice(self, dim):
+        # verify inverts E once on its grid and reads each check's nodes from
+        # that stack; its reports are byte-identical to per-check inverses
+        # only while LAPACK gives a slice the same bits as the whole stack.
+        rng = np.random.default_rng(dim)
+        stack = rng.normal(size=(7, dim, dim)) + 1j * rng.normal(size=(7, dim, dim))
+        at = [0, 2, 5]
+        assert np.array_equal(np.linalg.inv(stack)[at], np.linalg.inv(stack[at]))
+        assert np.array_equal(np.linalg.svd(stack, compute_uv=False)[at],
+                              np.linalg.svd(stack[at], compute_uv=False))
+
     def test_error_describes_first_bad_matrix(self):
         singular = np.stack([np.eye(2), np.diag([3.0, 0.0]), np.diag([2.0, 0.0])])
         with pytest.raises(SingularMatrixError, match=r"sigma_min=0\.000e\+00, sigma_max=3\.000e\+00"):

@@ -15,6 +15,7 @@ from metricbundle.errors import (
     NoPositiveDefiniteSolutionError,
     SchemaError,
 )
+from metricbundle.evolution import integrate
 from metricbundle.matops import ATOL, RTOL, SIGMA_X, SIGMA_Y, SIGMA_Z, min_eig_hermitian
 from metricbundle.model import (
     MetricInit,
@@ -313,6 +314,23 @@ class TestStationaryMetric:
         assert meta == {"nullspace_dim": n, "unique": False,
                         "construction": "closest_to_identity"}
         _assert_stationary_metric(g, h)
+
+
+@pytest.mark.parametrize("make, change", [
+    (lambda: MetricInit("explicit", np.eye(2)), {"mode": "identity", "matrix": None}),
+    (lambda: get_demo("pt-ep"), {"name": "renamed"}),
+    (lambda: integrate(get_demo("pt-ep", t1=0.01)), {"step": 0.5}),
+], ids=["MetricInit", "Scenario", "EvolutionBundle"])
+def test_array_holding_records_compare_by_identity(make, change):
+    # A generated == or hash over array fields would raise or answer by
+    # accident; these records compare and hash by identity instead.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    changed = dataclasses.replace(a, **change)
+    assert changed != a
+    for name, value in change.items():
+        assert getattr(changed, name) == value
 
 
 class TestScenarioSchema:

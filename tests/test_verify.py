@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bundle_from_json_dict
-from metricbundle import matops
+from metricbundle import matops, verify
 from metricbundle import representations as rep
 from metricbundle.evolution import bundle_to_json_dict, integrate, to_json_text
 from metricbundle.matops import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -383,28 +383,38 @@ def test_check_names_in_report_order(name, observables, tail, total):
     assert len(names) == total
 
 
-def test_each_operand_is_transported_and_diagonalized_once(monkeypatch):
-    scenario = get_demo("time-dependent-observable", t1=0.75)
-    bundle = integrate(scenario)
+def _count_calls(monkeypatch, targets):
+    """Count calls to each (module, name) through that module's binding."""
     counts = collections.Counter()
-
-    def count(module, name):
+    for module, name in targets:
         fn = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, fn=fn, name=name):
             counts[name] += 1
             return fn(*args)
 
         monkeypatch.setattr(module, name, counted)
+    return counts
 
-    for module, name in ((rep, "to_heisenberg"), (rep, "to_heisenberg_like"), (rep, "inverse"),
-                         (matops, "eigenvalues")):
-        count(module, name)
+
+def test_each_operand_is_transported_and_diagonalized_once(monkeypatch):
+    scenario = get_demo("time-dependent-observable", t1=0.75)
+    bundle = integrate(scenario)
+    counts = _count_calls(monkeypatch, ((rep, "to_heisenberg"), (rep, "to_heisenberg_like"),
+                                        (verify, "inverse"), (matops, "eigenvalues")))
     run_suite(bundle, scenario)
     # Four observables, each transported at the sampled nodes and its d/dt at
     # the inner ones, per picture; H once per picture; three commutator pairs.
     assert counts["to_heisenberg"] + counts["to_heisenberg_like"] == 4 * 2 * 2 + 2 + 3 * 3 == 27
-    # E inverted per HL transport, and once for the hermitized generator.
-    assert counts["inverse"] == 4 * 2 + 1 + 1 == 10
+    # E inverted once, on the grid, for every HL check and the hermitized generator.
+    assert counts["inverse"] == 1
     # Per observable: O_S once, O_H and O_HL once each.
     assert counts["eigenvalues"] == 4 * 3 == 12
+
+
+def test_two_observable_chain_inverts_e_once(monkeypatch):
+    scenario = _pt_chain()
+    bundle = integrate(scenario)
+    counts = _count_calls(monkeypatch, ((verify, "inverse"),))
+    run_suite(bundle, scenario)
+    assert counts["inverse"] == 1
