@@ -16,7 +16,11 @@ import math
 import sys
 
 import numpy as np
-from scipy.linalg import expm
+
+try:
+    from scipy.linalg import expm
+except ImportError:  # scipy comes with the test extra only; main reports it
+    expm = None
 
 from metricbundle import cli
 from metricbundle.errors import MetricBundleError
@@ -41,6 +45,10 @@ def residuals(bundle, scenario):
 
 
 def main(argv=None):
+    if expm is None:
+        print("error[usage]: convergence_study.py needs scipy: pip install -e '.[test]'",
+              file=sys.stderr)
+        return cli.EXIT_USAGE
     parser = cli.Parser(description=__doc__.splitlines()[0])
     parser.add_argument("demo", nargs="?", default="pt-dimer-unbroken")
     parser.add_argument("--t1", type=float, default=2.0)

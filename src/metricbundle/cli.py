@@ -154,9 +154,10 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     if args.observable not in scenario.observables:
+        available = ", ".join(sorted(scenario.observables))
         raise SchemaError(
             f"unknown observable {args.observable!r}; "
-            f"available: {', '.join(sorted(scenario.observables))}",
+            + (f"available: {available}" if available else "the scenario has no observables"),
             "/observables",
         )
     obs = scenario.observables[args.observable]

@@ -206,7 +206,7 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
     u_r, g, u_l = out.swapaxes(0, 1)
     return EvolutionBundle(
         ts=ts,
-        psi=u_r @ np.asarray(scenario.psi0, dtype=complex),
+        psi=u_r @ scenario.psi0,
         u_r=u_r,
         u_l=u_l,
         g=g,

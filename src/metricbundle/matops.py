@@ -84,13 +84,30 @@ def _first(bad: np.ndarray):
 def frobenius(a):
     """Frobenius norm: a float for a vector or matrix, an array for a stack.
 
-    A norm beyond the float range is inf, with no numpy warning.
+    Each matrix is divided by the power of two np.frexp gives for its largest
+    |entry| before np.linalg.norm squares it, and the norm multiplied back.
+    That is exact, so the result is np.linalg.norm's bit for bit where that
+    is finite, and a norm is inf only beyond the float range, with no numpy
+    warning.
     """
     a = np.asarray(a)
+    axis = None if a.ndim <= 2 else (-2, -1)
     with np.errstate(over="ignore"):
-        if a.ndim <= 2:
-            return float(np.linalg.norm(a))
-        return np.linalg.norm(a, axis=(-2, -1))
+        # 0 for a zero, inf or nan largest entry: those are left as they are.
+        exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1]
+        norm = np.linalg.norm(_ldexp(a, -exponent), axis=axis)
+        norm = np.ldexp(norm, exponent.reshape(np.shape(norm)))
+    return float(norm) if a.ndim <= 2 else norm
+
+
+def _ldexp(a: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """a * 2**exponent in a's memory layout, which decides np.linalg.norm's order of
+    summation; part by part, as a complex product would turn inf * 0 into nan."""
+    if not np.iscomplexobj(a):
+        return np.ldexp(a, exponent)
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, exponent), np.ldexp(a.imag, exponent)
+    return out
 
 
 def adjoint(a) -> np.ndarray:

@@ -16,6 +16,12 @@ A scenario file is a single JSON document; complex numbers are always
 
 Any other key at the top level, in "metric" or in "integrator" is a SchemaError.
 
+A Scenario built in code (the zoo, with_overrides, dataclasses.replace, any
+caller) obeys the same rules: Scenario, MetricInit and IntegratorConfig check
+their own values when built and raise the SchemaError, message and pointer, that
+the same fault gives in a file; psi0 must be a 1-d vector of dim finite entries
+(DimensionMismatchError). The codec checks only what is particular to JSON.
+
 The schema round-trips bit-exactly: coefficient source text is preserved
 verbatim and floats survive JSON via repr.
 """
@@ -72,7 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileTerm:
     """One time-profile-weighted constant matrix; keeps its source text."""
 
@@ -225,11 +231,25 @@ class Scenario:
     expected_failures: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"name must be a string, got {type(self.name).__name__}", "/name")
+        prefixes = self.expected_failures
+        if not (isinstance(prefixes, (list, tuple))
+                and all(isinstance(prefix, str) for prefix in prefixes)):
+            raise SchemaError("expected_failures must be a list of strings", "/expected_failures")
+        if "" in prefixes:
+            raise SchemaError("prefix is empty, so it matches every check",
+                              f"/expected_failures/{prefixes.index('')}")
+        object.__setattr__(self, "expected_failures", tuple(prefixes))
         dim = self.hamiltonian.dim
-        if self.psi0.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"psi0 has dimension {self.psi0.shape[0]}, hamiltonian {dim}"
-            )
+        psi0 = np.asarray(self.psi0, dtype=complex)
+        if psi0.ndim != 1:
+            raise DimensionMismatchError(f"psi0 must be a vector, got shape {psi0.shape}")
+        if not np.isfinite(psi0).all():
+            raise DimensionMismatchError("psi0 contains non-finite entries")
+        if psi0.shape[0] != dim:
+            raise DimensionMismatchError(f"psi0 has dimension {psi0.shape[0]}, hamiltonian {dim}")
+        object.__setattr__(self, "psi0", psi0)
         for obs_name, obs in self.observables.items():
             if obs.dim != dim:
                 raise DimensionMismatchError(f"observable {obs_name!r} dimension mismatch")
@@ -297,7 +317,8 @@ def solve_stationary_metric(h) -> tuple[np.ndarray, dict[str, Any]]:
         w = np.linalg.inv(vecs)
         # Cluster label per eigenvalue: the sorted spectrum split at gaps > cluster_tol.
         order = np.argsort(vals.real)
-        gaps = np.diff(vals.real[order]) > cluster_tol
+        with np.errstate(over="ignore"):  # a gap beyond the float range is inf: a split
+            gaps = np.diff(vals.real[order]) > cluster_tol
         cluster = np.empty(len(vals), dtype=int)
         cluster[order] = np.concatenate(([0], np.cumsum(gaps)))
         rows, cols = np.nonzero(cluster[:, None] == cluster[None, :])
@@ -345,7 +366,7 @@ def _accept_candidate(g, h, scale: float):
         return None
     g = g * (g.shape[0] / np.real(np.trace(g)))
     residual = frobenius(g @ h - h.conj().T @ g)
-    if residual > 1e-10 * max(1.0, frobenius(g)) * scale:
+    if not residual <= 1e-10 * max(1.0, frobenius(g)) * scale:  # nan too
         return None
     return g
 
@@ -513,17 +534,6 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
     integrator = IntegratorConfig(
         **{key: value for key, value in integ_doc.items() if key in _KNOWN_KEYS["/integrator"]})
 
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise SchemaError(f"name must be a string, got {type(name).__name__}", "/name")
-
-    expected = doc.get("expected_failures", [])
-    if not isinstance(expected, list) or not all(isinstance(x, str) for x in expected):
-        raise SchemaError("expected_failures must be a list of strings", "/expected_failures")
-    if "" in expected:
-        raise SchemaError("prefix is empty, so it matches every check",
-                          f"/expected_failures/{expected.index('')}")
-
     scenario = Scenario(
         hamiltonian=hamiltonian,
         metric_init=metric,
@@ -532,8 +542,8 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
         t0=float(doc["t0"]),
         t1=float(doc["t1"]),
         integrator=integrator,
-        name=name,
-        expected_failures=tuple(expected),
+        name=doc.get("name", ""),
+        expected_failures=doc.get("expected_failures", ()),
     )
     # Checked last, so that an unknown key never hides an error in a known field.
     for pointer, section in (("", doc), ("/metric", metric_doc), ("/integrator", integ_doc)):

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -79,13 +80,25 @@ def rabi_bundle():
     return scenario, evolution.integrate(scenario)
 
 
-@pytest.fixture(scope="session")
-def perfbench_chain_files(tmp_path_factory):
-    """The 16-, 32- and 64-site chain files of pt-chain, written by perfbench/workloads.py."""
+def _perfbench_scenario_files(workload: str, workdir: Path) -> list[Path]:
+    """The scenario files perfbench/workloads.py writes for workload at seed 5."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up there
     spec.loader.exec_module(workloads)
-    workdir = tmp_path_factory.mktemp("pt-chain")
-    return [Path(case.ref) for case in workloads.make_cases("pt-chain", 5, workdir, [], {})]
+    cli_cmd = [sys.executable, "-m", "metricbundle.cli"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return [Path(case.ref) for case in workloads.make_cases(workload, 5, workdir, cli_cmd, env)]
+
+
+@pytest.fixture(scope="session")
+def perfbench_chain_files(tmp_path_factory):
+    """The 16-, 32- and 64-site chain files of pt-chain."""
+    return _perfbench_scenario_files("pt-chain", tmp_path_factory.mktemp("pt-chain"))
+
+
+@pytest.fixture(scope="session")
+def perfbench_ep_sweep_files(tmp_path_factory):
+    """The dimer files of ep-sweep, each written by `metricbundle demo`."""
+    return _perfbench_scenario_files("ep-sweep", tmp_path_factory.mktemp("ep-sweep"))

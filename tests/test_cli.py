@@ -582,12 +582,13 @@ class TestOverflowingValue:
             assert "error" not in checks[name] and checks[name]["context"].startswith("node ")
 
     def test_verify_residual_norm_overflows(self, tmp_path, capsys):
+        # The residual's entries pass 1e154, so their squares overflow; its norm does not.
         path = self.scenario_file(tmp_path, "pt-dimer-broken", "1e300", t1=3)
         assert run("verify", path) == EXIT_OK
         out = capsys.readouterr().out
         assert "23/36 passed, 0 unexpected failures" in out
         assert [line.split()[1] for line in out.splitlines() if "_eom_fd[a]" in line] == [
-            "inf", "inf"]
+            "1.791e+299", "1.791e+299"]
 
     def test_evolve_expectation_overflows(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, "pt-dimer-broken", "1e300")
@@ -1024,6 +1025,15 @@ class TestSpectrum:
         )
         assert code == EXIT_SCENARIO
         assert "available" in capsys.readouterr().err
+
+    def test_scenario_without_observables(self, tmp_path, capsys):
+        doc = scenario_to_json_dict(get_demo("pt-dimer-unbroken"))
+        doc["observables"] = {}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("spectrum", str(path), "--observable", "x", "--times", "0") == EXIT_SCENARIO
+        assert capsys.readouterr() == ("", "error[schema]: /observables: unknown observable "
+                                           "'x'; the scenario has no observables\n")
 
 
 class TestDemo:

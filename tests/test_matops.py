@@ -150,6 +150,33 @@ class TestMinEigHermitian:
             min_eig_hermitian(SIGMA_X + 1j * SIGMA_Z)
 
 
+class TestFrobenius:
+    def test_norm_whose_squares_overflow_is_finite(self):
+        norm = frobenius(np.diag([1e300, -1e300]))
+        assert abs(norm - np.sqrt(2) * 1e300) <= 1e-15 * np.sqrt(2) * 1e300
+        assert frobenius(np.stack([np.diag([1e300, 1e300j]), np.eye(2)])).tolist() == [
+            frobenius(np.diag([1e300, 1e300j])), np.sqrt(2)]
+
+    def test_norm_beyond_the_float_range_is_inf(self):
+        assert frobenius(np.full((2, 2), 1.7e308)) == np.inf
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 64])
+    @pytest.mark.parametrize("magnitude", [1e-100, 1e-20, 1.0, 1e40, 1e150])
+    def test_equals_numpy_norm_bit_for_bit(self, dim, magnitude):
+        rng = np.random.default_rng(dim)
+        stack = magnitude * (rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim)))
+        assert np.array_equal(frobenius(stack), np.linalg.norm(stack, axis=(-2, -1)))
+        assert frobenius(stack[1]) == np.linalg.norm(stack[1])
+        assert frobenius(stack[1, 0]) == np.linalg.norm(stack[1, 0])
+        assert np.array_equal(frobenius(stack.real), np.linalg.norm(stack.real, axis=(-2, -1)))
+        transposed = stack.transpose(0, 2, 1)  # the order of summation follows the layout
+        assert np.array_equal(frobenius(transposed), np.linalg.norm(transposed, axis=(-2, -1)))
+
+    def test_infinite_entry_gives_inf_not_nan(self):
+        # A complex product with a power of two would turn inf * 0 into nan.
+        assert frobenius(np.array([[np.inf, 1e300], [0, 1]], dtype=complex)) == np.inf
+
+
 class TestStacks:
     """A (nodes, d, d) stack gives, per matrix, what the kernel gives for that matrix."""
 

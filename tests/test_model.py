@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import G_PT
 from metricbundle import model, profile
 from metricbundle.errors import (
+    DimensionMismatchError,
     EigenConvergenceError,
     EvalError,
     NoPositiveDefiniteSolutionError,
@@ -21,6 +22,7 @@ from metricbundle.model import (
     MetricInit,
     OperatorSpec,
     ProfileTerm,
+    Scenario,
     _complex_array_from_json,
     _short_repr,
     constant_operator,
@@ -30,6 +32,7 @@ from metricbundle.model import (
     scenario_from_json_dict,
     scenario_to_json_dict,
     solve_stationary_metric,
+    with_overrides,
 )
 from metricbundle.zoo import builtin_models, get_demo
 
@@ -298,12 +301,20 @@ class TestStationaryMetric:
 
     def test_hamiltonian_whose_norm_overflows_is_rejected(self):
         # Broken phase: with an infinite norm every tolerance would be inf, and
-        # a metric would be accepted.
-        h = 1e155 * (SIGMA_X + 2j * SIGMA_Z)
+        # a metric would be accepted. Each entry is finite; the norm, 1.9e308, is not.
+        h = 6e307 * (SIGMA_X + 2j * SIGMA_Z)
         with pytest.raises(EigenConvergenceError, match="the norm of H overflows"):
             solve_stationary_metric(h)
         with pytest.raises(NoPositiveDefiniteSolutionError):
             solve_stationary_metric(1e-5 * h)
+
+    @pytest.mark.parametrize("scale", [1e155, 1.25e308])
+    def test_hamiltonian_whose_squares_overflow_is_solved(self, scale):
+        # The squares of the entries overflow, the norm does not; at 1.25e308 the
+        # gap between the two eigenvalues overflows too.
+        g, meta = solve_stationary_metric(scale * SIGMA_X)
+        assert np.abs(g - np.eye(2)).max() < 1e-12
+        assert meta["construction"] == "closest_to_identity"
 
     @pytest.mark.parametrize("n, seed", [(32, 6), (64, 1)])
     def test_large_chain_solves(self, n, seed):
@@ -317,10 +328,11 @@ class TestStationaryMetric:
 
 
 @pytest.mark.parametrize("make, change", [
+    (lambda: ProfileTerm.parse("1", np.eye(2)), {"source": "2"}),
     (lambda: MetricInit("explicit", np.eye(2)), {"mode": "identity", "matrix": None}),
     (lambda: get_demo("pt-ep"), {"name": "renamed"}),
     (lambda: integrate(get_demo("pt-ep", t1=0.01)), {"step": 0.5}),
-], ids=["MetricInit", "Scenario", "EvolutionBundle"])
+], ids=["ProfileTerm", "MetricInit", "Scenario", "EvolutionBundle"])
 def test_array_holding_records_compare_by_identity(make, change):
     # A generated == or hash over array fields would raise or answer by
     # accident; these records compare and hash by identity instead.
@@ -493,6 +505,79 @@ class TestScenarioSchema:
         }
         scenario = scenario_from_json_dict(doc)
         assert np.allclose(scenario.metric_init.matrix, G_PT * np.sqrt(0.75))
+
+
+def _build(scenario, **change):
+    """Scenario(...) from scenario's fields, with change applied."""
+    fields = {field.name: getattr(scenario, field.name) for field in dataclasses.fields(scenario)}
+    return Scenario(**{**fields, **change})
+
+
+class TestScenarioBuiltInCode:
+    """A Scenario built in code obeys the rules of a scenario file."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", 5),
+        ("expected_failures", "abc"),  # each letter would be a prefix
+        ("expected_failures", ["x", 1]),
+        ("expected_failures", ("",)),
+        ("expected_failures", ["norm_conservation", ""]),
+    ])
+    def test_bad_value_raises_the_files_schema_error(self, field, value):
+        scenario = get_demo("pt-dimer-broken", t1=3)
+        doc = scenario_to_json_dict(scenario)
+        doc[field] = list(value) if isinstance(value, tuple) else value
+        with pytest.raises(SchemaError) as from_file:
+            scenario_from_json_dict(doc)
+        for build in (_build, dataclasses.replace):
+            with pytest.raises(SchemaError) as in_code:
+                build(scenario, **{field: value})
+            assert str(in_code.value) == str(from_file.value)
+            assert in_code.value.pointer == from_file.value.pointer
+
+    @pytest.mark.parametrize("psi0, message", [
+        ([np.nan, 0], "psi0 contains non-finite entries"),
+        ([1, 1j * np.inf], "psi0 contains non-finite entries"),
+        (np.eye(2), "psi0 must be a vector, got shape (2, 2)"),
+        (1.0, "psi0 must be a vector, got shape ()"),
+        ([1, 0, 0], "psi0 has dimension 3, hamiltonian 2"),
+    ])
+    def test_bad_psi0_is_dimension_mismatch(self, psi0, message):
+        scenario = get_demo("hermitian-rabi")
+        for build in (_build, dataclasses.replace):
+            with pytest.raises(DimensionMismatchError) as err:
+                build(scenario, psi0=psi0)
+            assert str(err.value) == message
+
+    def test_values_are_stored_as_a_file_gives_them(self):
+        scenario = dataclasses.replace(get_demo("hermitian-rabi"), psi0=[1, 0],
+                                       expected_failures=["norm_conservation"])
+        assert scenario.expected_failures == ("norm_conservation",)
+        assert scenario.psi0.dtype == complex and scenario.psi0.tolist() == [1, 0]
+        assert with_overrides(scenario, t1=1.0).expected_failures == ("norm_conservation",)
+
+    def test_codec_leaves_these_rules_to_scenario(self, monkeypatch):
+        monkeypatch.setattr(Scenario, "__post_init__", lambda self: None)
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc["name"], doc["expected_failures"] = 5, [""]
+        scenario = scenario_from_json_dict(doc)
+        assert (scenario.name, scenario.expected_failures) == (5, [""])
+
+
+def test_every_shipped_scenario_is_valid_by_construction(perfbench_chain_files,
+                                                         perfbench_ep_sweep_files):
+    # The demos as the zoo-d2 workload runs them and at their default span, and
+    # the files pt-chain and ep-sweep write: a later rule that rejects one of
+    # them fails here, not in a benchmark run.
+    scenarios = [get_demo(name, **times) for name in builtin_models()
+                 for times in ({}, {"t1": 0.75})]
+    files = [*perfbench_chain_files, *perfbench_ep_sweep_files]
+    assert len(files) == 3 + 7  # three chains; five dimers, the EP and the blow-up
+    scenarios += [load_scenario(path) for path in files]
+    for scenario in scenarios:
+        text = json.dumps(scenario_to_json_dict(scenario))
+        assert json.dumps(scenario_to_json_dict(dataclasses.replace(scenario))) == text
+        assert json.dumps(scenario_to_json_dict(scenario_from_json_dict(json.loads(text)))) == text
 
 
 def _reference_pair(value, pointer: str) -> complex:

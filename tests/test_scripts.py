@@ -65,6 +65,17 @@ def test_convergence_study_reports_one_error_line(args, code, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_convergence_study_without_scipy_names_the_extra():
+    path = ROOT / "scripts" / "convergence_study.py"
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            f"sys.argv = [{str(path)!r}]; runpy.run_path(sys.argv[0], run_name='__main__')")
+    proc = run_python("-c", code)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error[usage]: convergence_study.py needs scipy: "
+                           "pip install -e '.[test]'\n")
+
+
 def test_run_all_demos_rejects_node_stride_below_one():
     # The CLI rejects the stride at the first demo, before any report.
     proc = run_script("run_all_demos.py", "--node-stride", "0")
