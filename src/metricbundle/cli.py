@@ -7,10 +7,9 @@ Subcommands:
     demo NAME [-o OUT] [overrides]               emit a built-in scenario file
 
 SCENARIO is a JSON file path or "demo:<name>". Exit codes: 0 success,
-1 usage error, 2 scenario validation error, 3 numerical failure (blow-up,
-singular matrix, step limit, eigen-convergence or Cholesky failure),
-4 unexpected verification failure. Diagnostics go to stderr with an
-"error[CODE]:" prefix. Set METRICBUNDLE_LOG to quiet|info|debug.
+1 usage error, 2 scenario validation error, 3 numerical failure (an
+errors.NumericError), 4 unexpected verification failure. Diagnostics go to
+stderr with an "error[CODE]:" prefix. Set METRICBUNDLE_LOG to quiet|info|debug.
 """
 
 from __future__ import annotations
@@ -25,26 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import representations as rep
-from .errors import (
-    EigenConvergenceError,
-    MetricBundleError,
-    NoPositiveDefiniteSolutionError,
-    NonFiniteError,
-    NotPositiveDefiniteError,
-    SchemaError,
-    SingularMatrixError,
-    StepLimitExceededError,
-)
+from .errors import MetricBundleError, NoPositiveDefiniteSolutionError, NumericError, SchemaError
 from .evolution import bundle_to_json_dict, integrate, to_json_text
 from .matops import sorted_eigenvalues
-from .model import (
-    Scenario,
-    complex_pairs,
-    load_scenario,
-    scenario_to_json_dict,
-    scenario_to_json_text,
-    with_overrides,
-)
+from .model import Scenario, load_scenario, scenario_to_json_text, with_overrides
 from .zoo import DEMO_PREFIX, builtin_models, get_demo
 
 EXIT_OK = 0
@@ -104,23 +87,16 @@ def _write_complex_csv(path, times, columns: dict) -> None:
         writer.writerows(np.column_stack([times, *parts]).tolist())
 
 
-def _write_trajectory_json(path, scenario: Scenario, bundle) -> None:
-    doc = bundle_to_json_dict(bundle)
-    doc["scenario"] = scenario_to_json_dict(scenario)
-    doc["expectations"] = {
-        name: complex_pairs(col) for name, col in _expectations(scenario, bundle).items()
-    }
-    Path(path).write_text(to_json_text(doc) + "\n")
-
-
 def _cmd_evolve(args) -> int:
     scenario = _resolve_scenario(args.scenario, **_times(args))
     _info(f"integrating {scenario.name or args.scenario}")
     bundle = integrate(scenario)
+    expectations = _expectations(scenario, bundle)
     if args.format == "csv":
-        _write_complex_csv(args.output, bundle.ts, _expectations(scenario, bundle))
+        _write_complex_csv(args.output, bundle.ts, expectations)
     else:
-        _write_trajectory_json(args.output, scenario, bundle)
+        doc = bundle_to_json_dict(bundle, scenario, expectations)
+        Path(args.output).write_text(to_json_text(doc) + "\n")
     _info(f"wrote {args.output} ({bundle.n_nodes} nodes)")
     return EXIT_OK
 
@@ -258,13 +234,10 @@ def report_failure(exc: MetricBundleError | OSError) -> int:
     if isinstance(exc, SchemaError):
         _error("schema", str(exc))
         return EXIT_SCENARIO
-    if isinstance(exc, (NonFiniteError, SingularMatrixError, StepLimitExceededError,
-                        EigenConvergenceError, NotPositiveDefiniteError)):
-        _error("numeric", f"{type(exc).__name__}: {exc}")
-        return EXIT_NUMERIC
     if isinstance(exc, MetricBundleError):
-        _error("schema", f"{type(exc).__name__}: {exc}")
-        return EXIT_SCENARIO
+        numeric = isinstance(exc, NumericError)
+        _error("numeric" if numeric else "schema", f"{type(exc).__name__}: {exc}")
+        return EXIT_NUMERIC if numeric else EXIT_SCENARIO
     _error("usage", str(exc))  # an OSError
     return EXIT_USAGE
 

@@ -1,10 +1,15 @@
-"""Exception hierarchy shared by all metricbundle modules."""
+"""Exception hierarchy shared by all metricbundle modules. The CLI exits 3 on
+exactly the subclasses of NumericError, and 2 on any other MetricBundleError."""
 
 from __future__ import annotations
 
 
 class MetricBundleError(Exception):
     """Base class for every error raised by this package."""
+
+
+class NumericError(MetricBundleError):
+    """A numerical failure of a valid scenario, such as a blow-up or a singular matrix."""
 
 
 class DimensionMismatchError(MetricBundleError):
@@ -15,15 +20,15 @@ class NotHermitianError(MetricBundleError):
     pass
 
 
-class NotPositiveDefiniteError(MetricBundleError):
+class NotPositiveDefiniteError(NumericError):
     pass
 
 
-class SingularMatrixError(MetricBundleError):
+class SingularMatrixError(NumericError):
     pass
 
 
-class EigenConvergenceError(MetricBundleError):
+class EigenConvergenceError(NumericError):
     pass
 
 
@@ -59,7 +64,7 @@ class NoPositiveDefiniteSolutionError(MetricBundleError):
         self.degenerate = degenerate
 
 
-class NonFiniteError(MetricBundleError):
+class NonFiniteError(NumericError):
     """An integration channel left the finite range (blow-up)."""
 
     def __init__(self, message: str, node_index: int, time: float, channel: str):
@@ -69,5 +74,5 @@ class NonFiniteError(MetricBundleError):
         self.channel = channel
 
 
-class StepLimitExceededError(MetricBundleError):
+class StepLimitExceededError(NumericError):
     pass

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StepLimitExceededError
 from .matops import cholesky_upper
-from .model import Scenario, complex_pairs, resolve_initial_metric
+from .model import Scenario, complex_pairs, resolve_initial_metric, scenario_to_json_dict
 
 __all__ = [
     "EvolutionBundle",
@@ -226,9 +226,11 @@ def closed_form_metric(bundle: EvolutionBundle, index) -> np.ndarray:
     return u_l.conj().swapaxes(-1, -2) @ bundle.g0 @ u_l
 
 
-def bundle_to_json_dict(bundle: EvolutionBundle) -> dict[str, Any]:
-    """The trajectory document; its leaves are float64 arrays, complex ones as
-    complex_pairs. Write it with to_json_text."""
+def bundle_to_json_dict(bundle: EvolutionBundle, scenario: Scenario,
+                        expectations: dict[str, np.ndarray]) -> dict[str, Any]:
+    """The whole trajectory document of a run of scenario, given one complex column per
+    observable in expectations. Its leaves are float64 arrays, complex ones as complex_pairs;
+    write it with to_json_text."""
     return {
         "t": bundle.ts.copy(),
         "step": bundle.step,
@@ -239,6 +241,8 @@ def bundle_to_json_dict(bundle: EvolutionBundle) -> dict[str, Any]:
         "e": complex_pairs(bundle.e),
         "g0": complex_pairs(bundle.g0),
         "metadata": bundle.metadata,
+        "scenario": scenario_to_json_dict(scenario),
+        "expectations": {name: complex_pairs(col) for name, col in expectations.items()},
     }
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
+    "as_complex",
     "as_matrix",
     "as_stack",
     "adjoint",
@@ -57,9 +58,17 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def as_complex(a, name: str) -> np.ndarray:
+    """np.asarray(a, dtype=complex); a DimensionMismatchError names a value it cannot take."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{name} is not a numeric array") from exc
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a square, finite, complex 2-d array."""
-    m = np.asarray(a, dtype=complex)
+    m = as_complex(a, name)
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     return as_stack(m, name)
@@ -67,7 +76,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_stack(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite complex array of square matrices, (..., d, d)."""
-    m = np.asarray(a, dtype=complex)
+    m = as_complex(a, name)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):

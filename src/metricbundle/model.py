@@ -19,7 +19,8 @@ Any other key at the top level, in "metric" or in "integrator" is a SchemaError.
 A Scenario built in code (the zoo, with_overrides, dataclasses.replace, any
 caller) obeys the same rules: Scenario, MetricInit and IntegratorConfig check
 their own values when built and raise the SchemaError, message and pointer, that
-the same fault gives in a file; psi0 must be a 1-d vector of dim finite entries
+the same fault gives in a file, and each operator must be an OperatorSpec. psi0
+must be a 1-d vector of dim finite entries, and every array numeric
 (DimensionMismatchError). The codec checks only what is particular to JSON.
 
 The schema round-trips bit-exactly: coefficient source text is preserved
@@ -52,6 +53,7 @@ from .errors import (
 from .matops import (
     ATOL,
     RTOL,
+    as_complex,
     as_matrix,
     cholesky_upper,
     frobenius,
@@ -241,8 +243,16 @@ class Scenario:
             raise SchemaError("prefix is empty, so it matches every check",
                               f"/expected_failures/{prefixes.index('')}")
         object.__setattr__(self, "expected_failures", tuple(prefixes))
+        if not isinstance(self.observables, dict):
+            raise SchemaError(f"observables must be a dict, got {type(self.observables).__name__}",
+                              "/observables")
+        named = {f"/observables/{_pointer_token(k)}": v for k, v in self.observables.items()}
+        for pointer, operator in {"/hamiltonian": self.hamiltonian, **named}.items():
+            if not isinstance(operator, OperatorSpec):
+                raise SchemaError(f"expected an OperatorSpec, got {type(operator).__name__}",
+                                  pointer)
         dim = self.hamiltonian.dim
-        psi0 = np.asarray(self.psi0, dtype=complex)
+        psi0 = as_complex(self.psi0, "psi0")
         if psi0.ndim != 1:
             raise DimensionMismatchError(f"psi0 must be a vector, got shape {psi0.shape}")
         if not np.isfinite(psi0).all():

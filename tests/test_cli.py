@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metricbundle import errors
 from metricbundle import representations as rep
 from metricbundle.cli import (
     EXIT_NUMERIC,
@@ -22,6 +24,7 @@ from metricbundle.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     main,
+    report_failure,
 )
 from metricbundle.errors import (
     EigenConvergenceError,
@@ -861,6 +864,23 @@ class TestVerify:
         code = run("verify", "demo:hermitian-rabi", "--t1", "0.01", f"{flag}={value}")
         assert (code == EXIT_USAGE) == rejected, capsys.readouterr().err
 
+    @pytest.mark.parametrize("node_stride", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("tolerance_scale",
+                             [-math.inf, -1.0, 0.0, 5e-324, 1.0, 1e308, math.inf, math.nan])
+    def test_cli_and_run_suite_reject_the_same_pairs(self, capsys, node_stride, tolerance_scale):
+        # The CLI keeps its own copy of run_suite's guard, to name the flag and
+        # to reject before integrating; this pins the two to one rule.
+        scenario = get_demo("pt-ep", t1=0.05)
+        try:
+            run_suite(integrate(scenario), scenario, node_stride=node_stride,
+                      tolerance_scale=tolerance_scale)
+            rejected = False
+        except ValueError:
+            rejected = True
+        code = run("verify", "demo:pt-ep", "--t1", "0.05", f"--node-stride={node_stride}",
+                   f"--tolerance-scale={tolerance_scale}")
+        assert (code == EXIT_USAGE) == rejected, capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ("demo:pt-ep", "--t1", "0.05", "--node-stride", "100"),
         ("demo:hermitian-rabi", "--t1", "0.001"),
@@ -1098,6 +1118,46 @@ class TestDemo:
         assert captured.out == ""
         assert captured.err.startswith("error[schema]:") and captured.err.count("\n") == 1
         assert "'gamma'" in captured.err
+
+
+_BROKEN_PHASE_HINT = "system in broken phase; supply explicit metric or use identity"
+
+# Each MetricBundleError subclass: an instance, its exit code and its stderr
+# line, with {} for str(instance).
+_FAILURE_LINES = [
+    (errors.NumericError("x"), EXIT_NUMERIC, "error[numeric]: NumericError: {}"),
+    (errors.NotPositiveDefiniteError("x"), EXIT_NUMERIC,
+     "error[numeric]: NotPositiveDefiniteError: {}"),
+    (errors.SingularMatrixError("x"), EXIT_NUMERIC, "error[numeric]: SingularMatrixError: {}"),
+    (errors.EigenConvergenceError("x"), EXIT_NUMERIC, "error[numeric]: EigenConvergenceError: {}"),
+    (errors.NonFiniteError("x", 3, 0.5, "g"), EXIT_NUMERIC, "error[numeric]: NonFiniteError: {}"),
+    (errors.StepLimitExceededError("x"), EXIT_NUMERIC,
+     "error[numeric]: StepLimitExceededError: {}"),
+    (errors.SchemaError("x", "/t1"), EXIT_SCENARIO, "error[schema]: {}"),
+    (errors.NoPositiveDefiniteSolutionError("x"), EXIT_SCENARIO,
+     f"error[schema]: {{}} ({_BROKEN_PHASE_HINT})"),
+    (errors.DimensionMismatchError("x"), EXIT_SCENARIO,
+     "error[schema]: DimensionMismatchError: {}"),
+    (errors.NotHermitianError("x"), EXIT_SCENARIO, "error[schema]: NotHermitianError: {}"),
+    (errors.ProfileSyntaxError("x", 2), EXIT_SCENARIO, "error[schema]: ProfileSyntaxError: {}"),
+    (errors.EvalError("x", None), EXIT_SCENARIO, "error[schema]: EvalError: {}"),
+]
+
+
+def _subclasses(cls) -> set:
+    return {sub for child in cls.__subclasses__() for sub in (child, *_subclasses(child))}
+
+
+class TestFailureClasses:
+    def test_every_error_class_has_its_exit_code_and_line(self, capsys):
+        # A new error class fails here until it is given a row, so it cannot
+        # pick up an exit code unnoticed.
+        assert {type(exc) for exc, _, _ in _FAILURE_LINES} == _subclasses(errors.MetricBundleError)
+        for exc, code, line in _FAILURE_LINES:
+            assert report_failure(exc) == code, type(exc)
+            assert capsys.readouterr() == ("", line.format(exc) + "\n"), type(exc)
+        numeric = {type(exc) for exc, code, _ in _FAILURE_LINES if code == EXIT_NUMERIC}
+        assert numeric == {errors.NumericError, *_subclasses(errors.NumericError)}
 
 
 class TestUsage:

@@ -498,11 +498,17 @@ def float64_arrays(draw, complex_valued: bool):
 
 class TestBundleSerialization:
     def test_round_trip_is_exact(self, pt_unbroken_bundle):
-        _, bundle = pt_unbroken_bundle
-        doc = bundle_to_json_dict(bundle)
+        scenario, bundle = pt_unbroken_bundle
+        nodes = np.arange(bundle.n_nodes)
+        expectations = {
+            name: rep.expectation_schrodinger(bundle, nodes, obs.assemble_many(bundle.ts))
+            for name, obs in scenario.observables.items()
+        }
+        doc = bundle_to_json_dict(bundle, scenario, expectations)
         text = to_json_text(doc)
         # Bit for bit: the vielbein channel holds -0.0 imaginary parts.
-        assert to_json_text(bundle_to_json_dict(bundle_from_json_dict(json.loads(text)))) == text
+        back = bundle_from_json_dict(json.loads(text))
+        assert to_json_text(bundle_to_json_dict(back, scenario, expectations)) == text
         for back in (bundle_from_json_dict(doc), bundle_from_json_dict(json.loads(text))):
             assert np.array_equal(back.ts, bundle.ts)
             assert np.array_equal(back.psi, bundle.psi)

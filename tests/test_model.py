@@ -549,6 +549,28 @@ class TestScenarioBuiltInCode:
                 build(scenario, psi0=psi0)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda s: dataclasses.replace(s, psi0="ab"), DimensionMismatchError,
+         "psi0 is not a numeric array"),
+        (lambda s: dataclasses.replace(s, psi0=object()), DimensionMismatchError,
+         "psi0 is not a numeric array"),
+        (lambda s: MetricInit("explicit", "ab"), DimensionMismatchError,
+         "metric is not a numeric array"),
+        (lambda s: ProfileTerm.parse("1", "ab"), DimensionMismatchError,
+         "matrix is not a numeric array"),
+        (lambda s: dataclasses.replace(s, observables={"a/b": 1}), SchemaError,
+         "/observables/a~1b: expected an OperatorSpec, got int"),
+        (lambda s: dataclasses.replace(s, observables=[1]), SchemaError,
+         "/observables: observables must be a dict, got list"),
+        (lambda s: dataclasses.replace(s, hamiltonian=None), SchemaError,
+         "/hamiltonian: expected an OperatorSpec, got NoneType"),
+    ])
+    def test_value_of_the_wrong_kind_is_a_package_error(self, build, error, message):
+        # Files never reach these: the codec builds the operators and arrays.
+        with pytest.raises(error) as err:
+            build(get_demo("hermitian-rabi"))
+        assert str(err.value) == message
+
     def test_values_are_stored_as_a_file_gives_them(self):
         scenario = dataclasses.replace(get_demo("hermitian-rabi"), psi0=[1, 0],
                                        expected_failures=["norm_conservation"])

@@ -126,7 +126,8 @@ class TestReportShape:
     def test_reingested_bundle_gives_identical_residuals(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
         direct = run_suite(bundle, scenario)
-        back = bundle_from_json_dict(json.loads(to_json_text(bundle_to_json_dict(bundle))))
+        doc = bundle_to_json_dict(bundle, scenario, {})
+        back = bundle_from_json_dict(json.loads(to_json_text(doc)))
         replayed = run_suite(back, scenario)
         assert [c.residual for c in direct.checks] == [c.residual for c in replayed.checks]
 
