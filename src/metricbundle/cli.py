@@ -104,20 +104,12 @@ def _cmd_evolve(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import render_table, run_suite  # only verify loads the suite
 
-    if not 0 < args.tolerance_scale < math.inf:
-        _error("usage", f"--tolerance-scale must be finite and > 0, got {args.tolerance_scale}")
-        return EXIT_USAGE
     if args.node_stride < 1:
         _error("usage", f"--node-stride must be at least 1, got {args.node_stride}")
         return EXIT_USAGE
     scenario = _resolve_scenario(args.scenario, **_times(args))
     bundle = integrate(scenario)
-    report = run_suite(
-        bundle,
-        scenario,
-        node_stride=args.node_stride,
-        tolerance_scale=args.tolerance_scale,
-    )
+    report = run_suite(bundle, scenario, node_stride=args.node_stride)
     print(render_table(report))
     if args.output:
         Path(args.output).write_text(report.to_json())
@@ -191,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("scenario", help="scenario file or demo:<name>")
     p_verify.add_argument("-o", "--output", default=None, help="write JSON report here")
     p_verify.add_argument("--node-stride", type=int, default=10)
-    p_verify.add_argument("--tolerance-scale", type=float, default=1.0)
     add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

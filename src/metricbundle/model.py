@@ -45,7 +45,6 @@ from .errors import (
     EigenConvergenceError,
     EvalError,
     NoPositiveDefiniteSolutionError,
-    NotHermitianError,
     NotPositiveDefiniteError,
     ProfileSyntaxError,
     SchemaError,
@@ -372,7 +371,7 @@ def _accept_candidate(g, h, scale: float):
     try:
         if min_eig_hermitian(g) <= ATOL + 1e-10 * frobenius(g):
             return None
-    except (NotHermitianError, EigenConvergenceError):
+    except EigenConvergenceError:
         return None
     g = g * (g.shape[0] / np.real(np.trace(g)))
     residual = frobenius(g @ h - h.conj().T @ g)
@@ -600,6 +599,8 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc}", "") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read scenario file: {exc}", "") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "") from exc
     except RecursionError as exc:

@@ -3,7 +3,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -290,6 +289,40 @@ class TestScenarioFileErrors:
         assert run(command, "s.json", *self.FLAGS[command]) == EXIT_SCENARIO
         err = capsys.readouterr().err
         assert err.startswith(f"error[schema]: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_directory_is_schema_error(self, tmp_path, monkeypatch, capsys, command):
+        # A path that exists but cannot be read exits 2, as a missing one does.
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        with pytest.raises(OSError) as reading:
+            Path("d").read_text()
+        assert run(command, "d", *self.FLAGS[command]) == EXIT_SCENARIO
+        assert capsys.readouterr() == (
+            "", f"error[schema]: cannot read scenario file: {reading.value}\n")
+
+    @staticmethod
+    def pt_ep_text_with(pointer, value) -> str:
+        doc = scenario_to_json_dict(get_demo("pt-ep"))
+        set_at(doc, pointer, value)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("text, line", [
+        (pt_ep_text_with("/hamiltonian/0/coeff", 1),
+         "/hamiltonian/0/coeff: coeff must be a string"),
+        (pt_ep_text_with("/metric", 5), '/metric: metric must be {"mode": ...}'),
+        (pt_ep_text_with("/observables", []), "/observables: observables must be an object"),
+        (pt_ep_text_with("/integrator", "rk4"), "/integrator: integrator must be an object"),
+        (scenario_to_json_text(get_demo("pt-ep"))[:50],
+         "invalid JSON: Unterminated string starting at: line 5 column 7 (char 45)"),
+    ], ids=["coeff", "metric", "observables", "integrator", "truncated"])
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_malformed_document_gives_its_line(self, tmp_path, monkeypatch, capsys, text, line,
+                                               command):
+        monkeypatch.chdir(tmp_path)
+        Path("s.json").write_text(text)
+        assert run(command, "s.json", *self.FLAGS[command]) == EXIT_SCENARIO
+        assert capsys.readouterr() == ("", f"error[schema]: {line}\n")
 
     @pytest.mark.parametrize("name", [["x"], None])
     def test_non_string_name_is_schema_error(self, tmp_path, capsys, name):
@@ -721,7 +754,7 @@ def test_malformed_scenario_exits_with_one_documented_line(case):
 FLAG_TEXT = st.text(max_size=10) | st.floats().map(repr) | st.integers().map(str)
 FUZZED_FLAGS = {
     "evolve": ("--t0", "--t1", "--step", "--format"),
-    "verify": ("--node-stride", "--tolerance-scale"),
+    "verify": ("--node-stride",),
 }
 
 
@@ -827,58 +860,41 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert "error[verify]:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--tolerance-scale", "inf"),
-        ("--tolerance-scale", "-inf"),
-        ("--tolerance-scale", "nan"),
-        ("--tolerance-scale", "0"),
-        ("--tolerance-scale", "-1"),
-        ("--node-stride", "0"),
-        ("--node-stride", "-5"),
+    def test_explicit_metric_file(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        save_scenario(dataclasses.replace(
+            get_demo("pt-dimer-unbroken"),
+            metric_init=MetricInit("explicit", [[2, 0.5j], [-0.5j, 1]])), path)
+        assert run("verify", str(path)) == EXIT_OK
+        *rows, summary = capsys.readouterr().out.splitlines()[2:]
+        assert summary == "29/30 passed, 0 unexpected failures"
+        assert [row.split()[0] for row in rows if not row.endswith(" pass")] == [
+            "conventional_dagger_transport"]
+
+    @pytest.mark.parametrize("argv, line", [
+        (("--node-stride=0",), "error[usage]: --node-stride must be at least 1, got 0\n"),
+        (("--node-stride=-5",), "error[usage]: --node-stride must be at least 1, got -5\n"),
+        (("--tolerance-scale", "2"),
+         "error[usage]: unrecognized arguments: --tolerance-scale 2\n"),
     ])
-    def test_invalid_suite_settings_are_usage_errors(self, capsys, monkeypatch, flag, value):
+    def test_invalid_suite_settings_are_usage_errors(self, capsys, monkeypatch, argv, line):
         def no_integration(*args):
             raise AssertionError("integrated before validating the flags")
 
         monkeypatch.setattr("metricbundle.cli.integrate", no_integration)
-        assert run("verify", "demo:pt-dimer-unbroken", f"{flag}={value}") == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error[usage]:") and err.count("\n") == 1
-        assert flag in err
+        assert run("verify", "demo:pt-ep", "--t1", "0.1", *argv) == EXIT_USAGE
+        assert capsys.readouterr().err == line
 
-    @pytest.mark.parametrize("flag, value", [
-        *(("--node-stride", value) for value in ("-1", "0", "1")),
-        *(("--tolerance-scale", value)
-          for value in ("0.0", "-0.0", "-1.0", "nan", "inf", "-inf", "5e-324", "1.0")),
-    ])
-    def test_cli_and_run_suite_accept_the_same_settings(self, capsys, flag, value):
-        # The CLI checks the flags before integrating, run_suite its arguments after.
+    @pytest.mark.parametrize("node_stride", ["-1", "0", "1", "2"])
+    def test_cli_and_run_suite_accept_the_same_settings(self, capsys, node_stride):
+        # The CLI checks --node-stride before integrating, run_suite its argument after.
         scenario = get_demo("hermitian-rabi", t1=0.01)
-        argument = {"--node-stride": ("node_stride", int),
-                    "--tolerance-scale": ("tolerance_scale", float)}[flag]
         try:
-            run_suite(integrate(scenario), scenario, **{argument[0]: argument[1](value)})
+            run_suite(integrate(scenario), scenario, node_stride=int(node_stride))
             rejected = False
         except ValueError:
             rejected = True
-        code = run("verify", "demo:hermitian-rabi", "--t1", "0.01", f"{flag}={value}")
-        assert (code == EXIT_USAGE) == rejected, capsys.readouterr().err
-
-    @pytest.mark.parametrize("node_stride", [-1, 0, 1, 2])
-    @pytest.mark.parametrize("tolerance_scale",
-                             [-math.inf, -1.0, 0.0, 5e-324, 1.0, 1e308, math.inf, math.nan])
-    def test_cli_and_run_suite_reject_the_same_pairs(self, capsys, node_stride, tolerance_scale):
-        # The CLI keeps its own copy of run_suite's guard, to name the flag and
-        # to reject before integrating; this pins the two to one rule.
-        scenario = get_demo("pt-ep", t1=0.05)
-        try:
-            run_suite(integrate(scenario), scenario, node_stride=node_stride,
-                      tolerance_scale=tolerance_scale)
-            rejected = False
-        except ValueError:
-            rejected = True
-        code = run("verify", "demo:pt-ep", "--t1", "0.05", f"--node-stride={node_stride}",
-                   f"--tolerance-scale={tolerance_scale}")
+        code = run("verify", "demo:hermitian-rabi", "--t1", "0.01", f"--node-stride={node_stride}")
         assert (code == EXIT_USAGE) == rejected, capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
@@ -1039,6 +1055,12 @@ class TestSpectrum:
         assert captured.out == ""
         assert captured.err.startswith("error[schema]:") and captured.err.count("\n") == 1
 
+    def test_unparsable_time_is_schema_error(self, capsys):
+        code = run("spectrum", "demo:pt-ep", "--observable", "sigma_z", "--times", "0,abc")
+        assert code == EXIT_SCENARIO
+        assert capsys.readouterr() == (
+            "", "error[schema]: bad --times value: could not convert string to float: 'abc'\n")
+
     def test_unknown_observable(self, capsys):
         code = run(
             "spectrum", "demo:pt-dimer-unbroken", "--observable", "nope", "--times", "0"
@@ -1191,6 +1213,11 @@ class TestUsage:
     def test_parser_error_is_one_usage_line(self, capsys, argv, message):
         assert run(*argv) == EXIT_USAGE
         self.assert_one_usage_line(capsys, message + "\n")
+
+    def test_unwritable_output_is_one_usage_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run("evolve", "demo:pt-ep", "--t1", "0.01", "-o", str(out)) == EXIT_USAGE
+        self.assert_one_usage_line(capsys, f"[Errno 2] No such file or directory: '{out}'\n")
 
     def test_help_exits_ok(self, capsys):
         assert run("evolve", "--help") == EXIT_OK

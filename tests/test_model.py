@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import G_PT
 from metricbundle import model, profile
+from metricbundle import representations as rep
 from metricbundle.errors import (
     DimensionMismatchError,
     EigenConvergenceError,
@@ -507,6 +508,18 @@ class TestScenarioSchema:
         assert np.allclose(scenario.metric_init.matrix, G_PT * np.sqrt(0.75))
 
 
+    def test_explicit_complex_metric_round_trips_through_a_file(self, tmp_path):
+        scenario = dataclasses.replace(
+            get_demo("pt-dimer-unbroken"),
+            metric_init=MetricInit("explicit", [[2, 0.5j], [-0.5j, 1]]))
+        path = tmp_path / "s.json"
+        save_scenario(scenario, path)
+        back = load_scenario(path)
+        assert scenario_to_json_dict(back) == scenario_to_json_dict(scenario)
+        assert json.loads(path.read_text())["metric"]["mode"] == "explicit"
+        assert back.metric_init.matrix.tobytes() == scenario.metric_init.matrix.tobytes()
+
+
 def _build(scenario, **change):
     """Scenario(...) from scenario's fields, with change applied."""
     fields = {field.name: getattr(scenario, field.name) for field in dataclasses.fields(scenario)}
@@ -569,6 +582,26 @@ class TestScenarioBuiltInCode:
         # Files never reach these: the codec builds the operators and arrays.
         with pytest.raises(error) as err:
             build(get_demo("hermitian-rabi"))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda s: OperatorSpec([]), "operator spec needs at least one term"),
+        (lambda s: OperatorSpec([ProfileTerm.parse("1", np.eye(2)),
+                                 ProfileTerm.parse("1", np.eye(3))]),
+         "term matrices must share one dimension"),
+        (lambda s: dataclasses.replace(s, observables={"x": constant_operator(np.eye(3))}),
+         "observable 'x' dimension mismatch"),
+        (lambda s: dataclasses.replace(s, metric_init=MetricInit("explicit", np.eye(3))),
+         "metric matrix dimension mismatch"),
+        (lambda s: ProfileTerm.parse("1", [[np.nan, 0], [0, 1]]),
+         "matrix contains non-finite entries"),
+        (lambda s: ProfileTerm.parse("1", [1, 2]), "matrix must be square, got shape (2,)"),
+        (lambda s: rep.expectation_schrodinger(integrate(s), 0, np.eye(3)),
+         "observable dimension mismatch"),
+    ], ids=["no-terms", "term-dims", "observable", "metric", "nan", "vector", "expectation"])
+    def test_dimension_fault_is_named(self, build, message):
+        with pytest.raises(DimensionMismatchError) as err:
+            build(get_demo("hermitian-rabi", t1=0.01))
         assert str(err.value) == message
 
     def test_values_are_stored_as_a_file_gives_them(self):

@@ -69,6 +69,16 @@ class TestParse:
             parse_profile("1 + * 2")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("2 $ t", "unexpected character '$'", 2),
+        ("sin(t", "expected ')'", 5),
+        ("t t", "unexpected trailing 't'", 2),
+    ])
+    def test_syntax_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ProfileSyntaxError) as err:
+            parse_profile(text)
+        assert (str(err.value), err.value.offset) == (f"{message} (at offset {offset})", offset)
+
     def test_unknown_function(self):
         with pytest.raises(ProfileSyntaxError, match="unknown function"):
             parse_profile("sinh(t)")
