@@ -885,6 +885,19 @@ class TestVerify:
         assert run("verify", "demo:pt-ep", "--t1", "0.1", *argv) == EXIT_USAGE
         assert capsys.readouterr().err == line
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "5e-324", "1.0", "1e308"])
+    def test_no_tolerance_scale_value_reaches_the_suite(self, capsys, monkeypatch, value):
+        # Budgets have no outside factor: a loosening value such as 1e308 is
+        # refused like an invalid one, before integrating.
+        def no_integration(*args):
+            raise AssertionError("integrated before validating the flags")
+
+        monkeypatch.setattr("metricbundle.cli.integrate", no_integration)
+        argv = ("verify", "demo:pt-ep", "--t1", "0.1", f"--tolerance-scale={value}")
+        assert run(*argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error[usage]: unrecognized arguments: --tolerance-scale={value}\n")
+
     @pytest.mark.parametrize("node_stride", ["-1", "0", "1", "2"])
     def test_cli_and_run_suite_accept_the_same_settings(self, capsys, node_stride):
         # The CLI checks --node-stride before integrating, run_suite its argument after.

@@ -154,6 +154,32 @@ class TestReportShape:
         with pytest.raises(ValueError, match="node_stride must be at least 1"):
             run_suite(bundle, scenario, node_stride=stride)
 
+    def test_run_suite_takes_no_tolerance_scale(self, pt_unbroken_bundle):
+        scenario, bundle = pt_unbroken_bundle
+        with pytest.raises(TypeError, match="tolerance_scale"):
+            run_suite(bundle, scenario, tolerance_scale=100.0)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    def test_every_budget_is_the_unscaled_one(self, name, stride):
+        # A check's budget follows from the step, span, dim and stride only:
+        # the base budget, a fixed multiple of it, or for an EOM finite
+        # difference the base budget plus its O(delta^2) differencing term.
+        scenario = get_demo(name, t1=0.1)
+        bundle = integrate(scenario)
+        report = run_suite(bundle, scenario, node_stride=stride)
+        base = budget(bundle.step, bundle.ts[-1] - bundle.ts[0], bundle.dim)
+        delta = max(1, min(stride, (bundle.n_nodes - 1) // 2)) * bundle.step
+        assert report.base_budget == base
+        assert report.integrator["tolerance_scale"] == 1.0
+        fixed = {"metric_hermitian": base * verify.HERMITICITY_BUDGET_FACTOR,
+                 "metric_positive_definite": 0.0}
+        for c in report.checks:
+            if "_eom_fd[" in c.name:
+                assert c.budget == base + verify.EOM_FD_COEFF * delta**2, c.name
+            else:
+                assert c.budget == fixed.get(c.name, base), c.name
+
 
 class TestErrorPath:
     def test_singular_vielbein_is_reported_at_its_first_node(self):
