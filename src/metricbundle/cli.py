@@ -25,7 +25,7 @@ import numpy as np
 
 from . import representations as rep
 from .errors import MetricBundleError, NoPositiveDefiniteSolutionError, NumericError, SchemaError
-from .evolution import bundle_to_json_dict, integrate, to_json_text
+from .evolution import bundle_to_json_dict, integrate, to_json_parts
 from .matops import sorted_eigenvalues
 from .model import Scenario, load_scenario, scenario_to_json_text, with_overrides
 from .zoo import DEMO_PREFIX, builtin_models, get_demo
@@ -63,8 +63,6 @@ def _times(args) -> dict:
 def _resolve_scenario(ref: str, **times) -> Scenario:
     if ref.startswith(DEMO_PREFIX):
         return get_demo(ref[len(DEMO_PREFIX):], **times)
-    if not Path(ref).exists():
-        raise SchemaError(f"scenario file not found: {ref}", "")
     return with_overrides(load_scenario(ref), **times)
 
 
@@ -96,7 +94,10 @@ def _cmd_evolve(args) -> int:
         _write_complex_csv(args.output, bundle.ts, expectations)
     else:
         doc = bundle_to_json_dict(bundle, scenario, expectations)
-        Path(args.output).write_text(to_json_text(doc) + "\n")
+        parts = to_json_parts(doc)  # written piece by piece: no copy of the whole text
+        with open(args.output, "w") as fh:
+            fh.writelines(parts)
+            fh.write("\n")
     _info(f"wrote {args.output} ({bundle.n_nodes} nodes)")
     return EXIT_OK
 

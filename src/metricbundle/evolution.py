@@ -36,6 +36,7 @@ __all__ = [
     "closed_form_metric",
     "bundle_to_json_dict",
     "to_json_text",
+    "to_json_parts",
 ]
 
 BLOWUP_LIMIT = 1e12
@@ -246,36 +247,89 @@ def bundle_to_json_dict(bundle: EvolutionBundle, scenario: Scenario,
     }
 
 
-# json.dumps's text for the floats whose repr is not JSON.
-_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SIGN = np.uint64(1 << 63)
+_INF = np.uint64(0x7FF0000000000000)  # the magnitude of inf; a larger one is a NaN
+_END = np.uint64((1 << 64) - 1)  # above every magnitude: ends the table
 
 
-def _float_array_text(a: np.ndarray) -> str:
-    """json.dumps(a.tolist()) for a float64 array, without the nested lists.
+class _FloatTexts:
+    """The json.dumps text of the float64 arrays of one document.
 
-    Each distinct bit pattern is formatted once, then one %s template with
-    the array's shape is filled. repr is the cost (1-3 us a float on a 2-vCPU
-    VM), and trajectories repeat most values. Keying on bits keeps 0.0 and
-    -0.0 apart.
+    repr is the cost (1-3 us a float on a 2-vCPU VM), so each magnitude (the
+    bits with the sign cleared) is formatted once per document: one sorted
+    table maps the magnitudes met so far to their repr, and -x is "-" and the
+    text of x, except for a NaN, whose repr has no sign. Keying on bits keeps
+    0.0 and -0.0 apart. An array bit-equal to an earlier one of its shape
+    reuses that array's text; with the identity metric, e repeats u_l.
     """
-    if a.dtype != np.float64:
-        raise TypeError(f"expected a float64 array, got {a.dtype}")
-    bits, inverse = np.unique(a.reshape(-1).view(np.uint64), return_inverse=True)
-    texts = [_NONFINITE_TEXT.get(s, s) for s in map(repr, bits.view(np.float64).tolist())]
-    template = "%s"
-    for n in reversed(a.shape):
-        template = "[" + ", ".join([template] * n) + "]"
-    return template % tuple(np.array(texts, dtype=object)[inverse])
+
+    def __init__(self):
+        self.keys = np.array([_END])  # sorted magnitudes, then _END
+        self.texts = np.array([None], dtype=object)
+        self.arrays = []  # (shape, flat bits, text) of each array encoded
+
+    def array_text(self, a: np.ndarray) -> str:
+        """json.dumps(a.tolist()) for a float64 array, without the nested lists."""
+        if a.dtype != np.float64:
+            raise TypeError(f"expected a float64 array, got {a.dtype}")
+        flat = a.reshape(-1).view(np.uint64)
+        for shape, bits, text in self.arrays:
+            if shape == a.shape and np.array_equal(bits, flat):
+                return text
+        bits, inverse = np.unique(flat, return_inverse=True)
+        mags = bits & ~_SIGN
+        texts = self._lookup(mags)
+        negative = (bits >= _SIGN) & (mags <= _INF)
+        texts[negative] = "-" + texts[negative]
+        template = "%s"
+        for n in reversed(a.shape):
+            template = "[" + ", ".join([template] * n) + "]"
+        text = template % tuple(texts[inverse])
+        self.arrays.append((a.shape, flat, text))
+        return text
+
+    def _lookup(self, mags: np.ndarray) -> np.ndarray:
+        """The texts of the magnitudes mags, formatting those not yet in the table."""
+        distinct, inverse = np.unique(mags, return_inverse=True)
+        new = distinct[self.keys[np.searchsorted(self.keys, distinct)] != distinct]
+        if new.size:
+            finite = int(np.searchsorted(new, _INF))  # new is sorted: inf and NaNs last
+            texts = list(map(repr, new[:finite].view(np.float64).tolist()))
+            texts += ["Infinity" if m == _INF else "NaN" for m in new[finite:].tolist()]
+            at = np.searchsorted(self.keys, new)
+            self.keys = np.insert(self.keys, at, new)
+            self.texts = np.insert(self.texts, at, texts)
+        return self.texts[np.searchsorted(self.keys, distinct)][inverse]
 
 
 def to_json_text(value) -> str:
     """json.dumps(value) byte for byte, where value may hold float64 arrays.
 
-    Dicts (with string keys) may nest; an array stands for its tolist().
+    Dicts (with str keys) may nest; an array stands for its tolist().
     """
+    return "".join(to_json_parts(value))
+
+
+def to_json_parts(value) -> list[str]:
+    """The pieces of to_json_text(value), in order: a caller that writes them
+    to a file never holds the whole text. All arrays of value share one
+    _FloatTexts."""
+    parts = []
+    _json_parts(value, _FloatTexts(), parts)
+    return parts
+
+
+def _json_parts(value, floats: _FloatTexts, parts: list) -> None:
+    """Append the text of value to parts."""
     if isinstance(value, np.ndarray):
-        return _float_array_text(value)
-    if isinstance(value, dict):
-        items = (f"{json.dumps(key)}: {to_json_text(item)}" for key, item in value.items())
-        return "{" + ", ".join(items) + "}"
-    return json.dumps(value)
+        parts.append(floats.array_text(value))
+    elif isinstance(value, dict):
+        parts.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"dict keys must be str, got {type(key).__name__}")
+            parts.append(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _json_parts(item, floats, parts)
+        parts.append("}")
+    else:
+        parts.append(json.dumps(value))

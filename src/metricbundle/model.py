@@ -30,6 +30,7 @@ verbatim and floats survive JSON via repr.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
 import numbers
@@ -245,6 +246,11 @@ class Scenario:
         if not isinstance(self.observables, dict):
             raise SchemaError(f"observables must be a dict, got {type(self.observables).__name__}",
                               "/observables")
+        for obs_name in self.observables:
+            if not isinstance(obs_name, str):
+                raise SchemaError(
+                    f"observable names must be strings, got {type(obs_name).__name__}",
+                    "/observables")
         named = {f"/observables/{_pointer_token(k)}": v for k, v in self.observables.items()}
         for pointer, operator in {"/hamiltonian": self.hamiltonian, **named}.items():
             if not isinstance(operator, OperatorSpec):
@@ -491,9 +497,16 @@ def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:
     return constant_operator(_complex_array_from_json(value, (dim, dim), pointer))
 
 
+# The characters str.splitlines() breaks at, as JSON escapes: a pointer that
+# names a key holding one still fits on the CLI's one error line.
+_LINE_BREAKS = str.maketrans(
+    {c: f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _pointer_token(key) -> str:
-    """key as one JSON-pointer token (RFC 6901): "~" escaped as "~0", "/" as "~1"."""
-    return str(key).replace("~", "~0").replace("/", "~1")
+    """key as one JSON-pointer token (RFC 6901): "~" escaped as "~0", "/" as "~1",
+    and a line break as its JSON escape."""
+    return str(key).replace("~", "~0").replace("/", "~1").translate(_LINE_BREAKS)
 
 
 _REQUIRED_KEYS = {"dim", "hamiltonian", "metric", "psi0", "observables", "t0", "t1", "integrator"}
@@ -593,14 +606,26 @@ def scenario_to_json_dict(scenario: Scenario) -> dict:
     return doc
 
 
+# The errors for which Path.exists() answers False: the path names no file.
+_NOT_FOUND_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EBADF)
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
+    """The scenario in the file at path. A path that names no file is
+    "scenario file not found: <path as given>"; any other fault in reading or
+    parsing it is a SchemaError of its own."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError: caught before the next clause
         raise SchemaError(f"not UTF-8 text: {exc}", "") from exc
+    except ValueError as exc:  # a path no file can have, such as one with a NUL
+        raise SchemaError(f"scenario file not found: {path}", "") from exc
     except OSError as exc:
+        if exc.errno in _NOT_FOUND_ERRNOS:
+            raise SchemaError(f"scenario file not found: {path}", "") from exc
         raise SchemaError(f"cannot read scenario file: {exc}", "") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "") from exc
     except RecursionError as exc:

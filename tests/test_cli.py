@@ -290,6 +290,18 @@ class TestScenarioFileErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error[schema]: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("ref", ["nosuch.json", "./nosuch.json", "file.json/x", "loop.json",
+                                     "nul\0.json"])
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_path_naming_no_file_is_not_found(self, tmp_path, monkeypatch, capsys, ref,
+                                              command):
+        # Missing, under a file, a symlink loop, or no valid path: the path as given.
+        monkeypatch.chdir(tmp_path)
+        Path("file.json").write_text(scenario_to_json_text(get_demo("pt-ep")))
+        Path("loop.json").symlink_to("loop.json")
+        assert run(command, ref, *self.FLAGS[command]) == EXIT_SCENARIO
+        assert capsys.readouterr() == ("", f"error[schema]: scenario file not found: {ref}\n")
+
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_directory_is_schema_error(self, tmp_path, monkeypatch, capsys, command):
         # A path that exists but cannot be read exits 2, as a missing one does.

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
@@ -496,6 +497,58 @@ def float64_arrays(draw, complex_valued: bool):
     return values.reshape(shape)
 
 
+# Magnitudes (sign bit clear): the edge values, subnormals, NaN payloads and any other.
+magnitude_bits = st.one_of(
+    st.sampled_from(sorted({bits & ~(1 << 63) for bits in _EDGE_BITS})),
+    st.integers(1, 2**52 - 1),
+    st.integers(0x7FF0000000000001, 2**63 - 1),
+    st.integers(0, 2**63 - 1),
+)
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+
+
+@st.composite
+def float64_documents(draw):
+    """Nested dicts of float64 arrays whose entries take either sign of a few shared
+    magnitudes; some arrays repeat an earlier one bit for bit, or with one sign flipped."""
+    pool = draw(st.lists(magnitude_bits, min_size=1, max_size=6))
+    arrays = []
+
+    def array():
+        if arrays and draw(st.booleans()):
+            bits = draw(st.sampled_from(arrays)).view(np.uint64).copy()
+            if bits.size and draw(st.booleans()):
+                bits.reshape(-1)[draw(st.integers(0, bits.size - 1))] ^= np.uint64(1 << 63)
+        else:
+            shape = draw(array_shapes)
+            size = math.prod(shape)
+            mags = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+            signs = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            bits = (np.array(mags, dtype=np.uint64)
+                    | np.array(signs, dtype=np.uint64) << np.uint64(63)).reshape(shape)
+        arrays.append(bits.view(np.float64))
+        return arrays[-1]
+
+    def document(depth):
+        doc = {}
+        for key in draw(st.lists(st.text(max_size=3), max_size=4, unique=True)):
+            kind = draw(st.sampled_from(["array", "array", "scalar"] + ["dict"] * (depth > 0)))
+            doc[key] = (array() if kind == "array" else document(depth - 1) if kind == "dict"
+                        else draw(json_scalars))
+        return doc
+
+    return document(2)
+
+
+def plain(value):
+    """value with each array replaced by its tolist()."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
+
+
 class TestBundleSerialization:
     def test_round_trip_is_exact(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
@@ -550,3 +603,33 @@ class TestBundleSerialization:
     def test_arrays_other_than_float64_are_rejected(self, a):
         with pytest.raises(TypeError):
             to_json_text(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=float64_documents())
+    def test_document_with_shared_magnitudes_matches_json_dumps(self, doc):
+        assert to_json_text(doc) == json.dumps(plain(doc))
+
+    def test_arrays_differing_in_one_signed_zero_keep_their_texts(self):
+        a = np.array([[0.0, 1.5], [-2.0, 0.0]])
+        b = a.copy()
+        b[1, 1] = -0.0
+        assert np.array_equal(a, b)
+        text = to_json_text({"a": a, "b": b, "c": a.copy()})
+        assert text == ('{"a": [[0.0, 1.5], [-2.0, 0.0]], "b": [[0.0, 1.5], [-2.0, -0.0]], '
+                        '"c": [[0.0, 1.5], [-2.0, 0.0]]}')
+
+    def test_encoding_leaves_no_reference_cycle(self, pt_unbroken_bundle):
+        scenario, bundle = pt_unbroken_bundle
+        doc = bundle_to_json_dict(bundle, scenario, {"x": bundle.psi[:, 0]})
+        gc.collect()
+        gc.disable()
+        try:
+            to_json_text(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+    def test_keys_other_than_str_are_rejected(self, key):
+        with pytest.raises(TypeError, match="dict keys must be str"):
+            to_json_text({"x": {key: np.array([1.0])}})

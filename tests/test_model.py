@@ -410,6 +410,23 @@ class TestScenarioSchema:
             scenario_from_json_dict(doc)
         assert "/hamiltonian/0/coeff" == err.value.pointer
 
+    @pytest.mark.parametrize("name", [1, None, ("x",)])
+    def test_non_string_observable_name_is_schema_error(self, name):
+        scenario = get_demo("hermitian-rabi")
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(scenario, observables={name: scenario.observables["sigma_z"]})
+        assert err.value.pointer == "/observables"
+
+    @pytest.mark.parametrize("key, token", [("\r", "\\u000d"), ("a\nb", "a\\u000ab"),
+                                            ("\u2028", "\\u2028"), ("a~/b", "a~0~1b")])
+    def test_pointer_of_a_key_fits_one_line(self, key, token):
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
+        doc[key] = 1
+        with pytest.raises(SchemaError) as err:
+            scenario_from_json_dict(doc)
+        assert err.value.pointer == f"/{token}"
+        assert str(err.value).splitlines() == [f"/{token}: unknown key"]
+
     @pytest.mark.parametrize("name", [["x"], None, 3, {"a": "b"}, True])
     def test_non_string_name_is_schema_error(self, name):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi"))

@@ -431,3 +431,33 @@ def test_two_observable_chain_inverts_e_once(monkeypatch):
     counts = _count_calls(monkeypatch, ((verify, "inverse"),))
     run_suite(bundle, scenario)
     assert counts["inverse"] == 1
+
+
+def test_constant_observable_spectrum_is_taken_once(monkeypatch):
+    # O_S's spectrum of a constant observable comes from its one matrix.
+    scenario = get_demo("time-dependent-observable", t1=0.75)
+    constant = sum(obs.constant is not None for obs in scenario.observables.values())
+    shapes = []
+    eigenvalues = matops.eigenvalues
+
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return eigenvalues(a)
+
+    monkeypatch.setattr(matops, "eigenvalues", recorded)
+    run_suite(integrate(scenario), scenario)
+    assert constant > 0
+    assert sum(len(shape) == 2 for shape in shapes) == constant
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64, 128])
+def test_one_spectrum_has_the_bits_of_the_stacked_spectra(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for matrix in (m, m + m.conj().T):
+        obs = constant_operator(matrix)
+        # As verify samples O_S: the grid's broadcast stack at an index array.
+        grid = obs.assemble_many(np.linspace(0.0, 1.0, 11))
+        stacked = matops.sorted_eigenvalues(grid[[0, 5, 10]])
+        one = matops.sorted_eigenvalues(obs.constant)
+        assert [row.tobytes() for row in stacked] == [one.tobytes()] * 3
