@@ -67,9 +67,8 @@ def _resolve_scenario(ref: str, **times) -> Scenario:
 
 
 def _expectations(scenario: Scenario, bundle):
-    nodes = np.arange(bundle.n_nodes)
     return {
-        name: rep.expectation_schrodinger(bundle, nodes, obs.assemble_many(bundle.ts))
+        name: rep.expectation_schrodinger(bundle, slice(None), obs.assemble_many(bundle.ts))
         for name, obs in scenario.observables.items()
     }
 

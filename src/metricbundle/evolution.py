@@ -9,8 +9,9 @@ Three channels share one time grid and one Hamiltonian sample per RK4 stage:
 A stage is one batched product over a stack of its operands (_stage_rates).
 
 The state psi = U_R psi0 and the vielbein E = E0 U_L (zero-generator gauge,
-d/dt E = i E H) are derived after the run. RK4 is linear in its initial value,
-so integrating them as channels of their own would agree up to rounding.
+d/dt E = i E H) are derived at the nodes a reader asks for (psi_at, e_at).
+RK4 is linear in its initial value, so integrating them as channels of their
+own would agree up to rounding.
 
 The metric channel is integrated directly AND recoverable in closed form as
 adj(U_L) G0 U_L, giving two independent numerical paths whose disagreement is
@@ -65,15 +66,15 @@ def rhs_vielbein(h, e):
 
 @dataclass(frozen=True, eq=False)
 class EvolutionBundle:
-    """Time-gridded record of one integration run; immutable once produced."""
+    """Time-gridded record of one integration run, immutable once produced: the
+    integrated channels and the run's initial data. G(t0) is g[0]."""
 
     ts: np.ndarray  # (n,)
-    psi: np.ndarray  # (n, dim)
     u_r: np.ndarray  # (n, dim, dim)
     u_l: np.ndarray  # (n, dim, dim)
     g: np.ndarray  # (n, dim, dim)
-    e: np.ndarray  # (n, dim, dim)
-    g0: np.ndarray  # (dim, dim)
+    psi0: np.ndarray  # (dim,)
+    e0: np.ndarray  # (dim, dim), the upper Cholesky factor of g[0]
     step: float
     metadata: dict[str, Any] = field(default_factory=dict)
 
@@ -83,7 +84,15 @@ class EvolutionBundle:
 
     @property
     def dim(self) -> int:
-        return self.psi.shape[1]
+        return self.psi0.shape[0]
+
+    def psi_at(self, index) -> np.ndarray:
+        """The state U_R psi0 at grid node(s) index: an int, an index array or a slice."""
+        return self.u_r[index] @ self.psi0
+
+    def e_at(self, index) -> np.ndarray:
+        """The vielbein E0 U_L at grid node(s) index: an int, an index array or a slice."""
+        return self.e0 @ self.u_l[index]
 
 
 def _check_finite(first_node: int, ts, block):
@@ -147,7 +156,7 @@ def _stage_rates(left, right, views) -> None:
 
 
 def integrate(scenario: Scenario) -> EvolutionBundle:
-    """Advance U_R, U_L and G over [t0, t1] on a uniform grid, then derive psi and E.
+    """Advance U_R, U_L and G over [t0, t1] on a uniform grid.
 
     Steps run in blocks of _steps_per_block(dim), with H sampled and its
     stage stacks built for a whole block at once, and the finite-range guard
@@ -207,12 +216,11 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
     u_r, g, u_l = out.swapaxes(0, 1)
     return EvolutionBundle(
         ts=ts,
-        psi=u_r @ scenario.psi0,
         u_r=u_r,
         u_l=u_l,
         g=g,
-        e=e0 @ u_l,
-        g0=g0,
+        psi0=scenario.psi0,
+        e0=e0,
         step=step,
         metadata={"method": config.method, "n_steps": n_steps},
     )
@@ -224,23 +232,23 @@ def closed_form_metric(bundle: EvolutionBundle, index) -> np.ndarray:
     index may be an index array; the result then has a leading node axis.
     """
     u_l = bundle.u_l[index]
-    return u_l.conj().swapaxes(-1, -2) @ bundle.g0 @ u_l
+    return u_l.conj().swapaxes(-1, -2) @ bundle.g[0] @ u_l
 
 
 def bundle_to_json_dict(bundle: EvolutionBundle, scenario: Scenario,
                         expectations: dict[str, np.ndarray]) -> dict[str, Any]:
     """The whole trajectory document of a run of scenario, given one complex column per
     observable in expectations. Its leaves are float64 arrays, complex ones as complex_pairs;
-    write it with to_json_text."""
+    write it with to_json_text. Its psi, e and g0 are derived here, at every node."""
     return {
         "t": bundle.ts.copy(),
         "step": bundle.step,
-        "psi": complex_pairs(bundle.psi),
+        "psi": complex_pairs(bundle.psi_at(slice(None))),
         "u_r": complex_pairs(bundle.u_r),
         "u_l": complex_pairs(bundle.u_l),
         "g": complex_pairs(bundle.g),
-        "e": complex_pairs(bundle.e),
-        "g0": complex_pairs(bundle.g0),
+        "e": complex_pairs(bundle.e_at(slice(None))),
+        "g0": complex_pairs(bundle.g[0]),
         "metadata": bundle.metadata,
         "scenario": scenario_to_json_dict(scenario),
         "expectations": {name: complex_pairs(col) for name, col in expectations.items()},

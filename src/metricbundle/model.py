@@ -498,7 +498,8 @@ def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:
 
 
 # The characters str.splitlines() breaks at, as JSON escapes: a pointer that
-# names a key holding one still fits on the CLI's one error line.
+# names a key holding one, or a scenario path, still fits on the CLI's one
+# error line.
 _LINE_BREAKS = str.maketrans(
     {c: f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
@@ -612,17 +613,18 @@ _NOT_FOUND_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EBADF)
 
 def load_scenario(path: str | Path) -> Scenario:
     """The scenario in the file at path. A path that names no file is
-    "scenario file not found: <path as given>"; any other fault in reading or
-    parsing it is a SchemaError of its own."""
+    "scenario file not found: <path as given, line breaks escaped>"; any other
+    fault in reading or parsing it is a SchemaError of its own."""
+    not_found = f"scenario file not found: {str(path).translate(_LINE_BREAKS)}"
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # a ValueError: caught before the next clause
         raise SchemaError(f"not UTF-8 text: {exc}", "") from exc
     except ValueError as exc:  # a path no file can have, such as one with a NUL
-        raise SchemaError(f"scenario file not found: {path}", "") from exc
+        raise SchemaError(not_found, "") from exc
     except OSError as exc:
         if exc.errno in _NOT_FOUND_ERRNOS:
-            raise SchemaError(f"scenario file not found: {path}", "") from exc
+            raise SchemaError(not_found, "") from exc
         raise SchemaError(f"cannot read scenario file: {exc}", "") from exc
     try:
         doc = json.loads(text)

@@ -11,9 +11,10 @@ kept as a diagnostic: for non-Hermitian dynamics it is NOT a similarity
 transformation and breaks commutation relations, which is exactly what the
 diagnostic is for.
 
-Every transport and check takes a grid node index or an index array (the HL
-transport takes E and inv(E) at those nodes); with an array the operators
-carry a leading node axis and each check returns one value per node.
+Every transport and check takes a grid node index, an index array or a slice
+(the HL transport takes E and inv(E) at those nodes); with an array or a slice
+the operators carry a leading node axis and each check returns one value per
+node.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ __all__ = [
 def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
     """dual . O . ket at grid node(s), with dual = adj(psi) G(t).
 
-    With an index array, obs is one matrix or one per node, and the result is
-    one value per node.
+    With an index array or a slice, obs is one matrix or one per node, and the
+    result is one value per node.
     """
     obs = as_stack(obs, "observable")
-    psi = bundle.psi[index]
+    psi = bundle.psi_at(index)
     if obs.shape[-1] != psi.shape[-1]:
         raise DimensionMismatchError("observable dimension mismatch")
     # Left to right, ((adj(psi) G) O) psi, as row times matrices times column.
@@ -67,13 +68,13 @@ def to_heisenberg_like(o, e, e_inv) -> np.ndarray:
 
 def heisenberg_state(bundle: EvolutionBundle) -> tuple[np.ndarray, np.ndarray]:
     """(ket, dual) frozen at t0: psi(t0) and adj(psi(t0)) G(t0)."""
-    ket = bundle.psi[0]
-    return ket, ket.conj() @ bundle.g0
+    ket = bundle.psi_at(0)
+    return ket, ket.conj() @ bundle.g[0]
 
 
 def heisenberg_like_state(bundle: EvolutionBundle) -> tuple[np.ndarray, np.ndarray]:
     """(ket, dual) frozen at t0: E(t0) psi(t0) and, by construction, its exact conjugate."""
-    ket = bundle.e[0] @ bundle.psi[0]
+    ket = bundle.e_at(0) @ bundle.psi_at(0)
     return ket, ket.conj()
 
 

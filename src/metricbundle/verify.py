@@ -173,7 +173,7 @@ def run_suite(
         )
 
     ts = bundle.ts[nodes]
-    u_l, u_r, g, e = bundle.u_l[nodes], bundle.u_r[nodes], bundle.g[nodes], bundle.e[nodes]
+    u_l, u_r, g = bundle.u_l[nodes], bundle.u_r[nodes], bundle.g[nodes]
     eye = np.eye(bundle.dim)
 
     # The Heisenberg equation of motion, in the H and the HL picture, vs a
@@ -194,10 +194,12 @@ def run_suite(
     at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
     at_inner = at_nodes[inner]
 
-    # E is inverted once on the grid, when a check first needs it. Where that
-    # is refused, each check inverts the nodes it reads instead: it reports
-    # the first refused node among them, or evaluates if there is none.
-    e_grid = bundle.e[grid]
+    # E is formed once on the grid, and inverted there when a check first
+    # needs it. Where that is refused, each check inverts the nodes it reads
+    # instead: it reports the first refused node among them, or evaluates if
+    # there is none.
+    e_grid = bundle.e_at(grid)
+    e = e_grid[at_nodes]
 
     @functools.cache
     def e_inv_grid():

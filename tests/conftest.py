@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,22 @@ import pytest
 
 from metricbundle import evolution, zoo
 from metricbundle.evolution import EvolutionBundle
+from metricbundle.matops import cholesky_upper
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Hypothesis's pytest plugin imports hypothesis.extra._patching to print a
+# failing test's example. That import raises a DeprecationWarning from a
+# dependency of libcst, which filterwarnings = ["error"] turns into an
+# INTERNALERROR in place of the "Falsifying example:" report. Imported once
+# here with that warning ignored, the module is in sys.modules when the plugin
+# asks for it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is optional: the plugin then prints no patch
+        pass
 
 # Stationary PT metric fixture used across modules: for H = s*sx + i*gamma*sz
 # with sin(alpha) = gamma/s the trace-free-normalized metric is
@@ -36,15 +51,16 @@ def _decode_complex_array(doc) -> np.ndarray:
 
 
 def bundle_from_json_dict(doc: dict) -> EvolutionBundle:
-    """Re-ingest an exported trajectory as an explicit bundle."""
+    """Re-ingest an exported trajectory as an explicit bundle: its integrated
+    channels, psi0 from its scenario and E0 from g[0], as integrate forms them."""
+    g = _decode_complex_array(doc["g"])
     return EvolutionBundle(
         ts=np.asarray(doc["t"], dtype=float),
-        psi=_decode_complex_array(doc["psi"]),
         u_r=_decode_complex_array(doc["u_r"]),
         u_l=_decode_complex_array(doc["u_l"]),
-        g=_decode_complex_array(doc["g"]),
-        e=_decode_complex_array(doc["e"]),
-        g0=_decode_complex_array(doc["g0"]),
+        g=g,
+        psi0=_decode_complex_array(doc["scenario"]["psi0"]),
+        e0=cholesky_upper(g[0]).astype(complex),
         step=float(doc["step"]),
         metadata=dict(doc.get("metadata", {})),
     )

@@ -74,7 +74,8 @@ def driven():
 
 
 def to_hl(o, bundle, i):
-    return to_heisenberg_like(o, bundle.e[i], inverse(bundle.e[i]))
+    e = bundle.e_at(i)
+    return to_heisenberg_like(o, e, inverse(e))
 
 
 def test_01_hermitian_reduction():
@@ -206,7 +207,7 @@ def test_08_zero_gauge_generator(pt_unbroken, driven):
     for scenario, bundle in (pt_unbroken, driven):
         for i in range(0, bundle.n_nodes, bundle.n_nodes // 50):
             h = scenario.hamiltonian.assemble(bundle.ts[i])
-            e = bundle.e[i]
+            e = bundle.e_at(i)
             flat = hermitized_hamiltonian(h, e, inverse(e), rhs_vielbein(h, e))
             worst_flat = max(worst_flat, frobenius(flat))
             worst_recon = max(worst_recon, frobenius(e.conj().T @ e - bundle.g[i]))

@@ -76,12 +76,12 @@ def reference_trajectory_text(scenario: Scenario) -> str:
     doc = {
         "t": bundle.ts.tolist(),
         "step": bundle.step,
-        "psi": pairs(bundle.psi),
+        "psi": pairs(bundle.psi_at(slice(None))),
         "u_r": pairs(bundle.u_r),
         "u_l": pairs(bundle.u_l),
         "g": pairs(bundle.g),
-        "e": pairs(bundle.e),
-        "g0": pairs(bundle.g0),
+        "e": pairs(bundle.e_at(slice(None))),
+        "g0": pairs(bundle.g[0]),
         "metadata": bundle.metadata,
         "scenario": scenario_to_json_dict(scenario),
         "expectations": {
@@ -301,6 +301,20 @@ class TestScenarioFileErrors:
         Path("loop.json").symlink_to("loop.json")
         assert run(command, ref, *self.FLAGS[command]) == EXIT_SCENARIO
         assert capsys.readouterr() == ("", f"error[schema]: scenario file not found: {ref}\n")
+
+    @pytest.mark.parametrize("ref, shown", [
+        ("a\nb.json", "a\\u000ab.json"),
+        ("a\u2028b.json", "a\\u2028b.json"),
+        ("a\r\0.json", "a\\u000d\0.json"),  # no valid path: the other not-found raise
+    ], ids=["newline", "line-separator", "return-and-nul"])
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_path_with_a_line_break_is_one_line(self, tmp_path, monkeypatch, capsys, ref, shown,
+                                                command):
+        # A line break in the path is shown as its JSON escape, as in a pointer.
+        monkeypatch.chdir(tmp_path)
+        assert run(command, ref, *self.FLAGS[command]) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error[schema]: scenario file not found: {shown}"]
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_directory_is_schema_error(self, tmp_path, monkeypatch, capsys, command):
@@ -732,6 +746,7 @@ def assert_one_documented_line_each(doc) -> list[tuple[int, list[str]]]:
                                                "matrix": [[[1, 0], [2, 0]], [[0, 0], [1, 0]]]})]))
 @example(case=("pt-dimer-unbroken",
                [("/observables/big", [{"coeff": "1e300", "matrix": BIG_DIAGONAL}])]))
+@example(case=("hermitian-rabi", [("/\r", None)]))  # a key that str.splitlines breaks at
 def test_malformed_scenario_exits_with_one_documented_line(case):
     """The file alone decides whether it is valid: evolve, verify and spectrum give
     load_scenario's one error line, and a file that loads has nothing left to reject
@@ -1243,6 +1258,14 @@ class TestUsage:
         out = tmp_path / "missing" / "x.csv"
         assert run("evolve", "demo:pt-ep", "--t1", "0.01", "-o", str(out)) == EXIT_USAGE
         self.assert_one_usage_line(capsys, f"[Errno 2] No such file or directory: '{out}'\n")
+
+    @pytest.mark.parametrize("directory", ["no\ndir", "no\u2028dir"])
+    def test_output_path_with_a_line_break_is_one_usage_line(self, tmp_path, capsys, directory):
+        # OSError's text shows the file name as its repr, which escapes line breaks.
+        out = tmp_path / directory / "x.csv"
+        assert run("evolve", "demo:pt-ep", "--t1", "0.01", "-o", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[usage]: [Errno 2] No such file or directory: {str(out)!r}"]
 
     def test_help_exits_ok(self, capsys):
         assert run("evolve", "--help") == EXIT_OK

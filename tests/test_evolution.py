@@ -112,17 +112,17 @@ class TestAgainstMatrixExponential:
         scenario, bundle = pt_unbroken_bundle
         i = index_of_time(bundle, 3.0)
         exact = expm(-1j * 3.0 * H_PT) @ scenario.psi0
-        assert np.max(np.abs(bundle.psi[i] - exact)) <= 1e-9
+        assert np.max(np.abs(bundle.psi_at(i) - exact)) <= 1e-9
 
     def test_vielbein_channel(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
         i = index_of_time(bundle, 2.0)
-        exact = bundle.e[0] @ expm(1j * 2.0 * H_PT)
-        assert np.max(np.abs(bundle.e[i] - exact)) <= 1e-9
+        exact = bundle.e_at(0) @ expm(1j * 2.0 * H_PT)
+        assert np.max(np.abs(bundle.e_at(i) - exact)) <= 1e-9
 
     def test_metric_channel_is_stationary(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle
-        assert np.max(np.abs(bundle.g - bundle.g0)) <= 1e-9
+        assert np.max(np.abs(bundle.g - bundle.g[0])) <= 1e-9
 
 
 class TestRabiOracle:
@@ -131,11 +131,11 @@ class TestRabiOracle:
         _, bundle = rabi_bundle
         for t in (0.5, 1.0, 2.5, 7.0):
             i = index_of_time(bundle, t)
-            assert abs(abs(bundle.psi[i][0]) ** 2 - np.cos(t) ** 2) <= 1e-10
+            assert abs(abs(bundle.psi_at(i)[0]) ** 2 - np.cos(t) ** 2) <= 1e-10
 
     def test_norm_conserved(self, rabi_bundle):
         _, bundle = rabi_bundle
-        norms = np.linalg.norm(bundle.psi, axis=1)
+        norms = np.linalg.norm(bundle.psi_at(slice(None)), axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
 
@@ -150,8 +150,8 @@ class TestGridAndLimits:
         scenario = get_demo("pt-dimer-unbroken", gamma=0.0, s=0.0, t1=1.0, step=0.1)
         bundle = integrate(scenario)
         assert np.array_equal(bundle.u_r[-1], np.eye(2))
-        assert np.array_equal(bundle.psi[-1], bundle.psi[0])
-        assert np.array_equal(bundle.g[-1], bundle.g0)
+        assert np.array_equal(bundle.psi_at(-1), bundle.psi_at(0))
+        assert np.array_equal(bundle.g[-1], bundle.g[0])
 
     def test_step_limit(self):
         scenario = get_demo("pt-dimer-unbroken")
@@ -174,6 +174,32 @@ class TestGridAndLimits:
             index_of_time(bundle, 11.0)
 
 
+class TestDerivedChannels:
+    """psi_at and e_at at any nodes are the rows of U_R psi0 and E0 U_L over the
+    whole trajectory, bit for bit, so every reader sees the values the
+    trajectory document holds; G(t0) is g[0]."""
+
+    @staticmethod
+    def assert_derived_bits(scenario):
+        bundle = integrate(scenario)
+        psi, e = bundle.u_r @ bundle.psi0, bundle.e0 @ bundle.u_l
+        last = bundle.n_nodes - 1
+        for index in (0, last // 2, last, np.array([0, 1, last // 3, last]), slice(None)):
+            for got, want in ((bundle.psi_at(index), psi[index]), (bundle.e_at(index), e[index])):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), index
+        g0 = resolve_initial_metric(scenario)
+        assert np.array_equal(bundle.g[0].view(np.uint64), g0.view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    def test_demos(self, name):
+        self.assert_derived_bits(get_demo(name, t1=0.75))
+
+    def test_perfbench_chains(self, perfbench_chain_files):
+        for path in perfbench_chain_files:
+            self.assert_derived_bits(load_scenario(path))
+
+
 class TestClosedFormMetric:
     def test_matches_integrated_metric(self, driven_bundle):
         _, bundle = driven_bundle
@@ -183,7 +209,7 @@ class TestClosedFormMetric:
     def test_vielbein_transport_closed_form(self, driven_bundle):
         _, bundle = driven_bundle
         i = bundle.n_nodes - 1
-        assert np.max(np.abs(bundle.e[i] - bundle.e[0] @ bundle.u_l[i])) <= 1e-9
+        assert np.max(np.abs(bundle.e_at(i) - bundle.e_at(0) @ bundle.u_l[i])) <= 1e-9
 
 
 class TestConvergence:
@@ -303,7 +329,8 @@ class TestBlockedIntegratorParity:
         scenario = get_demo(name, t1=0.75)
         bundle = integrate(scenario)
         psi, u_r, u_l, g, _ = reference_integrate(scenario)
-        for got, want in ((bundle.psi, psi), (bundle.u_r, u_r), (bundle.u_l, u_l), (bundle.g, g)):
+        for got, want in ((bundle.psi_at(slice(None)), psi), (bundle.u_r, u_r), (bundle.u_l, u_l),
+                          (bundle.g, g)):
             assert np.array_equal(got, want)
 
     def test_stage_times_are_those_of_single_steps(self, monkeypatch):
@@ -322,20 +349,19 @@ class TestBlockedIntegratorParity:
     def test_driven_chain_with_exp_and_tanh(self):
         scenario = _driven_pt_chain()
         bundle = integrate(scenario)
-        psi, u_r, u_l, g, e = reference_integrate(scenario)
+        psi, u_r, u_l, g, _ = reference_integrate(scenario)
         for got, want in ((bundle.u_r, u_r), (bundle.u_l, u_l), (bundle.g, g)):
             assert np.array_equal(got, want)
         # psi0 is uniform here: the derived channels are images of the
         # integrated ones, and agree with the integrated psi and E in what
         # they are used for.
-        assert np.array_equal(bundle.psi, bundle.u_r @ scenario.psi0)
-        assert np.array_equal(bundle.e, cholesky_upper(bundle.g0) @ bundle.u_l)
-        reference = dataclasses.replace(bundle, psi=psi, u_r=u_r, u_l=u_l, g=g, e=e)
-        nodes = np.arange(bundle.n_nodes)
+        every = slice(None)
+        assert np.array_equal(bundle.psi_at(every), bundle.u_r @ scenario.psi0)
+        assert np.array_equal(bundle.e_at(every), cholesky_upper(bundle.g[0]) @ bundle.u_l)
         for obs in scenario.observables.values():
             o = obs.assemble_many(bundle.ts)
-            want = rep.expectation_schrodinger(reference, nodes, o)
-            got = rep.expectation_schrodinger(bundle, nodes, o)
+            want = (psi.conj()[:, None, :] @ g @ o @ psi[:, :, None])[:, 0, 0]
+            got = rep.expectation_schrodinger(bundle, every, o)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dim", [3, 6])
@@ -564,12 +590,11 @@ class TestBundleSerialization:
         assert to_json_text(bundle_to_json_dict(back, scenario, expectations)) == text
         for back in (bundle_from_json_dict(doc), bundle_from_json_dict(json.loads(text))):
             assert np.array_equal(back.ts, bundle.ts)
-            assert np.array_equal(back.psi, bundle.psi)
+            assert np.array_equal(back.psi0, bundle.psi0)
             assert np.array_equal(back.u_r, bundle.u_r)
             assert np.array_equal(back.u_l, bundle.u_l)
             assert np.array_equal(back.g, bundle.g)
-            assert np.array_equal(back.e, bundle.e)
-            assert np.array_equal(back.g0, bundle.g0)
+            assert np.array_equal(back.e0, bundle.e0)
             assert back.step == bundle.step
             assert back.metadata == bundle.metadata
 
@@ -620,7 +645,7 @@ class TestBundleSerialization:
 
     def test_encoding_leaves_no_reference_cycle(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
-        doc = bundle_to_json_dict(bundle, scenario, {"x": bundle.psi[:, 0]})
+        doc = bundle_to_json_dict(bundle, scenario, {"x": bundle.psi_at(slice(None))[:, 0]})
         gc.collect()
         gc.disable()
         try:

@@ -33,7 +33,8 @@ H_PT = SIGMA_X + 0.5j * SIGMA_Z
 
 
 def to_hl(o, bundle, i):
-    return to_heisenberg_like(o, bundle.e[i], inverse(bundle.e[i]))
+    e = bundle.e_at(i)
+    return to_heisenberg_like(o, e, inverse(e))
 
 
 class TestTransportExamples:
@@ -105,8 +106,8 @@ class TestHermitizedHamiltonian:
         for t in (0.0, 3.0, 10.0):
             i = index_of_time(bundle, t)
             h_s = scenario.hamiltonian.assemble(t)
-            de_dt = rhs_vielbein(h_s, bundle.e[i])
-            flat = hermitized_hamiltonian(h_s, bundle.e[i], inverse(bundle.e[i]), de_dt)
+            e = bundle.e_at(i)
+            flat = hermitized_hamiltonian(h_s, e, inverse(e), rhs_vielbein(h_s, e))
             assert np.max(np.abs(flat)) <= 1e-10
 
     def test_static_vielbein_from_stationary_metric_hermitizes(self):

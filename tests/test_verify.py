@@ -182,20 +182,31 @@ class TestReportShape:
 
 
 class TestErrorPath:
+    # On an identity-metric demo E0 = I, so E = E0 U_L is U_L bit for bit: a
+    # singular U_L at a node is a singular vielbein there.
+    @staticmethod
+    def _with_singular_u_l(bundle, blocks):
+        assert np.array_equal(bundle.e0, np.eye(bundle.dim))
+        u_l = bundle.u_l.copy()
+        for node, block in blocks.items():
+            u_l[node] = block
+        return dataclasses.replace(bundle, u_l=u_l)
+
     def test_singular_vielbein_is_reported_at_its_first_node(self):
-        scenario = get_demo("pt-dimer-unbroken", t1=0.5, step=0.01)  # nodes 0, 10, ..., 50
+        scenario = get_demo("driven-dimer", t1=0.5, step=0.01)  # nodes 0, 10, ..., 50
         bundle = integrate(scenario)
-        e = bundle.e.copy()
-        e[20] = np.diag([3.0, 0.0])
-        e[40] = np.diag([2.0, 0.0])
+        singular = self._with_singular_u_l(
+            bundle, {20: np.diag([3.0, 0.0]), 40: np.diag([2.0, 0.0])})
         clean = {c.name: c for c in run_suite(bundle, scenario).checks}
-        report = run_suite(dataclasses.replace(bundle, e=e), scenario)
+        report = run_suite(singular, scenario)
 
         error = ("SingularMatrixError: condition number exceeds cap 1.0e+12 "
                  "(sigma_min=0.000e+00, sigma_max=3.000e+00)")
         inverts_e = ("expectation_s_vs_hl", "isospectral_hl", "heisenberg_like_eom_fd",
                      "hermitized_generator_gauge")
         reads_e = ("vielbein_reconstructs_metric",)
+        reads_u_l = ("propagator_inverse", "metric_closed_form", "expectation_s_vs_h[",
+                     "isospectral_h[", "heisenberg_eom_fd", "commutator_transport")
         errored = [c for c in report.checks if c.name.startswith(inverts_e)]
         assert len(errored) == 3 * len(scenario.observables) + 1
         for c in errored:
@@ -204,22 +215,24 @@ class TestErrorPath:
         for c in report.checks:
             if c.name in reads_e:
                 assert not c.passed and not c.error and c.context in ("node 20", "node 40")
-            elif not c.name.startswith(inverts_e):
+            elif not c.name.startswith(inverts_e + reads_u_l):
                 assert c == clean[c.name]
 
     def test_singular_vielbein_at_an_unsampled_node_fails_only_the_hl_eom_checks(self):
         # Nodes 0, 26 and 51 with delta 25 nodes: only the EOM checks read node 1.
-        scenario = get_demo("pt-dimer-unbroken", t1=0.51, step=0.01)
+        scenario = get_demo("driven-dimer", t1=0.51, step=0.01)
         bundle = integrate(scenario)
-        e = bundle.e.copy()
-        e[1] = np.diag([3.0, 0.0])
+        singular = self._with_singular_u_l(bundle, {1: np.diag([3.0, 0.0])})
         clean = {c.name: c for c in run_suite(bundle, scenario, node_stride=26).checks}
-        report = run_suite(dataclasses.replace(bundle, e=e), scenario, node_stride=26)
-        changed = [c for c in report.checks if c != clean[c.name]]
-        assert [c.name for c in changed] == [
+        report = run_suite(singular, scenario, node_stride=26)
+        errored = [c for c in report.checks if c.error]
+        assert [c.name for c in errored] == [
             f"heisenberg_like_eom_fd[{name}]" for name in scenario.observables]
-        for c in changed:
+        for c in errored:
             assert c.error.startswith("SingularMatrixError:"), c.name
+        for c in report.checks:
+            if "_eom_fd[" not in c.name:
+                assert c == clean[c.name]
 
     @pytest.mark.parametrize("demo, t1, stride", [
         ("pt-ep", 0.05, 100),  # nodes 0 and 50, delta 25 nodes
@@ -272,8 +285,8 @@ def per_node_reference(bundle, scenario, node_stride=10):
         nodes.append(n - 1)
     eye = np.eye(bundle.dim)
     dn = max(1, min(node_stride, (n - 1) // 2))
-    ket_hl = bundle.e[0] @ bundle.psi[0]
-    frozen = {"h": (bundle.psi[0].conj() @ bundle.g0, bundle.psi[0]),
+    ket_hl = bundle.e_at(0) @ bundle.psi_at(0)
+    frozen = {"h": (bundle.psi_at(0).conj() @ bundle.g[0], bundle.psi_at(0)),
               "hl": (ket_hl.conj(), ket_hl)}
 
     def spectral_distance(a, b):
@@ -281,7 +294,7 @@ def per_node_reference(bundle, scenario, node_stride=10):
                              - np.sort_complex(np.linalg.eigvals(b))))
 
     def expectation_gap(i, obs, picture, transport):
-        psi, o = bundle.psi[i], obs.assemble(bundle.ts[i])
+        psi, o = bundle.psi_at(i), obs.assemble(bundle.ts[i])
         value_s = (psi.conj()[None, :] @ bundle.g[i] @ o @ psi[:, None])[0, 0]
         dual, ket = frozen[picture]
         return abs(value_s - (dual[None, :] @ transport(obs, i) @ ket[:, None])[0, 0])
@@ -290,7 +303,8 @@ def per_node_reference(bundle, scenario, node_stride=10):
         return bundle.u_l[j] @ obs.assemble(bundle.ts[j]) @ bundle.u_r[j]
 
     def o_hl(obs, j):
-        return bundle.e[j] @ obs.assemble(bundle.ts[j]) @ np.linalg.inv(bundle.e[j])
+        e = bundle.e_at(j)
+        return e @ obs.assemble(bundle.ts[j]) @ np.linalg.inv(e)
 
     def eom_fd(i, obs, d_obs, transport):
         if i - dn < 0 or i + dn >= n:
