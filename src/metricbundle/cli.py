@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -49,6 +50,13 @@ def _error(code: str, message: str) -> None:
 
 class Parser(argparse.ArgumentParser):
     """Reports a usage error as one error[usage] line, in place of argparse's usage block."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token of "-" and a digit, or "-." and a digit, is a value ("-1e-3",
+        # "-1,0"): no option of this CLI starts so. argparse's own (private)
+        # pattern reads only -\d+ and -\d*\.\d+ as values.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         _error("usage", message)

@@ -195,22 +195,11 @@ def run_suite(
     at_inner = at_nodes[inner]
 
     # E is formed once on the grid, and inverted there when a check first
-    # needs it. Where that is refused, each check inverts the nodes it reads
-    # instead: it reports the first refused node among them, or evaluates if
-    # there is none.
+    # needs it. A node refused there fails every check that inverts E, as a
+    # grid node where an observable is not finite fails every check of it.
     e_grid = bundle.e_at(grid)
     e = e_grid[at_nodes]
-
-    @functools.cache
-    def e_inv_grid():
-        try:
-            return inverse(e_grid)
-        except MetricBundleError:
-            return None
-
-    def e_inv(at):
-        inv = e_inv_grid()
-        return inverse(e_grid[at]) if inv is None else inv[at]
+    e_inv = functools.cache(lambda: inverse(e_grid))
 
     # Propagator inverse identity.
     add("propagator_inverse_left", base, lambda: frobenius(u_l @ u_r - eye))
@@ -235,7 +224,7 @@ def run_suite(
     # Zero-gauge generator residual: both terms are built from the same
     # vielbein, so the cancellation is exact up to rounding.
     add("hermitized_generator_gauge", base, lambda: frobenius(
-        rep.hermitized_hamiltonian(h_s(), e, e_inv(at_nodes), rhs_vielbein(h_s(), e))))
+        rep.hermitized_hamiltonian(h_s(), e, e_inv()[at_nodes], rhs_vielbein(h_s(), e))))
 
     # An operator at grid positions in each frozen-state picture. The
     # transports are read from the module at call time, where a tracer may
@@ -244,7 +233,7 @@ def run_suite(
         return rep.to_heisenberg(o, bundle, grid[at])
 
     def in_hl(o, at):
-        return rep.to_heisenberg_like(o, e_grid[at], e_inv(at))
+        return rep.to_heisenberg_like(o, e_grid[at], e_inv()[at])
 
     @functools.cache
     def h_in(transport):  # H in the picture, where the EOM checks read it
@@ -267,15 +256,13 @@ def run_suite(
         dt_s = functools.cache(lambda: obs.differentiate().assemble_many(ts[inner]))
 
         @functools.cache
-        def sampled_in(transport):
-            return transport(o_s(), at_nodes)
+        def o_in(transport):  # O in the picture, on the grid
+            return transport(o_grid(), slice(None))
 
         def eom_fd(transport):
             if not inner.any():
                 return np.zeros(0)
-            # Only the EOM checks read the grid, whose extra node is not sampled.
-            o_p = (sampled_in(transport) if len(grid) == len(nodes)
-                   else transport(o_grid(), slice(None)))
+            o_p = o_in(transport)
             fd = (o_p[at_above] - o_p[at_below]) / (2 * delta)
             return frobenius(fd - rep.heisenberg_rhs(
                 o_p[at_inner], h_in(transport), transport(dt_s(), at_inner)))
@@ -283,11 +270,11 @@ def run_suite(
         for suffix, _, transport, state in pictures:
             add(f"expectation_s_vs_{suffix}[{obs_name}]", base,
                 lambda transport=transport, state=state:
-                    np.abs(exp_s() - rep.expectation(state, sampled_in(transport))))
+                    np.abs(exp_s() - rep.expectation(state, o_in(transport)[at_nodes])))
         for suffix, _, transport, _ in pictures:
             add(f"isospectral_{suffix}[{obs_name}]", base,
                 lambda transport=transport: np.max(np.abs(
-                    sorted_eigenvalues(sampled_in(transport)) - spectrum_s()), axis=-1))
+                    sorted_eigenvalues(o_in(transport)[at_nodes]) - spectrum_s()), axis=-1))
         for _, eom_name, transport, _ in pictures:
             add(f"{eom_name}_eom_fd[{obs_name}]", fd_budget,
                 lambda transport=transport: eom_fd(transport), at=nodes[inner])

@@ -1249,10 +1249,31 @@ class TestUsage:
         # spectrum evaluates operators at its --times and integrates nothing.
         (("spectrum", "demo:pt-ep", "--observable", "sigma_z", "--times", "0", "--t1", "2"),
          "unrecognized arguments: --t1 2"),
+        # "-x" is an option, not a value: only "-" and a digit, or "-." and a digit, is.
+        (("evolve", "demo:pt-ep", "-o", "x.csv", "--t1", "-x"),
+         "argument --t1: expected one argument"),
     ])
     def test_parser_error_is_one_usage_line(self, capsys, argv, message):
         assert run(*argv) == EXIT_USAGE
         self.assert_one_usage_line(capsys, message + "\n")
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("spectrum", "demo:time-dependent-observable", "--observable", "rotating"),
+         "--times", "-1,0"),
+        (("evolve", "demo:pt-ep", "--t1", "0.01", "-o", "{out}"), "--t0", "-1e-3"),
+        (("demo", "pt-ep"), "--s", "-1e-1"),
+        (("demo", "pt-ep"), "--s", "-.5"),
+    ])
+    def test_negative_value_after_a_flag_is_a_value(self, tmp_path, capsys, argv, flag, value):
+        # argparse alone reads "-1e-3" and "-1,0" as options; "--flag=value" always worked.
+        outputs = []
+        for spelling in ((flag, value), (f"{flag}={value}",)):
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert run(*(a.format(out=out) for a in argv), *spelling) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((captured.out, out.read_text() if out.exists() else None))
+        assert outputs[0] == outputs[1]
 
     def test_unwritable_output_is_one_usage_line(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

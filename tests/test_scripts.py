@@ -54,9 +54,11 @@ def test_convergence_study_skips_a_residual_that_rounds_to_zero():
     (["no-such-demo"], 2, "error[schema]: unknown demo model 'no-such-demo'"),
     (["--coarsest", "0"], 2, "error[schema]: /integrator/step: step must be positive"),
     (["--t1", "0"], 2, "error[schema]: /t1: t1 must exceed t0"),
+    # A negative value reaches the script (cli.Parser), not a usage error.
+    (["--t1", "-1e-1"], 2, "error[schema]: /t1: t1 must exceed t0"),
     (["pt-dimer-broken", "--t1", "40"], 3, "error[numeric]: NonFiniteError: "),
     (["--halvings", "x"], 1, "error[usage]: argument --halvings: invalid int value: 'x'"),
-], ids=["unknown-demo", "coarsest-0", "t1-0", "blow-up", "halvings-x"])
+], ids=["unknown-demo", "coarsest-0", "t1-0", "t1-negative", "blow-up", "halvings-x"])
 def test_convergence_study_reports_one_error_line(args, code, message):
     proc = run_script("convergence_study.py", *args)
     assert proc.returncode == code

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import exact_family
 from conftest import bundle_from_json_dict
 from metricbundle import matops, verify
 from metricbundle import representations as rep
@@ -218,20 +219,50 @@ class TestErrorPath:
             elif not c.name.startswith(inverts_e + reads_u_l):
                 assert c == clean[c.name]
 
-    def test_singular_vielbein_at_an_unsampled_node_fails_only_the_hl_eom_checks(self):
-        # Nodes 0, 26 and 51 with delta 25 nodes: only the EOM checks read node 1.
+    def test_singular_vielbein_at_an_unsampled_node_fails_every_check_that_inverts_e(self):
+        # Nodes 0, 26 and 51 with delta 25 nodes: only the EOM checks read
+        # node 1, yet E is inverted once on the grid that holds it.
         scenario = get_demo("driven-dimer", t1=0.51, step=0.01)
         bundle = integrate(scenario)
         singular = self._with_singular_u_l(bundle, {1: np.diag([3.0, 0.0])})
         clean = {c.name: c for c in run_suite(bundle, scenario, node_stride=26).checks}
         report = run_suite(singular, scenario, node_stride=26)
+
+        error = ("SingularMatrixError: condition number exceeds cap 1.0e+12 "
+                 "(sigma_min=0.000e+00, sigma_max=3.000e+00)")
+        inverts_e = ("expectation_s_vs_hl", "isospectral_hl", "heisenberg_like_eom_fd",
+                     "hermitized_generator_gauge")
         errored = [c for c in report.checks if c.error]
         assert [c.name for c in errored] == [
-            f"heisenberg_like_eom_fd[{name}]" for name in scenario.observables]
+            c.name for c in report.checks if c.name.startswith(inverts_e)]
+        assert len(errored) == 3 * len(scenario.observables) + 1
         for c in errored:
-            assert c.error.startswith("SingularMatrixError:"), c.name
+            assert (c.residual, c.passed, c.context, c.error) == (
+                float("inf"), False, "max over 3 nodes", error), c.name
         for c in report.checks:
-            if "_eom_fd[" not in c.name:
+            # heisenberg_eom_fd reads the altered U_L at node 1.
+            if not c.name.startswith(inverts_e + ("heisenberg_eom_fd",)):
+                assert c == clean[c.name]
+
+    def test_observable_not_finite_at_an_unsampled_node_fails_each_of_its_checks(self):
+        # The rule a refused E node follows: an observable evaluated on the
+        # grid, with a pole at node 1 (t = 0.01) only, fails all six checks
+        # of that observable and no other check.
+        scenario = get_demo("driven-dimer", t1=0.51, step=0.01)
+        pole = OperatorSpec([ProfileTerm.parse("1 / (t - 0.01)", SIGMA_Z)])
+        with_pole = dataclasses.replace(
+            scenario, observables={**scenario.observables, "pole": pole})
+        bundle = integrate(scenario)
+        clean = {c.name: c for c in run_suite(bundle, scenario, node_stride=26).checks}
+        report = run_suite(bundle, with_pole, node_stride=26)
+        errored = [c for c in report.checks if c.error]
+        assert [c.name for c in errored] == [f"{check}[pole]" for check in OBSERVABLE_CHECKS]
+        for c in errored:
+            assert (c.residual, c.passed, c.context, c.error) == (
+                float("inf"), False, "max over 3 nodes",
+                "EvalError: division by zero (at offset 2)"), c.name
+        for c in report.checks:
+            if not c.name.endswith("[pole]"):
                 assert c == clean[c.name]
 
     @pytest.mark.parametrize("demo, t1, stride", [
@@ -359,7 +390,7 @@ def per_node_reference(bundle, scenario, node_stride=10):
 
 @pytest.mark.parametrize("name", [
     *sorted(builtin_models()), "pt-chain-8", "pt-dimer-unbroken-stride-26",
-    "pt-dimer-unbroken-20-nodes"])
+    "pt-dimer-unbroken-20-nodes", "exact-family-4-20-nodes"])
 def test_stacked_checks_match_per_node_loop(name):
     node_stride = 10
     if name == "pt-chain-8":
@@ -371,6 +402,9 @@ def test_stacked_checks_match_per_node_loop(name):
     elif name == "pt-dimer-unbroken-20-nodes":
         # Nodes 0, 10 and 19 with delta 9 nodes: the same shape at the default stride.
         scenario = get_demo("pt-dimer-unbroken", t1=0.019)
+    elif name == "exact-family-4-20-nodes":
+        # The same shape at dim 4, with a time-dependent H and a dynamical metric.
+        scenario = exact_family.scenario(4, t1=0.019)
     else:
         scenario = get_demo(name, t1=0.75)
     bundle = integrate(scenario)
@@ -430,13 +464,26 @@ def test_each_operand_is_transported_and_diagonalized_once(monkeypatch):
     counts = _count_calls(monkeypatch, ((rep, "to_heisenberg"), (rep, "to_heisenberg_like"),
                                         (verify, "inverse"), (matops, "eigenvalues")))
     run_suite(bundle, scenario)
-    # Four observables, each transported at the sampled nodes and its d/dt at
-    # the inner ones, per picture; H once per picture; three commutator pairs.
+    # Four observables, each transported on the grid and its d/dt at the
+    # inner nodes, per picture; H once per picture; three commutator pairs.
     assert counts["to_heisenberg"] + counts["to_heisenberg_like"] == 4 * 2 * 2 + 2 + 3 * 3 == 27
     # E inverted once, on the grid, for every HL check and the hermitized generator.
     assert counts["inverse"] == 1
     # Per observable: O_S once, O_H and O_HL once each.
     assert counts["eigenvalues"] == 4 * 3 == 12
+
+
+def test_a_run_of_two_strides_transports_each_operand_once(monkeypatch):
+    # Nodes 0, 10 and 19 with delta 9 nodes: the grid adds node 1, and each
+    # observable is still transported once per picture, on that grid.
+    scenario = get_demo("time-dependent-observable", t1=0.019)
+    bundle = integrate(scenario)
+    counts = _count_calls(monkeypatch, ((rep, "to_heisenberg"), (rep, "to_heisenberg_like"),
+                                        (verify, "inverse"), (matops, "eigenvalues")))
+    run_suite(bundle, scenario)
+    assert counts["to_heisenberg"] + counts["to_heisenberg_like"] == 27
+    assert counts["inverse"] == 1
+    assert counts["eigenvalues"] == 12
 
 
 def test_two_observable_chain_inverts_e_once(monkeypatch):
