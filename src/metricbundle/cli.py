@@ -53,10 +53,11 @@ class Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # A token of "-" and a digit, or "-." and a digit, is a value ("-1e-3",
-        # "-1,0"): no option of this CLI starts so. argparse's own (private)
-        # pattern reads only -\d+ and -\d*\.\d+ as values.
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # A token of "-" and a digit, "-." and a digit, "-inf" or "-nan" (any
+        # case) is a value ("-1e-3", "-1,0", "-Infinity"): no option of this CLI
+        # starts so. argparse's own (private) pattern reads only -\d+ and
+        # -\d*\.\d+ as values.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         _error("usage", message)

@@ -10,7 +10,6 @@ those are reported but do not count as suite failures.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -129,6 +128,25 @@ def _sample_indices(n_nodes: int, stride: int) -> np.ndarray:
     return np.array(idx)
 
 
+def _once(compute):
+    """Memoize compute per argument tuple, to its value or to the MetricBundleError
+    it raised, which every later call with those arguments raises again."""
+    memo: dict[tuple, tuple[bool, Any]] = {}
+
+    def once(*args):
+        if args not in memo:
+            try:
+                memo[args] = (True, compute(*args))
+            except MetricBundleError as exc:
+                memo[args] = (False, exc)
+        ok, value = memo[args]
+        if not ok:
+            raise value
+        return value
+
+    return once
+
+
 def run_suite(
     bundle: EvolutionBundle,
     scenario: Scenario,
@@ -199,7 +217,7 @@ def run_suite(
     # grid node where an observable is not finite fails every check of it.
     e_grid = bundle.e_at(grid)
     e = e_grid[at_nodes]
-    e_inv = functools.cache(lambda: inverse(e_grid))
+    e_inv = _once(lambda: inverse(e_grid))
 
     # Propagator inverse identity.
     add("propagator_inverse_left", base, lambda: frobenius(u_l @ u_r - eye))
@@ -217,47 +235,36 @@ def run_suite(
 
     add("norm_conservation", base, norm_drift)
 
-    # Shared inputs are evaluated once, on first use; an evaluation error is
-    # then reported by every check that needs the input.
-    h_s = functools.cache(lambda: scenario.hamiltonian.assemble_many(ts))
+    # Shared inputs are evaluated once, on first use, to a value or an error;
+    # an error is then reported by every check that needs the input.
+    h_s = _once(lambda: scenario.hamiltonian.assemble_many(ts))
 
     # Zero-gauge generator residual: both terms are built from the same
     # vielbein, so the cancellation is exact up to rounding.
     add("hermitized_generator_gauge", base, lambda: frobenius(
         rep.hermitized_hamiltonian(h_s(), e, e_inv()[at_nodes], rhs_vielbein(h_s(), e))))
 
-    # An operator at grid positions in each frozen-state picture. The
-    # transports are read from the module at call time, where a tracer may
-    # have wrapped them.
-    def in_h(o, at):
-        return rep.to_heisenberg(o, bundle, grid[at])
-
-    def in_hl(o, at):
-        return rep.to_heisenberg_like(o, e_grid[at], e_inv()[at])
-
-    @functools.cache
-    def h_in(transport):  # H in the picture, where the EOM checks read it
-        return transport(h_s()[inner], at_inner)
-
     # The frozen-state pictures, which share one equation of motion: check
-    # suffix, EOM check name, transport, frozen state.
+    # suffix, EOM check name, transport of an operator at grid positions,
+    # frozen state. The transports are read from the module at call time,
+    # where a tracer may have wrapped them.
     pictures = (
-        ("h", "heisenberg", in_h, rep.heisenberg_state(bundle)),
-        ("hl", "heisenberg_like", in_hl, rep.heisenberg_like_state(bundle)),
+        ("h", "heisenberg", lambda o, at: rep.to_heisenberg(o, bundle, grid[at]),
+         rep.heisenberg_state(bundle)),
+        ("hl", "heisenberg_like", lambda o, at: rep.to_heisenberg_like(
+            o, e_grid[at], e_inv()[at]), rep.heisenberg_like_state(bundle)),
     )
+    # H in each picture, where the EOM checks read it.
+    h_in = _once(lambda transport: transport(h_s()[inner], at_inner))
 
     def observable_checks(obs_name, obs):
-        o_grid = functools.cache(lambda: obs.assemble_many(bundle.ts[grid]))
-        o_s = functools.cache(lambda: o_grid()[at_nodes])
-        exp_s = functools.cache(lambda: rep.expectation_schrodinger(bundle, nodes, o_s()))
+        o_grid = _once(lambda: obs.assemble_many(bundle.ts[grid]))
+        exp_s = _once(lambda: rep.expectation_schrodinger(bundle, nodes, o_grid()[at_nodes]))
         # A constant O_S has one spectrum, which the isospectral checks broadcast over the nodes.
-        spectrum_s = functools.cache(lambda: sorted_eigenvalues(
-            o_s() if obs.constant is None else obs.constant))
-        dt_s = functools.cache(lambda: obs.differentiate().assemble_many(ts[inner]))
-
-        @functools.cache
-        def o_in(transport):  # O in the picture, on the grid
-            return transport(o_grid(), slice(None))
+        spectrum_s = _once(lambda: sorted_eigenvalues(
+            o_grid()[at_nodes] if obs.constant is None else obs.constant))
+        dt_s = _once(lambda: obs.differentiate().assemble_many(ts[inner]))
+        o_in = _once(lambda transport: transport(o_grid(), slice(None)))  # O in each picture
 
         def eom_fd(transport):
             if not inner.any():

@@ -1249,7 +1249,8 @@ class TestUsage:
         # spectrum evaluates operators at its --times and integrates nothing.
         (("spectrum", "demo:pt-ep", "--observable", "sigma_z", "--times", "0", "--t1", "2"),
          "unrecognized arguments: --t1 2"),
-        # "-x" is an option, not a value: only "-" and a digit, or "-." and a digit, is.
+        # "-x" is an option, not a value: only "-" and a digit, "-." and a digit,
+        # "-inf" or "-nan" is.
         (("evolve", "demo:pt-ep", "-o", "x.csv", "--t1", "-x"),
          "argument --t1: expected one argument"),
     ])
@@ -1257,21 +1258,34 @@ class TestUsage:
         assert run(*argv) == EXIT_USAGE
         self.assert_one_usage_line(capsys, message + "\n")
 
-    @pytest.mark.parametrize("argv, flag, value", [
+    @pytest.mark.parametrize("argv, flag, value, code, err", [
         (("spectrum", "demo:time-dependent-observable", "--observable", "rotating"),
-         "--times", "-1,0"),
-        (("evolve", "demo:pt-ep", "--t1", "0.01", "-o", "{out}"), "--t0", "-1e-3"),
-        (("demo", "pt-ep"), "--s", "-1e-1"),
-        (("demo", "pt-ep"), "--s", "-.5"),
+         "--times", "-1,0", EXIT_OK, ""),
+        (("evolve", "demo:pt-ep", "--t1", "0.01", "-o", "{out}"), "--t0", "-1e-3", EXIT_OK, ""),
+        (("demo", "pt-ep"), "--s", "-1e-1", EXIT_OK, ""),
+        (("demo", "pt-ep"), "--s", "-.5", EXIT_OK, ""),
+        # A negative non-finite value reaches the check that refuses it.
+        (("evolve", "demo:pt-ep", "--t1", "0.01", "-o", "{out}"), "--t0", "-inf",
+         EXIT_SCENARIO, "error[schema]: /t0: must be a finite number, got -inf\n"),
+        (("evolve", "demo:pt-ep", "--t1", "0.01", "-o", "{out}"), "--t0", "-Infinity",
+         EXIT_SCENARIO, "error[schema]: /t0: must be a finite number, got -inf\n"),
+        (("spectrum", "demo:pt-ep", "--observable", "sigma_z"), "--times", "-inf",
+         EXIT_SCENARIO, "error[schema]: bad --times value: -inf is not finite\n"),
+        (("demo", "pt-ep"), "--s", "-nan",
+         EXIT_SCENARIO, "error[schema]: demo 'pt-ep' parameter 's' must be finite, got nan\n"),
+        (("demo", "pt-ep"), "--s", "-NaN",
+         EXIT_SCENARIO, "error[schema]: demo 'pt-ep' parameter 's' must be finite, got nan\n"),
     ])
-    def test_negative_value_after_a_flag_is_a_value(self, tmp_path, capsys, argv, flag, value):
-        # argparse alone reads "-1e-3" and "-1,0" as options; "--flag=value" always worked.
+    def test_negative_value_after_a_flag_is_a_value(
+            self, tmp_path, capsys, argv, flag, value, code, err):
+        # argparse alone reads "-1e-3", "-1,0" and "-inf" as options; "--flag=value"
+        # always worked.
         outputs = []
         for spelling in ((flag, value), (f"{flag}={value}",)):
             out = tmp_path / f"{len(outputs)}.csv"
-            assert run(*(a.format(out=out) for a in argv), *spelling) == EXIT_OK
+            assert run(*(a.format(out=out) for a in argv), *spelling) == code
             captured = capsys.readouterr()
-            assert captured.err == ""
+            assert captured.err == err
             outputs.append((captured.out, out.read_text() if out.exists() else None))
         assert outputs[0] == outputs[1]
 

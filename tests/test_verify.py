@@ -265,6 +265,26 @@ class TestErrorPath:
             if not c.name.endswith("[pole]"):
                 assert c == clean[c.name]
 
+    def test_a_refused_vielbein_is_inverted_once(self, monkeypatch):
+        # The error of the one inverse of E on the grid is what each of the
+        # ten checks that invert E reports; none of them inverts E again.
+        scenario = get_demo("driven-dimer", t1=0.51, step=0.01)
+        singular = self._with_singular_u_l(integrate(scenario), {1: np.diag([3.0, 0.0])})
+        counts = _count_calls(monkeypatch, ((verify, "inverse"),))
+        report = run_suite(singular, scenario, node_stride=26)
+        assert sum(c.error.startswith("SingularMatrixError") for c in report.checks) == 10
+        assert counts["inverse"] == 1
+
+    def test_an_observable_not_finite_on_the_grid_is_assembled_once(self, monkeypatch):
+        scenario = get_demo("driven-dimer", t1=0.51, step=0.01)
+        pole = OperatorSpec([ProfileTerm.parse("1 / (t - 0.01)", SIGMA_Z)])
+        with_pole = dataclasses.replace(
+            scenario, observables={**scenario.observables, "pole": pole})
+        counts = _count_calls(monkeypatch, ((pole, "assemble_many"),))
+        report = run_suite(integrate(scenario), with_pole, node_stride=26)
+        assert sum(c.error.startswith("EvalError") for c in report.checks) == 6
+        assert counts["assemble_many"] == 1
+
     @pytest.mark.parametrize("demo, t1, stride", [
         ("pt-ep", 0.05, 100),  # nodes 0 and 50, delta 25 nodes
         ("hermitian-rabi", 0.001, 10),  # one step: nodes 0 and 1, delta 1 node
