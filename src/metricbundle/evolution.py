@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -67,14 +68,14 @@ def rhs_vielbein(h, e):
 @dataclass(frozen=True, eq=False)
 class EvolutionBundle:
     """Time-gridded record of one integration run, immutable once produced: the
-    integrated channels and the run's initial data. G(t0) is g[0]."""
+    integrated channels and the run's initial data. G(t0) is g[0]; E(t0) is
+    derived from it."""
 
     ts: np.ndarray  # (n,)
     u_r: np.ndarray  # (n, dim, dim)
     u_l: np.ndarray  # (n, dim, dim)
     g: np.ndarray  # (n, dim, dim)
     psi0: np.ndarray  # (dim,)
-    e0: np.ndarray  # (dim, dim), the upper Cholesky factor of g[0]
     step: float
     metadata: dict[str, Any] = field(default_factory=dict)
 
@@ -85,6 +86,11 @@ class EvolutionBundle:
     @property
     def dim(self) -> int:
         return self.psi0.shape[0]
+
+    @cached_property
+    def e0(self) -> np.ndarray:
+        """The vielbein E(t0): the upper Cholesky factor of g[0]."""
+        return cholesky_upper(self.g[0])
 
     def psi_at(self, index) -> np.ndarray:
         """The state U_R psi0 at grid node(s) index: an int, an index array or a slice."""
@@ -176,7 +182,6 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
 
     dim = scenario.dim
     g0 = resolve_initial_metric(scenario)
-    e0 = cholesky_upper(g0).astype(complex)
 
     try:
         ts = scenario.t0 + step * np.arange(n_steps + 1)
@@ -220,7 +225,6 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
         u_l=u_l,
         g=g,
         psi0=scenario.psi0,
-        e0=e0,
         step=step,
         metadata={"method": config.method, "n_steps": n_steps},
     )
@@ -319,9 +323,8 @@ def to_json_text(value) -> str:
 
 
 def to_json_parts(value) -> list[str]:
-    """The pieces of to_json_text(value), in order: a caller that writes them
-    to a file never holds the whole text. All arrays of value share one
-    _FloatTexts."""
+    """The pieces of to_json_text(value), in order, never joined into one
+    string. All arrays of value share one _FloatTexts."""
     parts = []
     _json_parts(value, _FloatTexts(), parts)
     return parts

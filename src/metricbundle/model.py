@@ -290,7 +290,7 @@ def with_overrides(scenario: Scenario, *, t0: float | None = None, t1: float | N
     return dataclasses.replace(scenario, integrator=integrator, **times)
 
 
-def solve_stationary_metric(h) -> tuple[np.ndarray, dict[str, Any]]:
+def solve_stationary_metric(h) -> np.ndarray:
     """Hermitian positive-definite G with G H == adj(H) G, trace-normalized.
 
     Solved in the eigenbasis of H (Mostafazadeh, arXiv:0810.5643). With
@@ -304,8 +304,6 @@ def solve_stationary_metric(h) -> tuple[np.ndarray, dict[str, Any]]:
     candidate is not positive-definite the eigenbasis construction
     G = adj(W) W (X = I) is used instead. Costs one n x n eigendecomposition
     plus a linear solve in sum m^2 unknowns.
-    Returns (G, metadata); metadata carries the nullspace dimension, a
-    non-uniqueness flag and the construction used.
 
     Raises NoPositiveDefiniteSolutionError when no positive-definite solution
     exists (complex spectrum: broken phase) or only a singular one does
@@ -355,15 +353,10 @@ def solve_stationary_metric(h) -> tuple[np.ndarray, dict[str, Any]]:
         )
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"stationary metric: {exc}") from exc
-    candidates = {"closest_to_identity": q.conj().T @ x @ q, "eigenbasis": w.conj().T @ w}
-    for construction, candidate in candidates.items():
+    for candidate in (q.conj().T @ x @ q, w.conj().T @ w):
         g = _accept_candidate(candidate, h, scale)
         if g is not None:
-            return g, {
-                "nullspace_dim": len(rows),
-                "unique": len(rows) == 1,
-                "construction": construction,
-            }
+            return g
     raise NoPositiveDefiniteSolutionError(
         "only degenerate (singular) metric solutions exist", degenerate=True
     )
@@ -393,7 +386,7 @@ def resolve_initial_metric(scenario: Scenario) -> np.ndarray:
         return np.eye(scenario.dim, dtype=complex)
     if init.mode == "explicit":
         return 0.5 * (init.matrix + init.matrix.conj().T)
-    return solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0))[0]
+    return solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0))
 
 
 # --- JSON codec ------------------------------------------------------------

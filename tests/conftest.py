@@ -9,7 +9,6 @@ import pytest
 
 from metricbundle import evolution, zoo
 from metricbundle.evolution import EvolutionBundle
-from metricbundle.matops import cholesky_upper
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,15 +51,13 @@ def _decode_complex_array(doc) -> np.ndarray:
 
 def bundle_from_json_dict(doc: dict) -> EvolutionBundle:
     """Re-ingest an exported trajectory as an explicit bundle: its integrated
-    channels, psi0 from its scenario and E0 from g[0], as integrate forms them."""
-    g = _decode_complex_array(doc["g"])
+    channels and psi0 from its scenario."""
     return EvolutionBundle(
         ts=np.asarray(doc["t"], dtype=float),
         u_r=_decode_complex_array(doc["u_r"]),
         u_l=_decode_complex_array(doc["u_l"]),
-        g=g,
+        g=_decode_complex_array(doc["g"]),
         psi0=_decode_complex_array(doc["scenario"]["psi0"]),
-        e0=cholesky_upper(g[0]).astype(complex),
         step=float(doc["step"]),
         metadata=dict(doc.get("metadata", {})),
     )

@@ -236,7 +236,7 @@ def test_09_naive_transport_negative_control(pt_unbroken):
 
 
 def test_10_stationary_metric_solver():
-    g, _ = solve_stationary_metric(SIGMA_X + 0.5j * SIGMA_Z)
+    g = solve_stationary_metric(SIGMA_X + 0.5j * SIGMA_Z)
     h = SIGMA_X + 0.5j * SIGMA_Z
     residual = frobenius(g @ h - h.conj().T @ g)
     ok = residual <= 1e-10 and min_eig_hermitian(g) > 0

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import G_PT, bundle_from_json_dict, index_of_time
+from metricbundle import evolution
 from metricbundle import representations as rep
+from metricbundle.cli import main
 from metricbundle.errors import NonFiniteError, SchemaError, StepLimitExceededError
 from metricbundle.evolution import (
     BLOCK_STEPS,
@@ -22,6 +24,7 @@ from metricbundle.evolution import (
     _RATES,
     _RIGHT,
     _SLOTS,
+    EvolutionBundle,
     _check_finite,
     _fill_stage_stacks,
     _row_views,
@@ -198,6 +201,33 @@ class TestDerivedChannels:
     def test_perfbench_chains(self, perfbench_chain_files):
         for path in perfbench_chain_files:
             self.assert_derived_bits(load_scenario(path))
+
+    def test_e0_is_derived_from_g0_once_per_bundle(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return cholesky_upper(g)
+
+        monkeypatch.setattr(evolution, "cholesky_upper", counted)
+        scenario = get_demo("pt-dimer-unbroken", t1=0.1)  # a stationary G(t0)
+        bundle = integrate(scenario)
+        assert not calls
+        assert np.array_equal(bundle.e_at(3), bundle.e0 @ bundle.u_l[3])
+        doc = bundle_to_json_dict(bundle, scenario, {})
+        assert len(calls) == 1
+        assert bundle.e0.tobytes() == cholesky_upper(bundle.g[0]).tobytes()
+        back = bundle_from_json_dict(doc)
+        assert len(calls) == 1
+        assert np.array_equal(back.e0, bundle.e0)
+        assert len(calls) == 2
+        fields = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(EvolutionBundle)}
+        with pytest.raises(TypeError):
+            EvolutionBundle(**fields, e0=bundle.e0)
+        calls.clear()
+        assert main(["evolve", "demo:pt-dimer-unbroken", "--t1", "0.1",
+                     "-o", str(tmp_path / "out.csv")]) == 0
+        assert not calls
 
 
 class TestClosedFormMetric:

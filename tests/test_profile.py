@@ -54,6 +54,12 @@ class TestParse:
             parse_profile("-(" * 50 + "t" + ")" * 49 + "+ t)")
         assert str(err.value) == "more than 100 operators and parentheses (at offset 150)"
 
+    @pytest.mark.parametrize("text", ["t ", "sin(t) \n", "2 * t\t", " 1 "])
+    def test_surrounding_whitespace_is_ignored(self, text):
+        node = parse_profile(text)
+        assert node == parse_profile(text.strip())
+        assert eval_profile(node, 0.7) == eval_profile(parse_profile(text.strip()), 0.7)
+
     def test_unary_minus_binds_looser_than_power(self):
         assert eval_profile(parse_profile("-2^2"), 0.0) == -4.0
 

@@ -113,7 +113,7 @@ class TestHermitizedHamiltonian:
     def test_static_vielbein_from_stationary_metric_hermitizes(self):
         # With E frozen at the Cholesky factor of the stationary metric and
         # dE/dt = 0, the transformed generator must come out Hermitian.
-        g, _ = solve_stationary_metric(H_PT)
+        g = solve_stationary_metric(H_PT)
         e = cholesky_upper(g)
         flat = hermitized_hamiltonian(H_PT, e, inverse(e), np.zeros((2, 2)))
         assert hermitian_deviation(flat) <= 1e-10
