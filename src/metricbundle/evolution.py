@@ -37,7 +37,6 @@ __all__ = [
     "integrate",
     "closed_form_metric",
     "bundle_to_json_dict",
-    "to_json_text",
     "to_json_parts",
 ]
 
@@ -243,7 +242,7 @@ def bundle_to_json_dict(bundle: EvolutionBundle, scenario: Scenario,
                         expectations: dict[str, np.ndarray]) -> dict[str, Any]:
     """The whole trajectory document of a run of scenario, given one complex column per
     observable in expectations. Its leaves are float64 arrays, complex ones as complex_pairs;
-    write it with to_json_text. Its psi, e and g0 are derived here, at every node."""
+    to_json_parts writes it. Its psi, e and g0 are derived here, at every node."""
     return {
         "t": bundle.ts.copy(),
         "step": bundle.step,
@@ -314,17 +313,10 @@ class _FloatTexts:
         return self.texts[np.searchsorted(self.keys, distinct)][inverse]
 
 
-def to_json_text(value) -> str:
-    """json.dumps(value) byte for byte, where value may hold float64 arrays.
-
-    Dicts (with str keys) may nest; an array stands for its tolist().
-    """
-    return "".join(to_json_parts(value))
-
-
 def to_json_parts(value) -> list[str]:
-    """The pieces of to_json_text(value), in order, never joined into one
-    string. All arrays of value share one _FloatTexts."""
+    """json.dumps(value) byte for byte, as pieces never joined into one string, where value
+    may hold float64 arrays. Dicts (with str keys) may nest; an array stands for its
+    tolist(). All arrays of value share one _FloatTexts."""
     parts = []
     _json_parts(value, _FloatTexts(), parts)
     return parts

@@ -40,7 +40,7 @@ __all__ = [
 
 
 def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
-    """dual . O . ket at grid node(s), with dual = adj(psi) G(t).
+    """dual . O . ket at grid node(s) of the S state (psi, adj(psi) G(t)).
 
     With an index array or a slice, obs is one matrix or one per node, and the
     result is one value per node.
@@ -49,11 +49,11 @@ def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
     psi = bundle.psi_at(index)
     if obs.shape[-1] != psi.shape[-1]:
         raise DimensionMismatchError("observable dimension mismatch")
-    # Left to right, ((adj(psi) G) O) psi, as row times matrices times column.
-    # A value that overflows is infinite, with no numpy warning.
+    # The dual is a row times G, so that the bilinear multiplies left to
+    # right, ((adj(psi) G) O) psi. An overflow is inf, with no numpy warning.
     with np.errstate(all="ignore"):
-        values = (psi.conj()[..., None, :] @ bundle.g[index] @ obs @ psi[..., :, None])[..., 0, 0]
-    return complex(values) if values.ndim == 0 else values
+        dual = (psi.conj()[..., None, :] @ bundle.g[index])[..., 0, :]
+    return expectation((psi, dual), obs)
 
 
 def to_heisenberg(o, bundle: EvolutionBundle, index) -> np.ndarray:
@@ -79,14 +79,15 @@ def heisenberg_like_state(bundle: EvolutionBundle) -> tuple[np.ndarray, np.ndarr
 
 
 def expectation(state, op):
-    """dual . O . ket of a frozen (ket, dual) state and an operator in its picture.
-
-    With an operator stack the result is one value per node.
-    """
+    """dual . O . ket of a (ket, dual) state, or one per node, and an operator in its picture:
+    the one bilinear of S, H and HL, which differ only in where the metric sits (in the dual
+    for S and H, split between ket and dual for HL). A stack gives one value per node."""
     ket, dual = state
     # Row times matrix times column, as for a single node, so that a stack
-    # gives per node the same rounding as one node on its own.
-    values = (dual[None, :] @ op @ ket[:, None])[..., 0, 0]
+    # gives per node the same rounding as one node on its own. A value that
+    # overflows is infinite, with no numpy warning.
+    with np.errstate(all="ignore"):
+        values = (dual[..., None, :] @ op @ ket[..., :, None])[..., 0, 0]
     return complex(values) if values.ndim == 0 else values
 
 

@@ -57,13 +57,19 @@ def budget(step: float, span: float, dim: int) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's largest residual and its budget. It passes when residual <= budget, the one
+    verdict rule: a check that raised (error) or was not evaluated has residual inf, and fails."""
+
     name: str
     residual: float
     budget: float
-    passed: bool
     context: str = ""
     expected_fail: bool = False
     error: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.budget
 
     def to_json_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -167,28 +173,21 @@ def run_suite(
     results: list[CheckResult] = []
 
     def add(name, check_budget, residuals, at=nodes, context=over_nodes):
-        expected_fail = any(name.startswith(p) for p in scenario.expected_failures)
+        residual, error = float("inf"), ""
         try:
-            with np.errstate(all="ignore"):  # a non-finite residual fails below
+            with np.errstate(all="ignore"):  # a non-finite residual fails
                 values = residuals()
         except MetricBundleError as exc:
             error = f"{type(exc).__name__}: {exc}"
         else:
             if len(values):
                 worst = int(np.argmax(values))
-                residual = float(values[worst])
-                results.append(
-                    CheckResult(name, residual, check_budget, residual <= check_budget,
-                                f"node {at[worst]}", expected_fail)
-                )
-                return
-            # Only the EOM checks can have no node: see the inner mask below.
-            error = ("not evaluated: no sampled node has its central-difference "
-                     "neighbours on the grid")
-        results.append(
-            CheckResult(name, float("inf"), check_budget, False, context,
-                        expected_fail, error=error)
-        )
+                residual, context = float(values[worst]), f"node {at[worst]}"
+            else:  # only the EOM checks can have no node: see the inner mask below
+                error = ("not evaluated: no sampled node has its central-difference "
+                         "neighbours on the grid")
+        expected_fail = any(name.startswith(p) for p in scenario.expected_failures)
+        results.append(CheckResult(name, residual, check_budget, context, expected_fail, error))
 
     ts = bundle.ts[nodes]
     u_l, u_r, g = bundle.u_l[nodes], bundle.u_r[nodes], bundle.g[nodes]

@@ -34,7 +34,7 @@ from metricbundle.evolution import (
     closed_form_metric,
     integrate,
     rhs_vielbein,
-    to_json_text,
+    to_json_parts,
 )
 from metricbundle.matops import SIGMA_X, SIGMA_Z, cholesky_upper
 from metricbundle.model import (
@@ -596,6 +596,11 @@ def float64_documents(draw):
     return document(2)
 
 
+def json_text(value) -> str:
+    """The whole text that to_json_parts gives in pieces."""
+    return "".join(to_json_parts(value))
+
+
 def plain(value):
     """value with each array replaced by its tolist()."""
     if isinstance(value, np.ndarray):
@@ -614,10 +619,10 @@ class TestBundleSerialization:
             for name, obs in scenario.observables.items()
         }
         doc = bundle_to_json_dict(bundle, scenario, expectations)
-        text = to_json_text(doc)
+        text = json_text(doc)
         # Bit for bit: the vielbein channel holds -0.0 imaginary parts.
         back = bundle_from_json_dict(json.loads(text))
-        assert to_json_text(bundle_to_json_dict(back, scenario, expectations)) == text
+        assert json_text(bundle_to_json_dict(back, scenario, expectations)) == text
         for back in (bundle_from_json_dict(doc), bundle_from_json_dict(json.loads(text))):
             assert np.array_equal(back.ts, bundle.ts)
             assert np.array_equal(back.psi0, bundle.psi0)
@@ -631,17 +636,17 @@ class TestBundleSerialization:
     @settings(max_examples=300, deadline=None)
     @given(a=float64_arrays(complex_valued=False))
     def test_real_array_text_matches_reference(self, a):
-        assert to_json_text(a) == reference_json_text(a)
+        assert json_text(a) == reference_json_text(a)
 
     @settings(max_examples=300, deadline=None)
     @given(a=float64_arrays(complex_valued=True))
     def test_complex_array_text_matches_reference(self, a):
-        assert to_json_text(complex_pairs(a)) == reference_json_text(a)
+        assert json_text(complex_pairs(a)) == reference_json_text(a)
 
     def test_signed_zeros_and_nonfinite_values(self):
         a = np.array([[0.0, -0.0, math.inf], [-math.inf, math.nan, -0.0]])
-        assert to_json_text(a) == "[[0.0, -0.0, Infinity], [-Infinity, NaN, -0.0]]"
-        assert to_json_text(a) == reference_json_text(a)
+        assert json_text(a) == "[[0.0, -0.0, Infinity], [-Infinity, NaN, -0.0]]"
+        assert json_text(a) == reference_json_text(a)
 
     def test_document_text_matches_json_dumps(self):
         pairs = complex_pairs(np.array([1 + 2j, -0.5j]))
@@ -652,24 +657,24 @@ class TestBundleSerialization:
             "metadata": {"method": "rk4", "n_steps": 1},
         }
         plain = {**doc, "t": doc["t"].tolist(), "caf\u00e9": {"x": pairs.tolist(), "empty": {}}}
-        assert to_json_text(doc) == json.dumps(plain)
+        assert json_text(doc) == json.dumps(plain)
 
     @pytest.mark.parametrize("a", [np.arange(3), np.array([1j]), np.ones(2, dtype=np.float32)])
     def test_arrays_other_than_float64_are_rejected(self, a):
         with pytest.raises(TypeError):
-            to_json_text(a)
+            json_text(a)
 
     @settings(max_examples=300, deadline=None)
     @given(doc=float64_documents())
     def test_document_with_shared_magnitudes_matches_json_dumps(self, doc):
-        assert to_json_text(doc) == json.dumps(plain(doc))
+        assert json_text(doc) == json.dumps(plain(doc))
 
     def test_arrays_differing_in_one_signed_zero_keep_their_texts(self):
         a = np.array([[0.0, 1.5], [-2.0, 0.0]])
         b = a.copy()
         b[1, 1] = -0.0
         assert np.array_equal(a, b)
-        text = to_json_text({"a": a, "b": b, "c": a.copy()})
+        text = json_text({"a": a, "b": b, "c": a.copy()})
         assert text == ('{"a": [[0.0, 1.5], [-2.0, 0.0]], "b": [[0.0, 1.5], [-2.0, -0.0]], '
                         '"c": [[0.0, 1.5], [-2.0, 0.0]]}')
 
@@ -679,7 +684,7 @@ class TestBundleSerialization:
         gc.collect()
         gc.disable()
         try:
-            to_json_text(doc)
+            json_text(doc)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -687,4 +692,4 @@ class TestBundleSerialization:
     @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
     def test_keys_other_than_str_are_rejected(self, key):
         with pytest.raises(TypeError, match="dict keys must be str"):
-            to_json_text({"x": {key: np.array([1.0])}})
+            json_text({"x": {key: np.array([1.0])}})

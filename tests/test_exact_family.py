@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import exact_family
 from metricbundle.evolution import integrate
 from metricbundle.matops import frobenius
+from metricbundle.model import with_overrides
 from metricbundle.representations import expectation_schrodinger
 from metricbundle.verify import run_suite
+from metricbundle.zoo import get_demo
 
 
 @functools.cache
@@ -101,3 +103,27 @@ def test_verify_baseline(n, failed, total):
     assert [c.name for c in report.checks if not c.passed] == failed
     assert [c.name for c in report.unexpected_failures] == [f for f in failed if f != CONTROL]
     assert len(report.checks) == total
+
+
+@pytest.mark.parametrize("name, step, control", [
+    ("driven-dimer", 0.1, 0.454),
+    ("driven-dimer", 0.5, 0.453),
+    ("pt-dimer-unbroken", 0.1, 0.657),
+])
+def test_coarse_step_passes_every_check(driven_bundle, name, step, control):
+    # A finding pinned as counts, not a verdict to keep: over the demos' span
+    # of 10 the base budget 1000 step^4 span is 1.0 at step 0.1 and 625 at
+    # step 0.5, so every check passes (the CLI exits 0), the declared negative
+    # control included. At step 0.5, U_R at t1 is 5.7e-3 away, in its largest
+    # entry, from the run at the demo's step of 1e-3.
+    scenario = with_overrides(get_demo(name), step=step)
+    bundle = integrate(scenario)
+    report = run_suite(bundle, scenario)
+    assert report.base_budget == pytest.approx(1000 * step**4 * 10)
+    assert report.summary == {"total": 30, "passed": 30, "failed": 0, "unexpected_failed": 0}
+    (check,) = [c for c in report.checks if c.name == CONTROL]
+    assert check.expected_fail and check.passed
+    assert check.residual == pytest.approx(control, abs=1e-3)
+    if step == 0.5:
+        _, fine = driven_bundle
+        assert np.abs(bundle.u_r[-1] - fine.u_r[-1]).max() == pytest.approx(5.7e-3, abs=1e-4)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import exact_family
 from conftest import index_of_time
 from metricbundle.evolution import integrate, rhs_vielbein
 from metricbundle.matops import (
@@ -27,7 +29,7 @@ from metricbundle.representations import (
     to_heisenberg,
     to_heisenberg_like,
 )
-from metricbundle.zoo import get_demo
+from metricbundle.zoo import builtin_models, get_demo
 
 H_PT = SIGMA_X + 0.5j * SIGMA_Z
 
@@ -93,6 +95,20 @@ class TestExpectationEquivalence:
                 val_hl = expectation(state_hl, to_hl(obs, bundle, i))
                 assert abs(val_s - val_h) <= 1e-8
                 assert abs(val_s - val_hl) <= 1e-8
+
+    @pytest.mark.parametrize("scenario", [
+        *(get_demo(name, t1=0.75) for name in sorted(builtin_models())),
+        *(exact_family.scenario(n, t1=0.75) for n in (2, 4, 8)),
+    ], ids=[*sorted(builtin_models()), "family-2", "family-4", "family-8"])
+    def test_stacked_schrodinger_expectation_has_the_bits_of_each_node(self, scenario):
+        # The one bilinear relies on this: a stack of S states rounds, node by
+        # node, as each node's state does on its own.
+        bundle = integrate(scenario)
+        for spec in scenario.observables.values():
+            obs = spec.assemble_many(bundle.ts)
+            stacked = expectation_schrodinger(bundle, slice(None), obs)
+            per_node = [expectation_schrodinger(bundle, i, obs[i]) for i in range(bundle.n_nodes)]
+            assert stacked.tobytes() == np.array(per_node).tobytes()
 
     def test_hl_dual_is_exact_conjugate(self, pt_unbroken_bundle):
         _, bundle = pt_unbroken_bundle

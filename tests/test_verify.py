@@ -9,7 +9,7 @@ import exact_family
 from conftest import bundle_from_json_dict
 from metricbundle import matops, verify
 from metricbundle import representations as rep
-from metricbundle.evolution import bundle_to_json_dict, integrate, to_json_text
+from metricbundle.evolution import bundle_to_json_dict, integrate, to_json_parts
 from metricbundle.matops import SIGMA_X, SIGMA_Y, SIGMA_Z
 from metricbundle.model import (
     IntegratorConfig,
@@ -127,7 +127,7 @@ class TestReportShape:
         scenario, bundle = pt_unbroken_bundle
         direct = run_suite(bundle, scenario)
         doc = bundle_to_json_dict(bundle, scenario, {})
-        back = bundle_from_json_dict(json.loads(to_json_text(doc)))
+        back = bundle_from_json_dict(json.loads("".join(to_json_parts(doc))))
         replayed = run_suite(back, scenario)
         assert [c.residual for c in direct.checks] == [c.residual for c in replayed.checks]
 
