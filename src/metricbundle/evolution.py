@@ -29,7 +29,13 @@ import numpy as np
 
 from .errors import NonFiniteError, StepLimitExceededError
 from .matops import cholesky_upper
-from .model import Scenario, complex_pairs, resolve_initial_metric, scenario_to_json_dict
+from .model import (
+    Scenario,
+    _short_repr,
+    complex_pairs,
+    resolve_initial_metric,
+    scenario_to_json_dict,
+)
 
 __all__ = [
     "EvolutionBundle",
@@ -173,7 +179,7 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
     n_steps = max(1, round(ratio)) if ratio < np.inf else ratio
     if n_steps > config.max_steps:
         raise StepLimitExceededError(
-            f"{n_steps} steps needed, max_steps is {config.max_steps}"
+            f"{_short_repr(n_steps)} steps needed, max_steps is {_short_repr(config.max_steps)}"
         )
     # Snap the step so the grid lands exactly on t1.
     step = span / n_steps
@@ -186,7 +192,8 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
         ts = scenario.t0 + step * np.arange(n_steps + 1)
         out = np.empty((n_steps + 1, len(_CHANNELS), dim, dim), dtype=complex)
     except (ValueError, MemoryError) as exc:  # too large for numpy, or for memory
-        raise StepLimitExceededError(f"cannot allocate {n_steps} steps: {exc}") from exc
+        raise StepLimitExceededError(
+            f"cannot allocate {_short_repr(n_steps)} steps: {exc}") from exc
     out[0] = np.eye(dim), g0, np.eye(dim)
     rows = np.empty((4, 6, dim, dim), dtype=complex)  # per RK4 stage
     rates = rows[:, _RATES]  # (stage, channel)
@@ -260,79 +267,61 @@ def bundle_to_json_dict(bundle: EvolutionBundle, scenario: Scenario,
 
 _SIGN = np.uint64(1 << 63)
 _INF = np.uint64(0x7FF0000000000000)  # the magnitude of inf; a larger one is a NaN
-_END = np.uint64((1 << 64) - 1)  # above every magnitude: ends the table
 
 
-class _FloatTexts:
-    """The json.dumps text of the float64 arrays of one document.
+def _array_text(a: np.ndarray, done: list) -> str:
+    """json.dumps(a.tolist()) for a float64 array, without the nested lists.
 
-    repr is the cost (1-3 us a float on a 2-vCPU VM), so each magnitude (the
-    bits with the sign cleared) is formatted once per document: one sorted
-    table maps the magnitudes met so far to their repr, and -x is "-" and the
-    text of x, except for a NaN, whose repr has no sign. Keying on bits keeps
-    0.0 and -0.0 apart. An array bit-equal to an earlier one of its shape
-    reuses that array's text; with the identity metric, e repeats u_l.
+    repr is the cost (1-3 us a float on a 2-vCPU VM), so each distinct
+    magnitude (the bits with the sign cleared) is formatted once per array,
+    and -x is "-" and the text of x, except for a NaN, whose repr has no sign.
+    Keying on bits keeps 0.0 and -0.0 apart. done holds the (shape, flat bits,
+    text) of each array encoded so far: an array bit-equal to an earlier one
+    of its shape reuses that array's text; with the identity metric, e
+    repeats u_l.
     """
-
-    def __init__(self):
-        self.keys = np.array([_END])  # sorted magnitudes, then _END
-        self.texts = np.array([None], dtype=object)
-        self.arrays = []  # (shape, flat bits, text) of each array encoded
-
-    def array_text(self, a: np.ndarray) -> str:
-        """json.dumps(a.tolist()) for a float64 array, without the nested lists."""
-        if a.dtype != np.float64:
-            raise TypeError(f"expected a float64 array, got {a.dtype}")
-        flat = a.reshape(-1).view(np.uint64)
-        for shape, bits, text in self.arrays:
-            if shape == a.shape and np.array_equal(bits, flat):
-                return text
-        bits, inverse = np.unique(flat, return_inverse=True)
-        mags = bits & ~_SIGN
-        texts = self._lookup(mags)
-        negative = (bits >= _SIGN) & (mags <= _INF)
-        texts[negative] = "-" + texts[negative]
-        template = "%s"
-        for n in reversed(a.shape):
-            template = "[" + ", ".join([template] * n) + "]"
-        text = template % tuple(texts[inverse])
-        self.arrays.append((a.shape, flat, text))
-        return text
-
-    def _lookup(self, mags: np.ndarray) -> np.ndarray:
-        """The texts of the magnitudes mags, formatting those not yet in the table."""
-        distinct, inverse = np.unique(mags, return_inverse=True)
-        new = distinct[self.keys[np.searchsorted(self.keys, distinct)] != distinct]
-        if new.size:
-            finite = int(np.searchsorted(new, _INF))  # new is sorted: inf and NaNs last
-            texts = list(map(repr, new[:finite].view(np.float64).tolist()))
-            texts += ["Infinity" if m == _INF else "NaN" for m in new[finite:].tolist()]
-            at = np.searchsorted(self.keys, new)
-            self.keys = np.insert(self.keys, at, new)
-            self.texts = np.insert(self.texts, at, texts)
-        return self.texts[np.searchsorted(self.keys, distinct)][inverse]
+    if a.dtype != np.float64:
+        raise TypeError(f"expected a float64 array, got {a.dtype}")
+    flat = a.reshape(-1).view(np.uint64)
+    for shape, bits, text in done:
+        if shape == a.shape and np.array_equal(bits, flat):
+            return text
+    mags = flat & ~_SIGN
+    distinct, inverse = np.unique(mags, return_inverse=True)
+    finite = int(np.searchsorted(distinct, _INF))  # sorted: inf and NaNs last
+    texts = list(map(repr, distinct[:finite].view(np.float64).tolist()))
+    texts += ["Infinity" if m == _INF else "NaN" for m in distinct[finite:].tolist()]
+    texts = np.array(texts, dtype=object)[inverse]
+    negative = (flat >= _SIGN) & (mags <= _INF)
+    texts[negative] = "-" + texts[negative]
+    template = "%s"
+    for n in reversed(a.shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    text = template % tuple(texts)
+    done.append((a.shape, flat, text))
+    return text
 
 
 def to_json_parts(value) -> list[str]:
     """json.dumps(value) byte for byte, as pieces never joined into one string, where value
     may hold float64 arrays. Dicts (with str keys) may nest; an array stands for its
-    tolist(). All arrays of value share one _FloatTexts."""
+    tolist(). Each array is encoded by _array_text."""
     parts = []
-    _json_parts(value, _FloatTexts(), parts)
+    _json_parts(value, [], parts)
     return parts
 
 
-def _json_parts(value, floats: _FloatTexts, parts: list) -> None:
-    """Append the text of value to parts."""
+def _json_parts(value, done: list, parts: list) -> None:
+    """Append the text of value to parts; done is _array_text's list of the arrays encoded."""
     if isinstance(value, np.ndarray):
-        parts.append(floats.array_text(value))
+        parts.append(_array_text(value, done))
     elif isinstance(value, dict):
         parts.append("{")
         for i, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"dict keys must be str, got {type(key).__name__}")
             parts.append(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _json_parts(item, floats, parts)
+            _json_parts(item, done, parts)
         parts.append("}")
     else:
         parts.append(json.dumps(value))

@@ -6,6 +6,9 @@ G(t0) from resolve_initial_metric. So the float64 channels differ from the
 shadow's by float64 rounding, and the shadow differs from the exact flow by
 RK4's truncation error, up to long double rounding. numpy.linalg takes no
 long double, so norms here are written out.
+
+Run in np.complex128 with no hook, the same loop is integrate bit for bit;
+its hooks then plant a defect in one part of the step (see test_mutants.py).
 """
 
 import numpy as np
@@ -16,36 +19,51 @@ LONG = np.clongdouble
 LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
-def run(scenario: Scenario) -> dict[str, np.ndarray]:
-    """ts (float64) and the shadow's u_r, g and u_l (clongdouble), stacked over the nodes."""
+def stage_rates(h, ih, adj, y):
+    """The rates of y = (U_R, G, U_L) at one H sample h, where ih = i h and adj = adj(h)."""
+    u_r, g, u_l = y
+    return np.stack([-1j * (h @ u_r), g @ ih - 1j * (adj @ g), u_l @ ih])
+
+
+def rk4_samples(t, step):
+    """The four stages' H sample times, for the steps from the times t."""
+    return t, t + 0.5 * step, t + 0.5 * step, t + step
+
+
+def rk4_sum(k1, k2, k3, k4):
+    """RK4's weighted sum of the four stage rates, before the factor step/6."""
+    return ((k1 + 2 * k2) + 2 * k3) + k4
+
+
+def run(scenario: Scenario, dtype=LONG, rates=stage_rates, weights=rk4_sum,
+        samples=rk4_samples) -> dict:
+    """ts and step (float64) and the loop's u_r, g and u_l (in dtype), stacked over the nodes.
+
+    The hooks replace the stage rates, the weighted sum of the rates and the
+    stages' sample times.
+    """
     n_steps = max(1, round((scenario.t1 - scenario.t0) / scenario.integrator.step))
     step = (scenario.t1 - scenario.t0) / n_steps
     ts = scenario.t0 + step * np.arange(n_steps + 1)
     t = ts[:-1]
-    hs = [scenario.hamiltonian.assemble_many(s).astype(LONG) for s in (t, t + 0.5 * step, t + step)]
-    ihs = [1j * h for h in hs]
-    adjs = [h.conj().swapaxes(1, 2) for h in hs]
-    long_step = np.longdouble(step)
-    half, sixth = 0.5 * long_step, long_step / 6
-
-    def rates(y, k, sample):
-        """The stage rates of y = (U_R, G, U_L) at step k's H sample."""
-        u_r, g, u_l = y
-        h, ih, adj = hs[sample][k], ihs[sample][k], adjs[sample][k]
-        return np.stack([-1j * (h @ u_r), g @ ih - 1j * (adj @ g), u_l @ ih])
+    hs = [scenario.hamiltonian.assemble_many(s).astype(dtype) for s in samples(t, step)]
+    stages = list(zip(hs, [1j * h for h in hs], [h.conj().swapaxes(1, 2) for h in hs]))
+    real_step = np.finfo(dtype).dtype.type(step)
+    half, sixth = 0.5 * real_step, real_step / 6
 
     eye = np.eye(scenario.dim)
-    out = np.empty((n_steps + 1, 3, scenario.dim, scenario.dim), dtype=LONG)
+    out = np.empty((n_steps + 1, 3, scenario.dim, scenario.dim), dtype=dtype)
     out[0] = eye, resolve_initial_metric(scenario), eye
     for k in range(n_steps):
         y = out[k]
-        k1 = rates(y, k, 0)
-        k2 = rates(y + half * k1, k, 1)
-        k3 = rates(y + half * k2, k, 1)
-        k4 = rates(y + long_step * k3, k, 2)
-        out[k + 1] = y + sixth * (((k1 + 2 * k2) + 2 * k3) + k4)
+        h1, h2, h3, h4 = ([a[k] for a in stage] for stage in stages)
+        k1 = rates(*h1, y)
+        k2 = rates(*h2, y + half * k1)
+        k3 = rates(*h3, y + half * k2)
+        k4 = rates(*h4, y + real_step * k3)
+        out[k + 1] = y + sixth * weights(k1, k2, k3, k4)
     u_r, g, u_l = out.swapaxes(0, 1)
-    return {"ts": ts, "u_r": u_r, "g": g, "u_l": u_l}
+    return {"ts": ts, "step": step, "u_r": u_r, "g": g, "u_l": u_l}
 
 
 def norms(a) -> np.ndarray:

@@ -1044,6 +1044,18 @@ class TestMalformedTimes:
         assert err.startswith("error[numeric]: StepLimitExceededError: "
                               "cannot allocate 10000000000000000000 steps: ")
 
+    @pytest.mark.parametrize("command, flags", [
+        ("evolve", ("--step", "1e-300")),  # 1e301 steps
+        ("verify", ("--t1", "1e300")),  # 1e303 steps
+    ])
+    def test_step_limit_line_stays_short(self, tmp_path, capsys, command, flags):
+        # The step count is cut to 40 digits, as a schema error cuts a value.
+        assert run(command, "demo:pt-ep", "-o", str(tmp_path / "x.out"), *flags) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error[numeric]: StepLimitExceededError: ")
+        assert len(err.encode()) <= 200
+
     def test_step_longer_than_span_is_one_step(self, tmp_path):
         out = tmp_path / "x.csv"
         flags = ("--t1", "1", "--step", "5")

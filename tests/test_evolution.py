@@ -163,6 +163,22 @@ class TestGridAndLimits:
         with pytest.raises(StepLimitExceededError):
             integrate(scenario)
 
+    @pytest.mark.parametrize("max_steps, message", [
+        (10_000_000, "1000000000000000000161765076786456438212... steps needed, "
+                     "max_steps is 10000000"),
+        (10**100, "1000000000000000000161765076786456438212... steps needed, "
+                  "max_steps is 1000000000000000000000000000000000000000..."),
+        # A limit past the count: the grid is too large to allocate.
+        (10**400, "cannot allocate 1000000000000000000161765076786456438212... steps: "),
+    ], ids=["past-the-limit", "past-a-long-limit", "cannot-allocate"])
+    def test_step_limit_message_cuts_each_count_to_40_digits(self, max_steps, message):
+        scenario = get_demo("pt-ep", t1=1e300)  # 1e303 steps
+        config = dataclasses.replace(scenario.integrator, max_steps=max_steps)
+        with pytest.raises(StepLimitExceededError) as err:
+            integrate(dataclasses.replace(scenario, integrator=config))
+        assert str(err.value).startswith(message)
+        assert len(str(err.value)) < 200
+
     def test_broken_phase_blowup_raises(self):
         # gamma=1.5 grows like exp(sqrt(gamma^2-1) t); by t=60 all propagator
         # channels exceed the blow-up limit.
@@ -677,6 +693,12 @@ class TestBundleSerialization:
         text = json_text({"a": a, "b": b, "c": a.copy()})
         assert text == ('{"a": [[0.0, 1.5], [-2.0, 0.0]], "b": [[0.0, 1.5], [-2.0, -0.0]], '
                         '"c": [[0.0, 1.5], [-2.0, 0.0]]}')
+
+    def test_bit_equal_array_of_another_shape_keeps_its_own_text(self):
+        # An array reuses an earlier array's text only if their bits and their shapes are equal.
+        x = np.arange(6.0) - 2.5
+        doc = {"x": x, "rows": x.reshape(2, 3), "columns": x.reshape(3, 2), "again": x.copy()}
+        assert json_text(doc) == json.dumps(plain(doc))
 
     def test_encoding_leaves_no_reference_cycle(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle

@@ -1,5 +1,6 @@
 """The exact-answer family (exact_family.py) as an oracle for integrate and verify."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import exact_family
 from metricbundle.evolution import integrate
 from metricbundle.matops import frobenius
-from metricbundle.model import with_overrides
+from metricbundle.model import constant_operator, with_overrides
 from metricbundle.representations import expectation_schrodinger
 from metricbundle.verify import run_suite
 from metricbundle.zoo import get_demo
@@ -103,6 +104,43 @@ def test_verify_baseline(n, failed, total):
     assert [c.name for c in report.checks if not c.passed] == failed
     assert [c.name for c in report.unexpected_failures] == [f for f in failed if f != CONTROL]
     assert len(report.checks) == total
+
+
+HOP_EOM_FD = ["heisenberg_eom_fd[hop]", "heisenberg_like_eom_fd[hop]"]
+HOP_EXPECTATION = ["expectation_s_vs_h[hop]", "expectation_s_vs_hl[hop]"]
+HOP_ISOSPECTRAL = ["isospectral_h[hop]", "isospectral_hl[hop]"]
+INVERSE = ["propagator_inverse_right"]
+
+
+@pytest.mark.parametrize("gamma, n, unexpected", [
+    (0.5, 2, HOP_EOM_FD),
+    (0.5, 4, []),
+    (0.5, 16, []),
+    (1.0, 2, HOP_EXPECTATION + HOP_ISOSPECTRAL + HOP_EOM_FD),
+    (1.0, 4, HOP_EOM_FD),
+    (1.0, 16, []),
+    (2.0, 2, INVERSE + HOP_EXPECTATION + HOP_ISOSPECTRAL + HOP_EOM_FD),
+    (2.0, 4, INVERSE + HOP_ISOSPECTRAL + HOP_EOM_FD),
+    (2.0, 16, INVERSE + HOP_ISOSPECTRAL),
+])
+def test_hatano_nelson_baseline(gamma, n, unexpected):
+    # A finding pinned as counts: the family with h the open chain's hopping
+    # U + U^T, g = gamma/(n - 1) and w = 0, a time-dependent Hatano-Nelson
+    # chain. U_R is exact to 1.72e-12 at most, yet verify reports these
+    # unexpected failures of the observable hop = h. Every one is a false
+    # alarm, and the baseline for budgets derived from H; none is declared or
+    # given a larger budget. The lists are the same with x beside hop.
+    shift = np.diag(np.ones(n - 1), 1)
+    hop = shift + shift.T
+    g = gamma / (n - 1)
+    scenario = exact_family.scenario(n, t1=10.0, g=g, w=0.0, h=hop)
+    scenario = dataclasses.replace(scenario, observables={"hop": constant_operator(hop)})
+    assert len(scenario.hamiltonian.terms) == 5  # the diagonal and two bands
+    bundle = integrate(scenario)
+    exact = exact_family.exact(n, bundle.ts, g=g, w=0.0, h=hop)
+    assert largest_relative_error(bundle.u_r, exact["u_r"]) <= 2e-12
+    report = run_suite(bundle, scenario)
+    assert [c.name for c in report.unexpected_failures] == unexpected
 
 
 @pytest.mark.parametrize("name, step, control", [
