@@ -56,6 +56,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def run_fresh(*argv, **env_vars) -> subprocess.CompletedProcess:
+    """`python -m metricbundle.cli ARGV` in a new interpreter, as the console script runs."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **env_vars)
+    return subprocess.run([sys.executable, "-m", "metricbundle.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
 def set_at(doc, pointer: str, value) -> None:
     """Replace the value at a JSON pointer (RFC 6901, list indices as digits) in place."""
     *parents, key = [token.replace("~1", "/").replace("~0", "~")
@@ -1335,10 +1343,7 @@ class TestLogging:
     ])
     def test_level_in_a_fresh_process(self, tmp_path, level, shown):
         out = tmp_path / "x.csv"
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), METRICBUNDLE_LOG=level)
-        proc = subprocess.run([sys.executable, "-m", "metricbundle.cli", *self.ARGV, "-o", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120, check=False)
+        proc = run_fresh(*self.ARGV, "-o", str(out), METRICBUNDLE_LOG=level)
         assert proc.returncode == EXIT_OK
         assert (proc.stdout, proc.stderr) == ("", self.lines(out) if shown else "")
 
@@ -1357,3 +1362,41 @@ class TestLogging:
             monkeypatch.setenv("METRICBUNDLE_LOG", level)
             assert run(*self.ARGV, "-o", str(out)) == EXIT_OK
             assert capsys.readouterr().err == (self.lines(out) if shown else "")
+
+
+class TestExitCodesInAFreshProcess:
+    """Each documented exit code through the process entry point, not only `main`'s return."""
+
+    def assert_one_error_line(self, proc, code: int, kind: str) -> str:
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("error[")]
+        assert len(lines) == 1 and lines[0].startswith(f"error[{kind}]: "), proc.stderr
+        return lines[0]
+
+    def test_usage(self, tmp_path):
+        proc = run_fresh("evolve", "demo:pt-ep", "--t1", "abc", "-o", str(tmp_path / "x.csv"))
+        self.assert_one_error_line(proc, EXIT_USAGE, "usage")
+
+    def test_scenario(self, tmp_path):
+        proc = run_fresh("evolve", "demo:nope", "-o", str(tmp_path / "x.csv"))
+        self.assert_one_error_line(proc, EXIT_SCENARIO, "schema")
+
+    def test_numeric_blow_up(self, tmp_path):
+        path = tmp_path / "blow.json"
+        made = run_fresh("demo", "pt-dimer-broken", "--s", "1", "--gamma", "3", "--t1", "15",
+                         "-o", str(path))
+        assert (made.returncode, made.stderr) == (EXIT_OK, "")
+        proc = run_fresh("evolve", str(path), "-o", str(tmp_path / "x.csv"))
+        line = self.assert_one_error_line(proc, EXIT_NUMERIC, "numeric")
+        assert line == ("error[numeric]: NonFiniteError: channel left the finite range "
+                        "(node 4869, t = 4.869, channel g)")
+
+    def test_unexpected_verify_failures(self, tmp_path):
+        path = tmp_path / "broken.json"
+        save_scenario(dataclasses.replace(get_demo("pt-dimer-broken", t1=0.75),
+                                          expected_failures=()), path)
+        proc = run_fresh("verify", str(path))
+        self.assert_one_error_line(proc, EXIT_VERIFY, "verify")
+        # The report table reaches stdout in full before the process exits.
+        assert proc.stdout.endswith("23/30 passed, 7 unexpected failures\n")

@@ -4,6 +4,7 @@ Each probe runs in a fresh interpreter, since this process has long since
 imported every module of the package.
 """
 
+import gc
 import importlib
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import metricbundle
+from metricbundle.cli import main
 from metricbundle.model import save_scenario
 from metricbundle.zoo import get_demo
 
@@ -48,6 +50,15 @@ for ref in sys.argv[1:]:
     resolve_initial_metric(scenario)
 loaded = sorted(sys.modules)
 print(json.dumps([0, loaded]))
+"""
+
+
+# The process entry point, as `python -m metricbundle.cli` runs it; the atexit
+# hook reports how many objects sit in the permanent generation at exit.
+FREEZE_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print(gc.get_freeze_count()))
+runpy.run_module("metricbundle.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -86,6 +97,28 @@ def test_verify_loads_neither_logging_nor_masked_arrays(scenario_file):
     loaded = probe(CLI_PROBE, "verify", str(scenario_file), "--node-stride", "2")
     assert "metricbundle.verify" in loaded
     assert loaded.isdisjoint(NEVER), sorted(loaded & set(NEVER))
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--format", "csv"), ("evolve", "--format", "json"), ("verify", "--node-stride", "2"),
+], ids=["evolve-csv", "evolve-json", "verify"])
+def test_entry_point_freezes_the_import_time_heap(tmp_path, scenario_file, argv):
+    command, *flags = argv
+    out = ["-o", str(tmp_path / "x.out")] if command == "evolve" else []
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, command, str(scenario_file), *flags,
+                           *out], env=env, capture_output=True, text=True, timeout=120,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    # numpy's and the package's import-time objects: about 22,000 with numpy 2.4.
+    assert int(proc.stdout.splitlines()[-1]) >= 10_000
+
+
+def test_main_in_process_does_not_freeze(tmp_path, scenario_file):
+    frozen = gc.get_freeze_count()
+    assert main(["evolve", str(scenario_file), "-o", str(tmp_path / "x.csv")]) == 0
+    assert main(["verify", str(scenario_file), "--node-stride", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_package_import_loads_no_submodule_it_does_not_need():
