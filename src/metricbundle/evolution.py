@@ -99,7 +99,8 @@ class EvolutionBundle:
 
     def psi_at(self, index) -> np.ndarray:
         """The state U_R psi0 at grid node(s) index: an int, an index array or a slice."""
-        return self.u_r[index] @ self.psi0
+        with np.errstate(all="ignore"):  # an overflow is inf, with no numpy warning
+            return self.u_r[index] @ self.psi0
 
     def e_at(self, index) -> np.ndarray:
         """The vielbein E0 U_L at grid node(s) index: an int, an index array or a slice."""

@@ -26,10 +26,10 @@ from .evolution import EvolutionBundle
 from .matops import adjoint, as_stack, commutator, frobenius
 
 __all__ = [
+    "schrodinger_state",
     "expectation_schrodinger",
     "to_heisenberg",
     "to_heisenberg_like",
-    "heisenberg_state",
     "heisenberg_like_state",
     "expectation",
     "heisenberg_rhs",
@@ -39,6 +39,16 @@ __all__ = [
 ]
 
 
+def schrodinger_state(bundle: EvolutionBundle, index) -> tuple[np.ndarray, np.ndarray]:
+    """The S state (psi, adj(psi) G(t)) at grid node(s) index; at node 0 it is the H state."""
+    psi = bundle.psi_at(index)
+    # The dual is a row times G, so that the bilinear multiplies left to
+    # right, ((adj(psi) G) O) psi. An overflow is inf, with no numpy warning.
+    with np.errstate(all="ignore"):
+        dual = (psi.conj()[..., None, :] @ bundle.g[index])[..., 0, :]
+    return psi, dual
+
+
 def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
     """dual . O . ket at grid node(s) of the S state (psi, adj(psi) G(t)).
 
@@ -46,14 +56,9 @@ def expectation_schrodinger(bundle: EvolutionBundle, index, obs):
     result is one value per node.
     """
     obs = as_stack(obs, "observable")
-    psi = bundle.psi_at(index)
-    if obs.shape[-1] != psi.shape[-1]:
+    if obs.shape[-1] != bundle.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    # The dual is a row times G, so that the bilinear multiplies left to
-    # right, ((adj(psi) G) O) psi. An overflow is inf, with no numpy warning.
-    with np.errstate(all="ignore"):
-        dual = (psi.conj()[..., None, :] @ bundle.g[index])[..., 0, :]
-    return expectation((psi, dual), obs)
+    return expectation(schrodinger_state(bundle, index), obs)
 
 
 def to_heisenberg(o, bundle: EvolutionBundle, index) -> np.ndarray:
@@ -64,12 +69,6 @@ def to_heisenberg(o, bundle: EvolutionBundle, index) -> np.ndarray:
 def to_heisenberg_like(o, e, e_inv) -> np.ndarray:
     """Vielbein transport E O_S inv(E); the caller inverts E, which is singular near an EP."""
     return e @ o @ e_inv
-
-
-def heisenberg_state(bundle: EvolutionBundle) -> tuple[np.ndarray, np.ndarray]:
-    """(ket, dual) frozen at t0: psi(t0) and adj(psi(t0)) G(t0)."""
-    ket = bundle.psi_at(0)
-    return ket, ket.conj() @ bundle.g[0]
 
 
 def heisenberg_like_state(bundle: EvolutionBundle) -> tuple[np.ndarray, np.ndarray]:

@@ -211,12 +211,14 @@ def run_suite(
     at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
     at_inner = at_nodes[inner]
 
-    # E is formed once on the grid, and inverted there when a check first
-    # needs it. A node refused there fails every check that inverts E, as a
-    # grid node where an observable is not finite fails every check of it.
-    e_grid = bundle.e_at(grid)
-    e = e_grid[at_nodes]
-    e_inv = _once(lambda: inverse(e_grid))
+    # Shared inputs are evaluated once, on first use, to a value or an error;
+    # an error is then reported by every check that needs the input. E is
+    # formed once on the grid and inverted there: a node refused there fails
+    # every check that inverts E, as a grid node where an observable is not
+    # finite fails every check of it.
+    e_grid = _once(lambda: bundle.e_at(grid))
+    e = _once(lambda: e_grid()[at_nodes])
+    e_inv = _once(lambda: inverse(e_grid()))
 
     # Propagator inverse identity.
     add("propagator_inverse_left", base, lambda: frobenius(u_l @ u_r - eye))
@@ -226,7 +228,7 @@ def run_suite(
     add("metric_hermitian", base * HERMITICITY_BUDGET_FACTOR, lambda: hermitian_deviation(g))
     add("metric_positive_definite", 0.0, lambda: -min_eig_hermitian(g))
     add("metric_closed_form", base, lambda: frobenius(g - closed_form_metric(bundle, nodes)))
-    add("vielbein_reconstructs_metric", base, lambda: frobenius(adjoint(e) @ e - g))
+    add("vielbein_reconstructs_metric", base, lambda: frobenius(adjoint(e()) @ e() - g))
 
     def norm_drift():
         norms = rep.expectation_schrodinger(bundle, nodes, eye)
@@ -234,24 +236,22 @@ def run_suite(
 
     add("norm_conservation", base, norm_drift)
 
-    # Shared inputs are evaluated once, on first use, to a value or an error;
-    # an error is then reported by every check that needs the input.
     h_s = _once(lambda: scenario.hamiltonian.assemble_many(ts))
 
     # Zero-gauge generator residual: both terms are built from the same
     # vielbein, so the cancellation is exact up to rounding.
     add("hermitized_generator_gauge", base, lambda: frobenius(
-        rep.hermitized_hamiltonian(h_s(), e, e_inv()[at_nodes], rhs_vielbein(h_s(), e))))
+        rep.hermitized_hamiltonian(h_s(), e(), e_inv()[at_nodes], rhs_vielbein(h_s(), e()))))
 
     # The frozen-state pictures, which share one equation of motion: check
     # suffix, EOM check name, transport of an operator at grid positions,
-    # frozen state. The transports are read from the module at call time,
-    # where a tracer may have wrapped them.
+    # frozen state (a shared input). The transports are read from the module
+    # at call time, where a tracer may have wrapped them.
     pictures = (
         ("h", "heisenberg", lambda o, at: rep.to_heisenberg(o, bundle, grid[at]),
-         rep.heisenberg_state(bundle)),
+         _once(lambda: rep.schrodinger_state(bundle, 0))),
         ("hl", "heisenberg_like", lambda o, at: rep.to_heisenberg_like(
-            o, e_grid[at], e_inv()[at]), rep.heisenberg_like_state(bundle)),
+            o, e_grid()[at], e_inv()[at]), _once(lambda: rep.heisenberg_like_state(bundle))),
     )
     # H in each picture, where the EOM checks read it.
     h_in = _once(lambda transport: transport(h_s()[inner], at_inner))
@@ -276,7 +276,7 @@ def run_suite(
         for suffix, _, transport, state in pictures:
             add(f"expectation_s_vs_{suffix}[{obs_name}]", base,
                 lambda transport=transport, state=state:
-                    np.abs(exp_s() - rep.expectation(state, o_in(transport)[at_nodes])))
+                    np.abs(exp_s() - rep.expectation(state(), o_in(transport)[at_nodes])))
         for suffix, _, transport, _ in pictures:
             add(f"isospectral_{suffix}[{obs_name}]", base,
                 lambda transport=transport: np.max(np.abs(

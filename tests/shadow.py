@@ -30,17 +30,23 @@ def rk4_samples(t, step):
     return t, t + 0.5 * step, t + 0.5 * step, t + step
 
 
+def rk4_input(y, ks, step):
+    """The next stage's input after the rates ks = [k1, ...] of the stages so far:
+    y + (h/2) k1, y + (h/2) k2, then y + h k3."""
+    return y + (step if len(ks) == 3 else 0.5 * step) * ks[-1]
+
+
 def rk4_sum(k1, k2, k3, k4):
     """RK4's weighted sum of the four stage rates, before the factor step/6."""
     return ((k1 + 2 * k2) + 2 * k3) + k4
 
 
 def run(scenario: Scenario, dtype=LONG, rates=stage_rates, weights=rk4_sum,
-        samples=rk4_samples) -> dict:
+        samples=rk4_samples, inputs=rk4_input) -> dict:
     """ts and step (float64) and the loop's u_r, g and u_l (in dtype), stacked over the nodes.
 
-    The hooks replace the stage rates, the weighted sum of the rates and the
-    stages' sample times.
+    The hooks replace the stage rates, the weighted sum of the rates, the
+    stages' sample times and the stages' inputs.
     """
     n_steps = max(1, round((scenario.t1 - scenario.t0) / scenario.integrator.step))
     step = (scenario.t1 - scenario.t0) / n_steps
@@ -49,19 +55,17 @@ def run(scenario: Scenario, dtype=LONG, rates=stage_rates, weights=rk4_sum,
     hs = [scenario.hamiltonian.assemble_many(s).astype(dtype) for s in samples(t, step)]
     stages = list(zip(hs, [1j * h for h in hs], [h.conj().swapaxes(1, 2) for h in hs]))
     real_step = np.finfo(dtype).dtype.type(step)
-    half, sixth = 0.5 * real_step, real_step / 6
+    sixth = real_step / 6
 
     eye = np.eye(scenario.dim)
     out = np.empty((n_steps + 1, 3, scenario.dim, scenario.dim), dtype=dtype)
     out[0] = eye, resolve_initial_metric(scenario), eye
     for k in range(n_steps):
         y = out[k]
-        h1, h2, h3, h4 = ([a[k] for a in stage] for stage in stages)
-        k1 = rates(*h1, y)
-        k2 = rates(*h2, y + half * k1)
-        k3 = rates(*h3, y + half * k2)
-        k4 = rates(*h4, y + real_step * k3)
-        out[k + 1] = y + sixth * weights(k1, k2, k3, k4)
+        ks = []
+        for stage in stages:
+            ks.append(rates(*(a[k] for a in stage), inputs(y, ks, real_step) if ks else y))
+        out[k + 1] = y + sixth * weights(*ks)
     u_r, g, u_l = out.swapaxes(0, 1)
     return {"ts": ts, "step": step, "u_r": u_r, "g": g, "u_l": u_l}
 

@@ -37,9 +37,9 @@ from metricbundle.representations import (
     expectation_schrodinger,
     heisenberg_like_state,
     heisenberg_rhs,
-    heisenberg_state,
     hermitized_hamiltonian,
     naive_dagger_transport,
+    schrodinger_state,
     to_heisenberg,
     to_heisenberg_like,
 )
@@ -129,7 +129,7 @@ def _acceptance_observables():
 def test_04_three_picture_expectations(pt_unbroken, driven):
     worst = 0.0
     for _, bundle in (pt_unbroken, driven):
-        state_h = heisenberg_state(bundle)
+        state_h = schrodinger_state(bundle, 0)
         state_hl = heisenberg_like_state(bundle)
         for i in range(0, bundle.n_nodes, bundle.n_nodes // 20):
             for _, obs in _acceptance_observables():

@@ -872,6 +872,33 @@ def test_coefficient_near_the_float_limits_exits_with_one_documented_line(demo, 
             (EXIT_SCENARIO, [f"error[schema]: {pointer}: bad coefficient: {exc}"])] * 3
 
 
+# About half the states lie within a dozen decades of the largest float, where psi,
+# adj(psi) G and E0 psi overflow; a metric past 1e12 leaves the finite range at once.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(demo=st.sampled_from(sorted(builtin_models())), t1=st.floats(0.002, 0.1),
+       k=st.integers(0, 308) | st.integers(296, 308), m=st.none() | st.integers(-12, 12))
+def test_valid_scenario_at_the_float_limits_exits_with_at_most_one_line(demo, t1, k, m):
+    """A state scaled by 10^k and an identity or 10^m I metric: evolve (CSV and JSON) and
+    verify exit 0, 3 or 4, printing nothing to stderr or one error[CODE] line, and no
+    numpy warning (a warning is an error under pytest here)."""
+    metric = MetricInit("identity") if m is None else MetricInit("explicit", 10.0**m * np.eye(2))
+    scenario = get_demo(demo, t1=t1)
+    scenario = dataclasses.replace(scenario, metric_init=metric, psi0=scenario.psi0 * 10.0**k)
+    lines = {EXIT_OK: [], EXIT_NUMERIC: ["error[numeric]"], EXIT_VERIFY: ["error[verify]"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        save_scenario(scenario, path)
+        for argv in (["evolve", str(path), "-o", f"{tmp}/x.csv"],
+                     ["evolve", str(path), "--format", "json", "-o", f"{tmp}/x.json"],
+                     ["verify", str(path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in lines, (argv, err.getvalue())
+            assert [line.split(":")[0] for line in err.getvalue().splitlines()] == lines[code], (
+                argv, err.getvalue())
+
+
 class TestVerify:
     def test_clean_scenario(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -1400,3 +1427,25 @@ class TestExitCodesInAFreshProcess:
         self.assert_one_error_line(proc, EXIT_VERIFY, "verify")
         # The report table reaches stdout in full before the process exits.
         assert proc.stdout.endswith("23/30 passed, 7 unexpected failures\n")
+
+
+class TestFloatLimitsInAFreshProcess:
+    """Valid scenarios whose state overflows: no numpy warning reaches stderr."""
+
+    def test_evolve_with_an_overflowing_state_is_silent(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_scenario(dataclasses.replace(get_demo("pt-dimer-broken"),
+                                          psi0=np.array([1e305, 0], dtype=complex)), path)
+        for fmt in ("csv", "json"):
+            proc = run_fresh("evolve", str(path), "--format", fmt, "-o", str(tmp_path / f"x.{fmt}"))
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), fmt
+
+    def test_verify_with_an_overflowing_frozen_state_prints_one_line(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_scenario(dataclasses.replace(
+            get_demo("pt-dimer-unbroken", t1=0.05),
+            metric_init=MetricInit("explicit", 1e10 * np.eye(2)),
+            psi0=np.array([1e308, 0], dtype=complex)), path)
+        proc = run_fresh("verify", str(path))
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_VERIFY, "error[verify]: 9 unexpected check failures\n")

@@ -23,9 +23,9 @@ from metricbundle.representations import (
     expectation_schrodinger,
     heisenberg_like_state,
     heisenberg_rhs,
-    heisenberg_state,
     hermitized_hamiltonian,
     naive_dagger_transport,
+    schrodinger_state,
     to_heisenberg,
     to_heisenberg_like,
 )
@@ -84,7 +84,7 @@ class TestTransportExamples:
 class TestExpectationEquivalence:
     def test_three_pictures_agree(self, driven_bundle):
         scenario, bundle = driven_bundle
-        state_h = heisenberg_state(bundle)
+        state_h = schrodinger_state(bundle, 0)
         state_hl = heisenberg_like_state(bundle)
         for t in (0.0, 1.0, 5.0, 10.0):
             i = index_of_time(bundle, t)

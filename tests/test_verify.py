@@ -285,6 +285,27 @@ class TestErrorPath:
         assert sum(c.error.startswith("EvalError") for c in report.checks) == 6
         assert counts["assemble_many"] == 1
 
+    def test_a_metric_with_no_cholesky_factor_at_t0_fails_every_check_that_reads_e(self):
+        # E(t0) is the Cholesky factor of G(t0), so no check can read E; the
+        # suite still returns its report.
+        scenario = get_demo("driven-dimer", t1=0.2)
+        bundle = integrate(scenario)
+        g = bundle.g.copy()
+        g[0] = np.diag([1.0, -1.0])
+        report = run_suite(dataclasses.replace(bundle, g=g), scenario)
+        assert report.summary == {"total": 30, "passed": 16, "failed": 14,
+                                  "unexpected_failed": 13}
+        reads_e = ("vielbein_reconstructs_metric", "hermitized_generator_gauge",
+                   "expectation_s_vs_hl", "isospectral_hl", "heisenberg_like_eom_fd")
+        errored = [c for c in report.checks if c.error]
+        assert [c.name for c in errored] == [
+            c.name for c in report.checks if c.name.startswith(reads_e)]
+        assert len(errored) == 2 + 3 * len(scenario.observables) == 11
+        for c in errored:
+            assert (c.residual, c.passed, c.error) == (
+                float("inf"), False,
+                "NotPositiveDefiniteError: cholesky_upper: Matrix is not positive definite")
+
     @pytest.mark.parametrize("demo, t1, stride", [
         ("pt-ep", 0.05, 100),  # nodes 0 and 50, delta 25 nodes
         ("hermitian-rabi", 0.001, 10),  # one step: nodes 0 and 1, delta 1 node
