@@ -47,10 +47,10 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e12
-# Steps per block in integrate, at most. A block's fixed cost (three
-# assemble_many calls and one guard) measured 0.19-0.57 ms at dim 2, a constant
-# and a sin(t) Hamiltonian: 0.7-2.2 us a step at 256 steps; 1024 steps saved
-# about 1 us more.
+# Steps per block in integrate, at most. A block's own work (one assemble_many
+# call, the stage-stack fill and one guard) measured 0.09-0.19 ms at dim 2, a
+# constant and a sin(t) Hamiltonian: 0.3-0.7 us a step at 256 steps; 1024 steps
+# saved at most 0.1 us more.
 BLOCK_STEPS = 256
 # Byte budget of a block's stage stacks, 21 matrices a step. From dim 7 on it,
 # not BLOCK_STEPS, sets the block length; from dim 80 a block is one step,
@@ -145,12 +145,11 @@ _PHASES = np.array([-1j, 1j])[:, None, None]
 
 
 def _fill_stage_stacks(stacks, hamiltonians) -> None:
-    """Write the H slots of the stacks of a block's first len(H) steps, one H stack a sample."""
-    for sample, h in enumerate(hamiltonians):
-        slots = stacks[:len(h), sample]
-        np.multiply(1j, h[:, None], out=slots[:, 0:2])
-        slots[:, 5] = h
-        np.conjugate(h.swapaxes(1, 2), out=slots[:, 6])
+    """Write the H slots of the stacks of the first len(H) steps from H, (step, sample, d, d)."""
+    slots = stacks[:len(hamiltonians)]
+    np.multiply(1j, hamiltonians[:, :, None], out=slots[:, :, 0:2])
+    slots[:, :, 5] = hamiltonians
+    np.conjugate(hamiltonians.swapaxes(2, 3), out=slots[:, :, 6])
 
 
 def _row_views(row):
@@ -210,8 +209,10 @@ def integrate(scenario: Scenario) -> EvolutionBundle:
     for a in range(0, n_steps, block):
         b = min(a + block, n_steps)
         t = ts[a:b]
-        # t + step, not ts[a + 1:b + 1]: the two can differ in the last bit.
-        _fill_stage_stacks(stacks, [assemble_many(s) for s in (t, t + half, t + step)])
+        # t + step, not ts[a + 1:b + 1]: the two can differ in the last bit. Sample-major
+        # order, so the first time whose H is not finite is that of one call per sample.
+        hs = assemble_many(np.concatenate((t, t + half, t + step)))
+        _fill_stage_stacks(stacks, hs.reshape(3, b - a, dim, dim).swapaxes(0, 1))
         with np.errstate(all="ignore"):  # the guard reports a blow-up
             for y, y_next, left, right, x in zip(out[a:b], out[a + 1:b + 1], lefts, rights, xs):
                 x[0] = y

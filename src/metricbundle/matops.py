@@ -41,6 +41,7 @@ __all__ = [
     "eigenvalues",
     "sorted_eigenvalues",
     "hermitian_deviation",
+    "hermitian_part",
     "min_eig_hermitian",
     "frobenius",
 ]
@@ -149,6 +150,11 @@ def hermitian_deviation(a):
     return frobenius(a - a.conj().swapaxes(-1, -2)) / np.maximum(1.0, frobenius(a))
 
 
+def hermitian_part(g) -> np.ndarray:
+    """(g + adj(g)) / 2, of a matrix or a stack; it overflows only where that value does."""
+    return 0.5 * g + 0.5 * adjoint(g)
+
+
 def _require_hermitian(g: np.ndarray, what: str) -> np.ndarray:
     deviation = np.asarray(hermitian_deviation(g))
     first = _first(deviation > ATOL + RTOL)
@@ -158,7 +164,7 @@ def _require_hermitian(g: np.ndarray, what: str) -> np.ndarray:
             f"exceeds {ATOL + RTOL:.3e}"
         )
     # Symmetrize so downstream LAPACK calls see an exactly Hermitian input.
-    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+    return hermitian_part(g)
 
 
 def cholesky_upper(g) -> np.ndarray:

@@ -58,6 +58,7 @@ from .matops import (
     cholesky_upper,
     frobenius,
     hermitian_deviation,
+    hermitian_part,
     min_eig_hermitian,
 )
 
@@ -366,7 +367,7 @@ def _accept_candidate(g, h, scale: float):
     """Trace-normalized g when it is positive-definite and solves the equation."""
     if not max(ATOL, 1e-10) < frobenius(g) < math.inf:
         return None
-    g = 0.5 * (g + g.conj().T)
+    g = hermitian_part(g)
     try:
         if min_eig_hermitian(g) <= ATOL + 1e-10 * frobenius(g):
             return None
@@ -385,7 +386,7 @@ def resolve_initial_metric(scenario: Scenario) -> np.ndarray:
     if init.mode == "identity":
         return np.eye(scenario.dim, dtype=complex)
     if init.mode == "explicit":
-        return 0.5 * (init.matrix + init.matrix.conj().T)
+        return hermitian_part(init.matrix)
     return solve_stationary_metric(scenario.hamiltonian.assemble(scenario.t0))
 
 

@@ -73,7 +73,8 @@ def to_heisenberg_like(o, e, e_inv) -> np.ndarray:
 
 def heisenberg_like_state(bundle: EvolutionBundle) -> tuple[np.ndarray, np.ndarray]:
     """(ket, dual) frozen at t0: E(t0) psi(t0) and, by construction, its exact conjugate."""
-    ket = bundle.e_at(0) @ bundle.psi_at(0)
+    with np.errstate(all="ignore"):  # an overflow is inf, with no numpy warning
+        ket = bundle.e_at(0) @ bundle.psi_at(0)
     return ket, ket.conj()
 
 

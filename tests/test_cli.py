@@ -876,7 +876,8 @@ def test_coefficient_near_the_float_limits_exits_with_one_documented_line(demo, 
 # adj(psi) G and E0 psi overflow; a metric past 1e12 leaves the finite range at once.
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(demo=st.sampled_from(sorted(builtin_models())), t1=st.floats(0.002, 0.1),
-       k=st.integers(0, 308) | st.integers(296, 308), m=st.none() | st.integers(-12, 12))
+       k=st.integers(0, 308) | st.integers(296, 308),
+       m=st.none() | st.integers(-12, 12) | st.integers(296, 308))
 def test_valid_scenario_at_the_float_limits_exits_with_at_most_one_line(demo, t1, k, m):
     """A state scaled by 10^k and an identity or 10^m I metric: evolve (CSV and JSON) and
     verify exit 0, 3 or 4, printing nothing to stderr or one error[CODE] line, and no
@@ -1449,3 +1450,30 @@ class TestFloatLimitsInAFreshProcess:
         proc = run_fresh("verify", str(path))
         assert (proc.returncode, proc.stderr) == (
             EXIT_VERIFY, "error[verify]: 9 unexpected check failures\n")
+
+    @staticmethod
+    def metric_file(tmp_path, matrix) -> str:
+        """pt-dimer-unbroken to t1 0.05 with the explicit metric matrix, written as given."""
+        doc = scenario_to_json_dict(get_demo("pt-dimer-unbroken", t1=0.05))
+        doc["metric"] = {"mode": "explicit", "matrix": [[[x, 0.0] for x in row] for row in matrix]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve"], ["verify"], ["spectrum", "--observable", "sigma_x", "--times", "0"]])
+    def test_indefinite_metric_near_the_float_limit_is_rejected(self, tmp_path, argv):
+        # Smallest eigenvalue -5e307; g + adj(g) overflows, (g + adj(g)) / 2 does not.
+        path = self.metric_file(tmp_path, [[1e308, 1.5e308], [1.5e308, 1e308]])
+        proc = run_fresh(argv[0], path, *argv[1:], "-o", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr) == (EXIT_SCENARIO, (
+            "error[schema]: /metric/matrix: explicit metric is not positive-definite\n"))
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_metric_at_the_float_limit_leaves_the_finite_range_with_one_line(self, tmp_path,
+                                                                              command):
+        path = self.metric_file(tmp_path, [[1e308, 0.0], [0.0, 1e308]])
+        proc = run_fresh(command, path, "-o", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr) == (EXIT_NUMERIC, (
+            "error[numeric]: NonFiniteError: channel left the finite range "
+            "(node 1, t = 0.001, channel g)\n"))

@@ -58,7 +58,7 @@ H_PT = SIGMA_X + 0.5j * SIGMA_Z
 def channel_rates(h, u_r=None, u_l=None, g=None):
     """d/dt of (U_R, U_L, G) from the integrator's stage stack and stage rates."""
     stacks = np.empty((1, 1, _SLOTS, 2, 2), dtype=complex)
-    _fill_stage_stacks(stacks, [np.asarray(h, dtype=complex)[None]])
+    _fill_stage_stacks(stacks, np.asarray(h, dtype=complex)[None, None])
     stack = stacks[0, 0]
     given = {"u_r": u_r, "u_l": u_l, "g": g}
     stack[_INPUT] = [np.eye(2) if given[name] is None else given[name] for name in _CHANNELS]
@@ -379,18 +379,30 @@ class TestBlockedIntegratorParity:
                           (bundle.g, g)):
             assert np.array_equal(got, want)
 
-    def test_stage_times_are_those_of_single_steps(self, monkeypatch):
-        # ts[k] + step differs from ts[k + 1] in the last bit at 361 of these steps.
-        scenario = get_demo("driven-dimer", t0=0.3, t1=1.05)
+    @staticmethod
+    def assembled_times(monkeypatch, scenario):
+        """integrate's bundle of scenario, and the times of each of its assemble_many calls."""
         seen = []
         assemble_many = OperatorSpec.assemble_many
         monkeypatch.setattr(
             OperatorSpec, "assemble_many", lambda spec, ts: seen.append(ts) or assemble_many(spec, ts)
         )
-        bundle = integrate(scenario)
-        starts = bundle.ts[:-1]
-        want = np.concatenate([starts, starts + 0.5 * bundle.step, starts + bundle.step])
-        assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(want))
+        return integrate(scenario), seen
+
+    def test_one_assembly_per_block(self, monkeypatch):
+        # 750 steps: blocks of 256, 256 and 238 steps, each with its 3 samples a step.
+        _, seen = self.assembled_times(monkeypatch, get_demo("driven-dimer", t1=0.75))
+        assert [len(ts) for ts in seen] == [3 * 256, 3 * 256, 3 * 238]
+
+    def test_stage_times_are_those_of_single_steps(self, monkeypatch):
+        # ts[k] + step differs from ts[k + 1] in the last bit at 361 of these steps.
+        scenario = get_demo("driven-dimer", t0=0.3, t1=1.05)
+        bundle, seen = self.assembled_times(monkeypatch, scenario)
+        starts = np.split(bundle.ts[:-1], range(BLOCK_STEPS, bundle.n_nodes - 1, BLOCK_STEPS))
+        assert len(seen) == len(starts)
+        for ts, t in zip(seen, starts):
+            # Sample-major: the first time whose H is not finite is that of a call per sample.
+            assert np.array_equal(ts, np.concatenate([t, t + 0.5 * bundle.step, t + bundle.step]))
 
     def test_driven_chain_with_exp_and_tanh(self):
         scenario = _driven_pt_chain()

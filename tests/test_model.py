@@ -476,7 +476,9 @@ class TestScenarioSchema:
           [0.72, 5.94, 8.244],
           [0.8549999999999999, 8.244, 11.4561]],
          "explicit metric is not positive-definite: cholesky_upper: "),
-    ], ids=["not-hermitian", "indefinite", "cholesky-fails"])
+        # Smallest eigenvalue -5e307; g + adj(g) overflows, (g + adj(g)) / 2 does not.
+        ([[1e308, 1.5e308], [1.5e308, 1e308]], "explicit metric is not positive-definite"),
+    ], ids=["not-hermitian", "indefinite", "cholesky-fails", "indefinite-near-the-float-limit"])
     def test_bad_explicit_metric_is_schema_error_when_built(self, matrix, message):
         with pytest.raises(SchemaError) as err:
             MetricInit("explicit", matrix)
@@ -488,6 +490,12 @@ class TestScenarioSchema:
         assert isinstance(init.matrix, np.ndarray) and init.matrix.dtype == complex
         scenario = dataclasses.replace(get_demo("hermitian-rabi"), metric_init=init)
         assert np.array_equal(resolve_initial_metric(scenario), np.eye(2))
+
+    def test_explicit_metric_at_the_float_limit_is_resolved_to_itself(self):
+        # g + adj(g) overflows here; a warning is an error under pytest.
+        init = MetricInit("explicit", 1e308 * np.eye(2))
+        scenario = dataclasses.replace(get_demo("hermitian-rabi"), metric_init=init)
+        assert np.array_equal(resolve_initial_metric(scenario), 1e308 * np.eye(2))
 
     @pytest.mark.parametrize("mode", ["identity", "stationary"])
     @pytest.mark.parametrize("matrix", ["garbage", None, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],

@@ -139,9 +139,10 @@ def outcome(demo: str, mutant: str):
     return report.summary, errors
 
 
-@pytest.mark.parametrize("name", sorted(builtin_models()))
+@pytest.mark.parametrize("name", [*sorted(builtin_models()), "family-16"])
 def test_float64_loop_without_a_hook_is_integrate(name):
-    scenario = get_demo(name, t1=0.75)
+    # family-16 has 61 terms, a many-term H whose block samples are one assembly.
+    scenario = run_scenario(name, 0.75)
     want = integrate(scenario)
     got = loop_bundle(scenario)
     assert got.step == want.step and np.array_equal(got.ts, want.ts)

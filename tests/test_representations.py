@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from metricbundle.matops import (
     inverse,
     sorted_eigenvalues,
 )
-from metricbundle.model import solve_stationary_metric
+from metricbundle.model import MetricInit, solve_stationary_metric
 from metricbundle.representations import (
     commutator_gap,
     expectation,
@@ -114,6 +116,15 @@ class TestExpectationEquivalence:
         _, bundle = pt_unbroken_bundle
         state = heisenberg_like_state(bundle)
         assert np.array_equal(state[1], state[0].conj())
+
+    def test_hl_state_overflows_to_inf_without_a_warning(self):
+        # E(t0) = 1e5 I, so E(t0) psi(t0) passes the float range; a warning is an error here.
+        scenario = dataclasses.replace(
+            get_demo("pt-dimer-unbroken", t1=0.05),
+            metric_init=MetricInit("explicit", 1e10 * np.eye(2)),
+            psi0=np.array([1e308, 0], dtype=complex))
+        ket, dual = heisenberg_like_state(integrate(scenario))
+        assert ket[0].real == np.inf and np.array_equal(dual, ket.conj(), equal_nan=True)
 
 
 class TestHermitizedHamiltonian:
