@@ -147,7 +147,13 @@ def inverse(a) -> np.ndarray:
 def hermitian_deviation(a):
     """Relative Frobenius distance of a from its own adjoint."""
     a = as_stack(a)
-    return frobenius(a - a.conj().swapaxes(-1, -2)) / np.maximum(1.0, frobenius(a))
+    # A matrix whose largest |entry| is at least 1 is divided by that entry's power of
+    # two (np.frexp), as in frobenius, so that a - adj(a) cannot overflow. That is exact,
+    # so the ratio is the unscaled one bit for bit.
+    exponent = np.maximum(np.frexp(np.abs(a).max(axis=(-2, -1)))[1], 0)
+    b = _ldexp(a, -exponent[..., None, None])
+    return frobenius(b - b.conj().swapaxes(-1, -2)) / np.maximum(
+        np.ldexp(1.0, -exponent), frobenius(b))
 
 
 def hermitian_part(g) -> np.ndarray:

@@ -162,13 +162,15 @@ def run_suite(
 
     Each check family is evaluated once on the stacked sampled nodes, as one
     residual per node; the report keeps the largest and the first node that
-    attains it. Raises ValueError when node_stride is below 1.
+    attains it. A run too short for node_stride is sampled at max(1, (n_nodes - 1) // 2),
+    so the EOM difference reads sampled nodes only. Raises ValueError when node_stride < 1.
     """
     if node_stride < 1:
         raise ValueError(f"node_stride must be at least 1, got {node_stride}")
     span = float(bundle.ts[-1] - bundle.ts[0])
     base = budget(bundle.step, span, bundle.dim)
-    nodes = _sample_indices(bundle.n_nodes, node_stride)
+    stride = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
+    nodes = _sample_indices(bundle.n_nodes, stride)
     over_nodes = f"max over {len(nodes)} nodes"
     results: list[CheckResult] = []
 
@@ -183,7 +185,7 @@ def run_suite(
             if len(values):
                 worst = int(np.argmax(values))
                 residual, context = float(values[worst]), f"node {at[worst]}"
-            else:  # only the EOM checks can have no node: see the inner mask below
+            else:  # only the EOM checks can have no node: see inner below
                 error = ("not evaluated: no sampled node has its central-difference "
                          "neighbours on the grid")
         expected_fail = any(name.startswith(p) for p in scenario.expected_failures)
@@ -195,30 +197,20 @@ def run_suite(
 
     # The Heisenberg equation of motion, in the H and the HL picture, vs a
     # central finite difference of the transported operator (independent of
-    # the commutator path), at the sampled nodes where the difference fits on
-    # the grid. With no such node the checks are not evaluated, and fail.
-    delta_nodes = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
-    delta = delta_nodes * bundle.step
+    # the commutator path), at the positions in nodes whose two neighbours
+    # lie one stride away. With no such node the checks are not evaluated,
+    # and fail.
+    delta = stride * bundle.step
     fd_budget = base + EOM_FD_COEFF * delta**2
-    inner = (nodes >= delta_nodes) & (nodes + delta_nodes < bundle.n_nodes)
-    below, above = nodes[inner] - delta_nodes, nodes[inner] + delta_nodes
-    # Every node a check reads, and where each lies in it: the sampled nodes,
-    # plus node 1 when n_nodes == 2 * node_stride >= 4 (then delta_nodes is
-    # node_stride - 1). Sorted, repeats dropped; np.union1d would import
-    # numpy.ma (numpy 2.4).
-    grid = np.sort(np.concatenate([nodes, below, above]))
-    grid = grid[np.diff(grid, prepend=-1) > 0]
-    at_nodes, at_below, at_above = (np.searchsorted(grid, j) for j in (nodes, below, above))
-    at_inner = at_nodes[inner]
+    inner = np.flatnonzero((nodes >= stride) & (nodes + stride < bundle.n_nodes))
 
     # Shared inputs are evaluated once, on first use, to a value or an error;
     # an error is then reported by every check that needs the input. E is
-    # formed once on the grid and inverted there: a node refused there fails
-    # every check that inverts E, as a grid node where an observable is not
-    # finite fails every check of it.
-    e_grid = _once(lambda: bundle.e_at(grid))
-    e = _once(lambda: e_grid()[at_nodes])
-    e_inv = _once(lambda: inverse(e_grid()))
+    # formed once at the sampled nodes and inverted there: a node where E is
+    # refused fails every check that inverts E, as a node where an observable
+    # is not finite fails every check of it.
+    e = _once(lambda: bundle.e_at(nodes))
+    e_inv = _once(lambda: inverse(e()))
 
     # Propagator inverse identity.
     add("propagator_inverse_left", base, lambda: frobenius(u_l @ u_r - eye))
@@ -241,46 +233,46 @@ def run_suite(
     # Zero-gauge generator residual: both terms are built from the same
     # vielbein, so the cancellation is exact up to rounding.
     add("hermitized_generator_gauge", base, lambda: frobenius(
-        rep.hermitized_hamiltonian(h_s(), e(), e_inv()[at_nodes], rhs_vielbein(h_s(), e()))))
+        rep.hermitized_hamiltonian(h_s(), e(), e_inv(), rhs_vielbein(h_s(), e()))))
 
     # The frozen-state pictures, which share one equation of motion: check
-    # suffix, EOM check name, transport of an operator at grid positions,
+    # suffix, EOM check name, transport of an operator at positions in nodes,
     # frozen state (a shared input). The transports are read from the module
     # at call time, where a tracer may have wrapped them.
     pictures = (
-        ("h", "heisenberg", lambda o, at: rep.to_heisenberg(o, bundle, grid[at]),
+        ("h", "heisenberg", lambda o, at: rep.to_heisenberg(o, bundle, nodes[at]),
          _once(lambda: rep.schrodinger_state(bundle, 0))),
-        ("hl", "heisenberg_like", lambda o, at: rep.to_heisenberg_like(
-            o, e_grid()[at], e_inv()[at]), _once(lambda: rep.heisenberg_like_state(bundle))),
+        ("hl", "heisenberg_like", lambda o, at: rep.to_heisenberg_like(o, e()[at], e_inv()[at]),
+         _once(lambda: rep.heisenberg_like_state(bundle))),
     )
     # H in each picture, where the EOM checks read it.
-    h_in = _once(lambda transport: transport(h_s()[inner], at_inner))
+    h_in = _once(lambda transport: transport(h_s()[inner], inner))
 
     def observable_checks(obs_name, obs):
-        o_grid = _once(lambda: obs.assemble_many(bundle.ts[grid]))
-        exp_s = _once(lambda: rep.expectation_schrodinger(bundle, nodes, o_grid()[at_nodes]))
+        o_s = _once(lambda: obs.assemble_many(ts))
+        exp_s = _once(lambda: rep.expectation_schrodinger(bundle, nodes, o_s()))
         # A constant O_S has one spectrum, which the isospectral checks broadcast over the nodes.
         spectrum_s = _once(lambda: sorted_eigenvalues(
-            o_grid()[at_nodes] if obs.constant is None else obs.constant))
+            o_s() if obs.constant is None else obs.constant))
         dt_s = _once(lambda: obs.differentiate().assemble_many(ts[inner]))
-        o_in = _once(lambda transport: transport(o_grid(), slice(None)))  # O in each picture
+        o_in = _once(lambda transport: transport(o_s(), slice(None)))  # O in each picture
 
         def eom_fd(transport):
-            if not inner.any():
+            if not len(inner):
                 return np.zeros(0)
             o_p = o_in(transport)
-            fd = (o_p[at_above] - o_p[at_below]) / (2 * delta)
+            fd = (o_p[inner + 1] - o_p[inner - 1]) / (2 * delta)
             return frobenius(fd - rep.heisenberg_rhs(
-                o_p[at_inner], h_in(transport), transport(dt_s(), at_inner)))
+                o_p[inner], h_in(transport), transport(dt_s(), inner)))
 
         for suffix, _, transport, state in pictures:
             add(f"expectation_s_vs_{suffix}[{obs_name}]", base,
                 lambda transport=transport, state=state:
-                    np.abs(exp_s() - rep.expectation(state(), o_in(transport)[at_nodes])))
+                    np.abs(exp_s() - rep.expectation(state(), o_in(transport))))
         for suffix, _, transport, _ in pictures:
             add(f"isospectral_{suffix}[{obs_name}]", base,
                 lambda transport=transport: np.max(np.abs(
-                    sorted_eigenvalues(o_in(transport)[at_nodes]) - spectrum_s()), axis=-1))
+                    sorted_eigenvalues(o_in(transport)) - spectrum_s()), axis=-1))
         for _, eom_name, transport, _ in pictures:
             add(f"{eom_name}_eom_fd[{obs_name}]", fd_budget,
                 lambda transport=transport: eom_fd(transport), at=nodes[inner])
@@ -311,7 +303,7 @@ def run_suite(
         integrator={
             "method": scenario.integrator.method,
             "step": bundle.step,
-            "node_stride": node_stride,
+            "node_stride": stride,
             "tolerance_scale": 1.0,  # kept so that the report schema does not change
         },
         base_budget=base,

@@ -974,8 +974,7 @@ class TestVerify:
         assert (code == EXIT_USAGE) == rejected, capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
-        ("demo:pt-ep", "--t1", "0.05", "--node-stride", "100"),
-        ("demo:hermitian-rabi", "--t1", "0.001"),
+        ("demo:hermitian-rabi", "--t1", "0.001"),  # one step: no node has two neighbours
     ])
     def test_eom_checks_that_evaluate_nothing_fail(self, tmp_path, capsys, flags):
         report_path = tmp_path / "report.json"
@@ -991,6 +990,23 @@ class TestVerify:
             if "_eom_fd[" in check["name"]:
                 assert check["pass"] is False
                 assert check["error"].startswith("not evaluated:")
+
+    @pytest.mark.parametrize("flags, stride", [
+        (("demo:pt-ep", "--t1", "0.05", "--node-stride", "100"), 25),  # 51 nodes
+        (("demo:pt-dimer-unbroken", "--t1", "0.01"), 5),  # 11 nodes at the default stride 10
+    ])
+    def test_a_run_too_short_for_its_stride_evaluates_its_eom_checks(self, tmp_path, capsys,
+                                                                      flags, stride):
+        report_path = tmp_path / "report.json"
+        assert run("verify", *flags, "-o", str(report_path)) == EXIT_OK
+        out, err = capsys.readouterr()
+        eom_rows = [line.split() for line in out.splitlines() if "_eom_fd[" in line]
+        assert len(eom_rows) == 6
+        assert [row[3] for row in eom_rows] == ["pass"] * 6
+        assert err == ""
+        doc = json.loads(report_path.read_text())
+        assert doc["integrator"]["node_stride"] == stride
+        assert not any("error" in check for check in doc["checks"])
 
     def test_declared_eom_checks_that_evaluate_nothing_exit_0(self, tmp_path, capsys):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.001))
@@ -1468,6 +1484,15 @@ class TestFloatLimitsInAFreshProcess:
         proc = run_fresh(argv[0], path, *argv[1:], "-o", str(tmp_path / "out"))
         assert (proc.returncode, proc.stderr) == (EXIT_SCENARIO, (
             "error[schema]: /metric/matrix: explicit metric is not positive-definite\n"))
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve"], ["verify"], ["spectrum", "--observable", "sigma_x", "--times", "0"]])
+    def test_non_hermitian_metric_near_the_float_limit_is_rejected(self, tmp_path, argv):
+        # g - adj(g) overflows, so the Hermiticity test must not form it unscaled.
+        path = self.metric_file(tmp_path, [[1.0, 1.5e308], [-1.5e308, 1.0]])
+        proc = run_fresh(argv[0], path, *argv[1:], "-o", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr) == (EXIT_SCENARIO, (
+            "error[schema]: /metric/matrix: explicit metric is not Hermitian\n"))
 
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     def test_metric_at_the_float_limit_leaves_the_finite_range_with_one_line(self, tmp_path,

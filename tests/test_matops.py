@@ -131,6 +131,20 @@ class TestHermitianDeviation:
     def test_zero(self):
         assert hermitian_deviation(np.zeros((2, 2))) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 3.0, 1e5, 1e300])
+    def test_is_the_unscaled_ratio_bit_for_bit(self, scale):
+        for seed in range(20):
+            a = scale * random_matrix(seed)
+            unscaled = frobenius(a - a.conj().T) / max(1.0, frobenius(a))
+            assert hermitian_deviation(a) == unscaled, seed
+
+    @pytest.mark.parametrize("a, expected", [
+        ([[1, 1.5e308], [-1.5e308, 1]], 2.0),  # a - adj(a) overflows
+        (1.79e308 * np.array([[1, 1, 1], [-1, 1, 1], [-1, -1, 1]]), np.sqrt(8 / 3)),
+    ])
+    def test_near_the_float_limit_is_finite(self, a, expected):
+        assert hermitian_deviation(a) == pytest.approx(expected, rel=1e-15)
+
 
 class TestMinEigHermitian:
     def test_identity(self):

@@ -478,7 +478,12 @@ class TestScenarioSchema:
          "explicit metric is not positive-definite: cholesky_upper: "),
         # Smallest eigenvalue -5e307; g + adj(g) overflows, (g + adj(g)) / 2 does not.
         ([[1e308, 1.5e308], [1.5e308, 1e308]], "explicit metric is not positive-definite"),
-    ], ids=["not-hermitian", "indefinite", "cholesky-fails", "indefinite-near-the-float-limit"])
+        # g - adj(g) overflows; the deviation was inf / inf = nan, which passed the test.
+        ([[1, 1.5e308], [-1.5e308, 1]], "explicit metric is not Hermitian"),
+        (1.79e308 * np.array([[1, 1, 1], [-1, 1, 1], [-1, -1, 1]]),
+         "explicit metric is not Hermitian"),
+    ], ids=["not-hermitian", "indefinite", "cholesky-fails", "indefinite-near-the-float-limit",
+            "not-hermitian-near-the-float-limit", "not-hermitian-at-the-float-limit"])
     def test_bad_explicit_metric_is_schema_error_when_built(self, matrix, message):
         with pytest.raises(SchemaError) as err:
             MetricInit("explicit", matrix)

@@ -5,6 +5,7 @@ or a call path that bypasses a wrapped name silently empties its metrics.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -91,3 +92,16 @@ def test_tracer_samples_the_nodes_verify_samples(stride):
     nodes_sampled = _tracing_module()._nodes_sampled
     for n in range(1, 80):
         assert nodes_sampled(n, stride) == len(verify._sample_indices(n, stride)), n
+
+
+@pytest.mark.parametrize("t1", ["0.75", "0.03", "0.2"])
+def test_tracer_counts_the_nodes_a_benchmark_report_samples(tmp_path, capsys, t1):
+    # 751, 31 and 201 nodes: the run lengths of zoo-d2, pt-chain and ep-sweep.
+    # The tracer restates the rule at the requested stride, which the report's
+    # sampled stride equals on runs of at least 2 * stride + 1 nodes.
+    report_path = tmp_path / "report.json"
+    tracer = _run_traced(["verify", "demo:pt-dimer-unbroken", "--t1", t1, "-o", str(report_path)])
+    doc = json.loads(report_path.read_text())
+    n_nodes = round(float(t1) / doc["integrator"]["step"]) + 1
+    sampled = len(verify._sample_indices(n_nodes, doc["integrator"]["node_stride"]))
+    assert tracer.counts["verify.nodes_sampled"] == sampled
