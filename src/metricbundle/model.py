@@ -14,7 +14,8 @@ A scenario file is a single JSON document; complex numbers are always
       "name": optional string, "expected_failures": optional [check-name prefixes]
     }
 
-Any other key at the top level, in "metric" or in "integrator" is a SchemaError.
+Any other key at the top level, in "metric" or in "integrator" is a SchemaError,
+as are a key repeated in any object and a surrogate code point in any name.
 
 A Scenario built in code (the zoo, with_overrides, dataclasses.replace, any
 caller) obeys the same rules: Scenario, MetricInit and IntegratorConfig check
@@ -252,6 +253,10 @@ class Scenario:
                 raise SchemaError(
                     f"observable names must be strings, got {type(obs_name).__name__}",
                     "/observables")
+        for pointer, text in [("/name", self.name),
+                              *((f"/observables/{_pointer_token(k)}", k) for k in self.observables)]:
+            if any("\ud800" <= c <= "\udfff" for c in text):
+                raise SchemaError("holds a surrogate, which UTF-8 cannot encode", pointer)
         named = {f"/observables/{_pointer_token(k)}": v for k, v in self.observables.items()}
         for pointer, operator in {"/hamiltonian": self.hamiltonian, **named}.items():
             if not isinstance(operator, OperatorSpec):
@@ -491,17 +496,27 @@ def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:
     return constant_operator(_complex_array_from_json(value, (dim, dim), pointer))
 
 
-# The characters str.splitlines() breaks at, as JSON escapes: a pointer that
-# names a key holding one, or a scenario path, still fits on the CLI's one
-# error line.
-_LINE_BREAKS = str.maketrans(
-    {c: f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+# The characters str.splitlines() breaks at and the surrogate code points, as
+# JSON escapes: a pointer that names a key holding one, or a scenario path,
+# still fits on the CLI's one error line, as valid UTF-8.
+_JSON_ESCAPES = str.maketrans({c: f"\\u{ord(c):04x}" for c in [
+    *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", *map(chr, range(0xD800, 0xE000))]})
 
 
 def _pointer_token(key) -> str:
     """key as one JSON-pointer token (RFC 6901): "~" escaped as "~0", "/" as "~1",
-    and a line break as its JSON escape."""
-    return str(key).replace("~", "~0").replace("/", "~1").translate(_LINE_BREAKS)
+    and a line break or a surrogate as its JSON escape."""
+    return str(key).replace("~", "~0").replace("/", "~1").translate(_JSON_ESCAPES)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's key-value pairs as a dict; a repeated key is a SchemaError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"duplicate key {_pointer_token(key)}", "")
+        doc[key] = value
+    return doc
 
 
 _REQUIRED_KEYS = {"dim", "hamiltonian", "metric", "psi0", "observables", "t0", "t1", "integrator"}
@@ -606,10 +621,10 @@ _NOT_FOUND_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EBADF)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """The scenario in the file at path. A path that names no file is
-    "scenario file not found: <path as given, line breaks escaped>"; any other
-    fault in reading or parsing it is a SchemaError of its own."""
-    not_found = f"scenario file not found: {str(path).translate(_LINE_BREAKS)}"
+    """The scenario in the file at path. A path that names no file is "scenario
+    file not found: <path as given, line breaks and surrogates escaped>"; any
+    other fault in reading or parsing it is a SchemaError of its own."""
+    not_found = f"scenario file not found: {str(path).translate(_JSON_ESCAPES)}"
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # a ValueError: caught before the next clause
@@ -621,7 +636,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise SchemaError(not_found, "") from exc
         raise SchemaError(f"cannot read scenario file: {exc}", "") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "") from exc
     except RecursionError as exc:

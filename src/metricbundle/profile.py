@@ -15,6 +15,8 @@ operators and parentheses (+ - * / ^ and "(") per coefficient keep its parse,
 tree and derivative shallow enough to evaluate. Each sub-expression without t
 is folded, as it is parsed, to the Const of the value eval_profile gives it:
 an exponent is an integer Const, and one that cannot be evaluated raises there.
+Errors: a stray character (one that starts no token) anywhere comes first, the
+operator limit next, then the first syntax error or failing fold in reading order.
 """
 
 from __future__ import annotations
@@ -88,55 +90,38 @@ ProfileExpr = Const | TimeVar | Neg | BinOp | Pow | Call
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ProfileSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+                       for m in _TOKEN_RE.finditer(text)] + [("end", "", len(text))]
         self.i = 0
+        if bad := [token for token in self.tokens if token[0] == "bad"]:
+            raise ProfileSyntaxError(f"unexpected character {bad[0][1]!r}", bad[0][2])
         # Each of these deepens the parse by at most 7 frames, the tree by one level and
         # its derivative's by three: 100 stay well inside Python's recursion limit.
         operators = [at for kind, value, at in self.tokens if kind == "op" and value != ")"]
         if len(operators) > 100:
             raise ProfileSyntaxError("more than 100 operators and parentheses", operators[100])
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
+    def take(self, ops: str = ""):
+        """The next token, consumed; given ops, None (nothing consumed) unless it is one of ops."""
+        kind, value, _ = token = self.tokens[self.i]
+        if ops and (kind != "op" or value not in ops):
+            return None
         self.i += 1
-        return tok
+        return token
 
     def expect_op(self, op: str):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise ProfileSyntaxError(f"expected {op!r}", offset)
-        return self.next()
+        if not self.take(op):
+            raise ProfileSyntaxError(f"expected {op!r}", self.tokens[self.i][2])
 
     def parse(self) -> ProfileExpr:
         node = self.expr()
-        kind, value, offset = self.peek()
+        kind, value, offset = self.take()
         if kind != "end":
             raise ProfileSyntaxError(f"unexpected trailing {value!r}", offset)
         return node
@@ -144,56 +129,45 @@ class _Parser:
     def binary(self, ops: str, operand) -> ProfileExpr:
         """operand ((one of ops) operand)*, as left-associative BinOps."""
         node = operand()
-        while True:
-            kind, value, offset = self.peek()
-            if kind != "op" or value not in ops:
-                return node
-            self.next()
-            node = _fold(BinOp(value, node, operand(), offset=offset))
+        while token := self.take(ops):
+            node = _fold(BinOp(token[1], node, operand(), offset=token[2]))
+        return node
 
     def expr(self) -> ProfileExpr:
-        return self.binary("+-", self.term)
-
-    def term(self) -> ProfileExpr:
-        return self.binary("*/", self.unary)
+        # term := unary (('*' | '/') unary)*, read here as each operand of +/-.
+        return self.binary("+-", lambda: self.binary("*/", self.unary))
 
     def unary(self) -> ProfileExpr:
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            return _fold(Neg(self.unary(), offset=offset))
-        return self.power()
+        token = self.take("-")
+        return _fold(Neg(self.unary(), offset=token[2])) if token else self.power()
 
     def power(self) -> ProfileExpr:
         base = self.atom()
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            exponent = self.unary()  # recursion through unary keeps ^ right-associative
-            if not isinstance(exponent, Const):
-                raise ProfileSyntaxError("exponent must not depend on t", offset)
-            if abs(exponent.value - round(exponent.value)) > 1e-9:
-                raise ProfileSyntaxError(f"exponent must be an integer, got {exponent.value}", offset)
-            return _fold(Pow(base, round(exponent.value), offset=offset))
-        return base
+        if not (token := self.take("^")):
+            return base
+        offset = token[2]
+        exponent = self.unary()  # recursion through unary keeps ^ right-associative
+        if not isinstance(exponent, Const):
+            raise ProfileSyntaxError("exponent must not depend on t", offset)
+        if abs(exponent.value - round(exponent.value)) > 1e-9:
+            raise ProfileSyntaxError(f"exponent must be an integer, got {exponent.value}", offset)
+        return _fold(Pow(base, round(exponent.value), offset=offset))
 
     def atom(self) -> ProfileExpr:
-        kind, value, offset = self.next()
+        kind, value, offset = self.take()
         if kind == "num":
             return _fold(Const(float(value), offset=offset))
         if kind == "name":
             if value == "t":
                 return TimeVar(offset=offset)
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "(":
-                if value not in FUNCTIONS:
-                    raise ProfileSyntaxError(f"unknown function {value!r}", offset)
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return _fold(Call(value, arg, offset=offset))
-            raise ProfileSyntaxError(f"unknown variable {value!r}", offset)
-        if kind == "op" and value == "(":
+            if not self.take("("):
+                raise ProfileSyntaxError(f"unknown variable {value!r}", offset)
+            if value not in FUNCTIONS:
+                raise ProfileSyntaxError(f"unknown function {value!r}", offset)
+            arg = self.expr()
+            self.expect_op(")")
+            return _fold(Call(value, arg, offset=offset))
+        if (kind, value) == ("op", "("):
             node = self.expr()
             self.expect_op(")")
             return node

@@ -368,6 +368,45 @@ class TestScenarioFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error[schema]: /name:") and err.count("\n") == 1
 
+    # evolve in both formats, verify and spectrum: each read the file, and each
+    # writes names out (a CSV header, a table, a spectrum lookup).
+    EVERY_OUTPUT = [("evolve", "-o", "x.csv"), ("evolve", "-o", "x.json", "--format", "json"),
+                    ("verify",), ("spectrum", "--observable", "sigma_z", "--times", "0")]
+
+    @pytest.mark.parametrize("field, pointer", [
+        ("name", "/name"), ("observables", "/observables/a\\ud800")])
+    def test_surrogate_in_a_name_is_one_schema_line(self, tmp_path, monkeypatch, field, pointer):
+        # A lone "\ud800" escape is valid JSON but no UTF-8 encodes it: in a
+        # fresh interpreter, as the console script runs, printing it would raise.
+        monkeypatch.chdir(tmp_path)
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        if field == "name":
+            doc["name"] = "a\ud800"
+        else:
+            doc["observables"]["a\ud800"] = doc["observables"]["sigma_z"]
+        Path("s.json").write_text(json.dumps(doc))
+        for command, *flags in self.EVERY_OUTPUT:
+            proc = run_fresh(command, "s.json", *flags)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                EXIT_SCENARIO, "",
+                f"error[schema]: {pointer}: holds a surrogate, which UTF-8 cannot encode\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"t1": ', '"t1": 5.0, "t1": ', "t1"),
+        ('"step": ', '"step": 0.5, "step": ', "step"),
+        ('"sigma_z": ', '"sigma_x": 0, "sigma_z": ', "sigma_x"),
+    ], ids=["top", "integrator", "observables"])
+    def test_repeated_key_is_one_schema_line(self, tmp_path, monkeypatch, capsys, old, new, key):
+        # Never the last value silently: the run would integrate to t1 = 5.
+        monkeypatch.chdir(tmp_path)
+        text = json.dumps(scenario_to_json_dict(get_demo("pt-dimer-unbroken", t1=0.01)))
+        Path("s.json").write_text(text.replace(old, new, 1))
+        for command, *flags in self.EVERY_OUTPUT:
+            assert run(command, "s.json", *flags) == EXIT_SCENARIO
+            assert capsys.readouterr() == ("", f"error[schema]: duplicate key {key}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     @pytest.mark.parametrize("pointer", ["/t0", "/integrator/method", "/metric/mode"])
     @pytest.mark.parametrize("value", [[0] * 100_000, "x" * 100_000, 10**400],
                              ids=["list", "string", "int"])

@@ -1,4 +1,5 @@
-"""Every function a module of the package exports has a reader in the program."""
+"""Every function a module of the package exports, and every function, class and
+method it defines, has a reader in the program."""
 
 import ast
 import importlib
@@ -37,3 +38,26 @@ def test_every_exported_function_is_read(module):
     exported = [name for name in getattr(mod, "__all__", ())
                 if inspect.isfunction(getattr(mod, name))]
     assert sorted(set(exported) - NAMES_READ) == []
+
+
+def _definitions(module: str) -> list[str]:
+    """Each module-level function and class of the module, private ones too, and
+    each of their methods that is not a dunder, as the AST has them."""
+    tree = ast.parse((ROOT / "src" / "metricbundle" / f"{module}.py").read_text())
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined += [f"{node.name}.{method.name}" for method in node.body
+                        if isinstance(method, ast.FunctionDef)
+                        and not (method.name.startswith("__") and method.name.endswith("__"))]
+    return defined
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_function_class_and_method_is_read(module):
+    # A helper or method that nothing reads, such as a cursor method left behind
+    # by a rewrite, is dead code even when it is private.
+    unread = [name for name in _definitions(module) if name.rsplit(".", 1)[-1] not in NAMES_READ]
+    assert unread == []

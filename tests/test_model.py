@@ -431,7 +431,8 @@ class TestScenarioSchema:
         assert err.value.pointer == "/observables"
 
     @pytest.mark.parametrize("key, token", [("\r", "\\u000d"), ("a\nb", "a\\u000ab"),
-                                            ("\u2028", "\\u2028"), ("a~/b", "a~0~1b")])
+                                            ("\u2028", "\\u2028"), ("a~/b", "a~0~1b"),
+                                            ("\ud800", "\\ud800"), ("a/\udcff~", "a~1\\udcff~0")])
     def test_pointer_of_a_key_fits_one_line(self, key, token):
         doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
         doc[key] = 1
@@ -439,6 +440,20 @@ class TestScenarioSchema:
             scenario_from_json_dict(doc)
         assert err.value.pointer == f"/{token}"
         assert str(err.value).splitlines() == [f"/{token}: unknown key"]
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"hamiltonian": [{"coeff": "1", "coeff": "t"}]}', "coeff"),
+        ('{"a/b": 1, "a/b": 2}', "a~1b"),
+        ('{"b": 1, "a": 1, "a": 2, "b": 2}', "a"),
+    ], ids=["in-a-list", "escaped", "first-repeat"])
+    def test_repeated_key_is_schema_error(self, tmp_path, text, key):
+        # In any object, before any other check; test_cli covers the top level,
+        # integrator and observables. RFC 8259 leaves a repeated name unpredictable.
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            load_scenario(path)
+        assert (str(err.value), err.value.pointer) == (f"duplicate key {key}", "")
 
     @pytest.mark.parametrize("name", [["x"], None, 3, {"a": "b"}, True])
     def test_non_string_name_is_schema_error(self, name):
@@ -590,6 +605,27 @@ class TestScenarioBuiltInCode:
                 build(scenario, **{field: value})
             assert str(in_code.value) == str(from_file.value)
             assert in_code.value.pointer == from_file.value.pointer
+
+    @pytest.mark.parametrize("field, value, pointer", [
+        ("name", "a\ud800", "/name"),
+        ("name", "\udcff", "/name"),
+        ("observables", "\udfff", "/observables/\\udfff"),
+        ("observables", "x/\ud83d", "/observables/x~1\\ud83d"),
+    ])
+    def test_surrogate_in_a_name_is_schema_error(self, field, value, pointer):
+        # UTF-8 cannot encode it, so the name could not be printed or written.
+        scenario = get_demo("hermitian-rabi", t1=0.1)
+        doc = scenario_to_json_dict(scenario)
+        if field == "observables":
+            value = {value: scenario.observables["sigma_z"]}
+            doc[field] = {name: [[[1, 0], [0, 0]], [[0, 0], [1, 0]]] for name in value}
+        else:
+            doc[field] = value
+        for build in (lambda: scenario_from_json_dict(doc),
+                      lambda: dataclasses.replace(scenario, **{field: value})):
+            with pytest.raises(SchemaError) as err:
+                build()
+            assert str(err.value) == f"{pointer}: holds a surrogate, which UTF-8 cannot encode"
 
     @pytest.mark.parametrize("psi0, message", [
         ([np.nan, 0], "psi0 contains non-finite entries"),

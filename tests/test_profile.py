@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from metricbundle.errors import EvalError, ProfileSyntaxError
 from metricbundle.profile import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -79,6 +80,11 @@ class TestParse:
         ("2 $ t", "unexpected character '$'", 2),
         ("sin(t", "expected ')'", 5),
         ("t t", "unexpected trailing 't'", 2),
+        # A stray character anywhere is reported first, before the operator limit.
+        ("t t $", "unexpected character '$'", 4),
+        ("(" * 101 + "$", "unexpected character '$'", 101),
+        ("", "unexpected end of input", 0),
+        ("   ", "unexpected end of input", 3),
     ])
     def test_syntax_error_message_and_offset(self, text, message, offset):
         with pytest.raises(ProfileSyntaxError) as err:
@@ -310,3 +316,76 @@ def test_derivative_matches_finite_difference(text, t):
     fd = (eval_profile(node, t + h) - eval_profile(node, t - h)) / (2 * h)
     exact = eval_profile(deriv, t)
     assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+
+def _token_kind(text: str, at: int):
+    """The node type whose token starts at text[at], in a text of _texts_and_trees."""
+    if text.startswith(tuple(FUNCTIONS), at):
+        return Call
+    if text[at] in "+-*/" and text[at - 1:at + 2] == f" {text[at]} ":
+        return BinOp
+    kinds = {"t": TimeVar, "-": Neg, "^": Pow}
+    return Const if text[at] in "0123456789." else kinds.get(text[at])
+
+
+def _nodes(node):
+    yield node
+    for child in (getattr(node, name, None) for name in ("arg", "left", "right", "base")):
+        if child is not None:
+            yield from _nodes(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_texts_and_trees())
+def test_every_parsed_node_points_at_its_own_token(case):
+    # Offsets are compare=False, so the tree oracle above does not see them. A
+    # Const is a literal or a fold, which points at the token of the node it folds.
+    text, tree = case
+    if isinstance(tree, EvalError):
+        return
+    for node in _nodes(parse_profile(text)):
+        kind = _token_kind(text, node.offset)
+        if isinstance(node, Const):
+            assert kind in (Const, Neg, BinOp, Pow, Call), (text, node)
+        else:
+            assert kind is type(node), (text, node)
+        if isinstance(node, BinOp):
+            assert text[node.offset] == node.op
+        if isinstance(node, Call):
+            assert text.startswith(node.func, node.offset)
+
+
+_PIECES = ["t", "1", "2.5", ".5", "3.", "1e3", ".", "sin", "x", "(", ")", "+", "-", "*", "/",
+           "^", " ", "\t", "\xa0", "\u2003", "\u0663"]
+_STRAYS = ["$", "\xe9", "\x00", "#", ",", "!"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_PIECES + _STRAYS), max_size=14))
+def test_an_error_points_into_the_text_and_a_stray_character_comes_first(pieces):
+    text = "".join(pieces)
+    stray = next((at for at, c in enumerate(text) if c in _STRAYS), None)
+    try:
+        parse_profile(text)
+    except (ProfileSyntaxError, EvalError) as exc:
+        assert 0 <= exc.offset <= len(text)
+        if str(exc).startswith("unexpected character "):
+            assert str(exc) == (
+                f"unexpected character {text[exc.offset]!r} (at offset {exc.offset})")
+        if stray is not None:
+            # "." alone is stray too, so an earlier one may be named first.
+            assert str(exc).startswith("unexpected character ") and exc.offset <= stray
+    else:
+        assert stray is None
+
+
+def test_a_failing_fold_before_a_syntax_error_is_reported_first():
+    # After a stray character and the operator limit, errors come in reading order.
+    with pytest.raises(EvalError) as err:
+        parse_profile("1/0 t")
+    assert (str(err.value), err.value.offset) == ("division by zero (at offset 1)", 1)
+
+
+def test_unicode_whitespace_around_a_token_is_skipped():
+    assert repr(parse_profile("\u2003t\xa0")) == repr(TimeVar(offset=1))
