@@ -18,11 +18,11 @@ Any other key at the top level, in "metric" or in "integrator" is a SchemaError,
 as are a key repeated in any object and a surrogate code point in any name.
 
 A Scenario built in code (the zoo, with_overrides, dataclasses.replace, any
-caller) obeys the same rules: Scenario, MetricInit and IntegratorConfig check
-their own values when built and raise the SchemaError, message and pointer, that
-the same fault gives in a file, and each operator must be an OperatorSpec. psi0
-must be a 1-d vector of dim finite entries, and every array numeric
-(DimensionMismatchError). The codec checks only what is particular to JSON.
+caller) obeys the same rules: Scenario, MetricInit and IntegratorConfig check and
+store their own values (t0, t1 and step as floats) and raise the SchemaError,
+message and pointer, that the same fault gives in a file. Each operator must be
+an OperatorSpec; psi0 must be a 1-d vector of dim finite entries, and every array
+numeric (DimensionMismatchError). The codec checks only what is particular to JSON.
 
 The schema round-trips bit-exactly: coefficient source text is preserved
 verbatim and floats survive JSON via repr.
@@ -188,18 +188,14 @@ def _short_repr(value, limit: int = 40) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-def _require_finite_number(value, pointer: str) -> None:
-    """Reject bools, non-numbers and numbers with no finite float value."""
+def _finite_float(value, pointer: str) -> float:
+    """value as a float; bools, non-numbers and numbers with no finite float value are rejected."""
     try:
-        ok = (
-            isinstance(value, numbers.Real)
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
     except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise SchemaError(f"must be a finite number, got {_short_repr(value)}", pointer)
+        pass
+    raise SchemaError(f"must be a finite number, got {_short_repr(value)}", pointer)
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method != "rk4":
             raise SchemaError(f"unknown method {_short_repr(self.method)}", "/integrator/method")
-        _require_finite_number(self.step, "/integrator/step")
+        object.__setattr__(self, "step", _finite_float(self.step, "/integrator/step"))
         if self.step <= 0:
             raise SchemaError("step must be positive", "/integrator/step")
         if (
@@ -220,6 +216,7 @@ class IntegratorConfig:
             or self.max_steps < 1
         ):
             raise SchemaError("max_steps must be a positive integer", "/integrator/max_steps")
+        object.__setattr__(self, "max_steps", int(self.max_steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,17 +245,18 @@ class Scenario:
         if not isinstance(self.observables, dict):
             raise SchemaError(f"observables must be a dict, got {type(self.observables).__name__}",
                               "/observables")
-        for obs_name in self.observables:
+        # (pointer, name, operator): the Hamiltonian, then each observable in order.
+        operators = [("/hamiltonian", "", self.hamiltonian), *(
+            (f"/observables/{_pointer_token(k)}", k, v) for k, v in self.observables.items())]
+        for _, obs_name, _ in operators:
             if not isinstance(obs_name, str):
                 raise SchemaError(
                     f"observable names must be strings, got {type(obs_name).__name__}",
                     "/observables")
-        for pointer, text in [("/name", self.name),
-                              *((f"/observables/{_pointer_token(k)}", k) for k in self.observables)]:
+        for pointer, text, _ in [("/name", self.name, None), *operators]:
             if any("\ud800" <= c <= "\udfff" for c in text):
                 raise SchemaError("holds a surrogate, which UTF-8 cannot encode", pointer)
-        named = {f"/observables/{_pointer_token(k)}": v for k, v in self.observables.items()}
-        for pointer, operator in {"/hamiltonian": self.hamiltonian, **named}.items():
+        for pointer, _, operator in operators:
             if not isinstance(operator, OperatorSpec):
                 raise SchemaError(f"expected an OperatorSpec, got {type(operator).__name__}",
                                   pointer)
@@ -271,13 +269,13 @@ class Scenario:
         if psi0.shape[0] != dim:
             raise DimensionMismatchError(f"psi0 has dimension {psi0.shape[0]}, hamiltonian {dim}")
         object.__setattr__(self, "psi0", psi0)
-        for obs_name, obs in self.observables.items():
-            if obs.dim != dim:
+        for _, obs_name, operator in operators:
+            if operator.dim != dim:
                 raise DimensionMismatchError(f"observable {obs_name!r} dimension mismatch")
         if self.metric_init.matrix is not None and self.metric_init.matrix.shape[0] != dim:
             raise DimensionMismatchError("metric matrix dimension mismatch")
-        _require_finite_number(self.t0, "/t0")
-        _require_finite_number(self.t1, "/t1")
+        for key in ("t0", "t1"):
+            object.__setattr__(self, key, _finite_float(getattr(self, key), f"/{key}"))
         if not self.t1 > self.t0:
             raise SchemaError("t1 must exceed t0", "/t1")
 
@@ -497,15 +495,16 @@ def _observable_from_json(value, dim: int, pointer: str) -> OperatorSpec:
 
 
 # The characters str.splitlines() breaks at and the surrogate code points, as
-# JSON escapes: a pointer that names a key holding one, or a scenario path,
-# still fits on the CLI's one error line, as valid UTF-8.
-_JSON_ESCAPES = str.maketrans({c: f"\\u{ord(c):04x}" for c in [
-    *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", *map(chr, range(0xD800, 0xE000))]})
+# JSON escapes, and a backslash as two: a pointer that names a key holding one,
+# or a scenario path, still fits on the CLI's one error line, as valid UTF-8,
+# and two keys never share a pointer.
+_JSON_ESCAPES = str.maketrans({"\\": "\\\\", **{c: f"\\u{ord(c):04x}" for c in [
+    *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", *map(chr, range(0xD800, 0xE000))]}})
 
 
 def _pointer_token(key) -> str:
     """key as one JSON-pointer token (RFC 6901): "~" escaped as "~0", "/" as "~1",
-    and a line break or a surrogate as its JSON escape."""
+    then a backslash as "\\\\" and a line break or a surrogate as its JSON escape."""
     return str(key).replace("~", "~0").replace("/", "~1").translate(_JSON_ESCAPES)
 
 
@@ -557,9 +556,6 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
         for obs_name, v in obs_doc.items()
     }
 
-    for key in ("t0", "t1"):
-        _require_finite_number(doc[key], f"/{key}")
-
     integ_doc = doc["integrator"]
     if not isinstance(integ_doc, dict):
         raise SchemaError("integrator must be an object", "/integrator")
@@ -571,8 +567,8 @@ def scenario_from_json_dict(doc: Any) -> Scenario:
         metric_init=metric,
         psi0=psi0,
         observables=observables,
-        t0=float(doc["t0"]),
-        t1=float(doc["t1"]),
+        t0=doc["t0"],
+        t1=doc["t1"],
         integrator=integrator,
         name=doc.get("name", ""),
         expected_failures=doc.get("expected_failures", ()),

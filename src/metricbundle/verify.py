@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -163,13 +164,16 @@ def run_suite(
     Each check family is evaluated once on the stacked sampled nodes, as one
     residual per node; the report keeps the largest and the first node that
     attains it. A run too short for node_stride is sampled at max(1, (n_nodes - 1) // 2),
-    so the EOM difference reads sampled nodes only. Raises ValueError when node_stride < 1.
+    so the EOM difference reads sampled nodes only. Raises ValueError unless node_stride
+    is an integer (not a bool) of at least 1.
     """
+    if not isinstance(node_stride, numbers.Integral) or isinstance(node_stride, bool):
+        raise ValueError(f"node_stride must be an integer, got {node_stride!r}")
     if node_stride < 1:
         raise ValueError(f"node_stride must be at least 1, got {node_stride}")
     span = float(bundle.ts[-1] - bundle.ts[0])
     base = budget(bundle.step, span, bundle.dim)
-    stride = max(1, min(node_stride, (bundle.n_nodes - 1) // 2))
+    stride = max(1, min(int(node_stride), (bundle.n_nodes - 1) // 2))
     nodes = _sample_indices(bundle.n_nodes, stride)
     over_nodes = f"max over {len(nodes)} nodes"
     results: list[CheckResult] = []

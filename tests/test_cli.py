@@ -314,11 +314,13 @@ class TestScenarioFileErrors:
         ("a\nb.json", "a\\u000ab.json"),
         ("a\u2028b.json", "a\\u2028b.json"),
         ("a\r\0.json", "a\\u000d\0.json"),  # no valid path: the other not-found raise
-    ], ids=["newline", "line-separator", "return-and-nul"])
+        ("a\\u000a.json", "a\\\\u000a.json"),  # not shown as the newline is
+    ], ids=["newline", "line-separator", "return-and-nul", "escape-text"])
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_path_with_a_line_break_is_one_line(self, tmp_path, monkeypatch, capsys, ref, shown,
                                                 command):
-        # A line break in the path is shown as its JSON escape, as in a pointer.
+        # A line break in the path is shown as its JSON escape, and a backslash as
+        # two, as in a pointer.
         monkeypatch.chdir(tmp_path)
         assert run(command, ref, *self.FLAGS[command]) == EXIT_SCENARIO
         err = capsys.readouterr().err
@@ -390,6 +392,21 @@ class TestScenarioFileErrors:
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 EXIT_SCENARIO, "",
                 f"error[schema]: {pointer}: holds a surrogate, which UTF-8 cannot encode\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    def test_key_holding_an_escape_has_its_own_pointer(self, tmp_path, monkeypatch, capsys):
+        # The six characters "\u000a" beside a line break: the backslash is escaped
+        # too, so the bad entry's pointer names its own key and no other.
+        monkeypatch.chdir(tmp_path)
+        doc = scenario_to_json_dict(get_demo("hermitian-rabi", t1=0.1))
+        doc["observables"]["\n"] = doc["observables"]["sigma_z"]
+        doc["observables"]["\\u000a"] = [[[1, 0], [0, 0]], [[0, 0], "x"]]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        for command, *flags in self.EVERY_OUTPUT:
+            assert run(command, str(path), *flags) == EXIT_SCENARIO
+            assert capsys.readouterr() == ("", "error[schema]: /observables/\\\\u000a/1/1: "
+                                               "complex number must be a [re, im] pair\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     @pytest.mark.parametrize("old, new, key", [

@@ -1,10 +1,11 @@
 import dataclasses
+import fractions
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import G_PT
@@ -17,14 +18,16 @@ from metricbundle.errors import (
     NoPositiveDefiniteSolutionError,
     SchemaError,
 )
-from metricbundle.evolution import integrate
+from metricbundle.evolution import bundle_to_json_dict, integrate, to_json_parts
 from metricbundle.matops import ATOL, RTOL, SIGMA_X, SIGMA_Y, SIGMA_Z, min_eig_hermitian
 from metricbundle.model import (
+    IntegratorConfig,
     MetricInit,
     OperatorSpec,
     ProfileTerm,
     Scenario,
     _complex_array_from_json,
+    _pointer_token,
     _short_repr,
     constant_operator,
     load_scenario,
@@ -32,9 +35,11 @@ from metricbundle.model import (
     save_scenario,
     scenario_from_json_dict,
     scenario_to_json_dict,
+    scenario_to_json_text,
     solve_stationary_metric,
     with_overrides,
 )
+from metricbundle.verify import run_suite
 from metricbundle.zoo import builtin_models, get_demo
 
 
@@ -359,6 +364,12 @@ def test_array_holding_records_compare_by_identity(make, change):
         assert getattr(changed, name) == value
 
 
+# Keys built from the pieces a pointer token escapes, and the escapes themselves.
+POINTER_KEYS = st.lists(st.sampled_from(
+    ["\\", "~", "/", "~0", "~1", "\n", "\r", "\u2028", "\\u000a", "\\u000d", "\ud800",
+     "\\ud800", "\\\\", "u", "a"]), max_size=5).map("".join) | st.text(max_size=5)
+
+
 class TestScenarioSchema:
     def test_round_trip_is_bit_exact(self):
         for name in builtin_models():
@@ -429,6 +440,14 @@ class TestScenarioSchema:
         with pytest.raises(SchemaError) as err:
             dataclasses.replace(scenario, observables={name: scenario.observables["sigma_z"]})
         assert err.value.pointer == "/observables"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(a=POINTER_KEYS, b=POINTER_KEYS)
+    @example(a="\n", b="\\u000a")
+    @example(a="\\", b="\\\\")
+    def test_distinct_keys_have_distinct_pointer_tokens(self, a, b):
+        assume(a != b)
+        assert _pointer_token(a) != _pointer_token(b)
 
     @pytest.mark.parametrize("key, token", [("\r", "\\u000d"), ("a\nb", "a\\u000ab"),
                                             ("\u2028", "\\u2028"), ("a~/b", "a~0~1b"),
@@ -652,6 +671,11 @@ class TestScenarioBuiltInCode:
          "matrix is not a numeric array"),
         (lambda s: dataclasses.replace(s, observables={"a/b": 1}), SchemaError,
          "/observables/a~1b: expected an OperatorSpec, got int"),
+        # A line break and the six characters of its escape: two keys, two pointers.
+        (lambda s: dataclasses.replace(s, observables={"\n": 1, "\\u000a": s.hamiltonian}),
+         SchemaError, "/observables/\\u000a: expected an OperatorSpec, got int"),
+        (lambda s: dataclasses.replace(s, observables={"\\u000a": 1, "\n": s.hamiltonian}),
+         SchemaError, "/observables/\\\\u000a: expected an OperatorSpec, got int"),
         (lambda s: dataclasses.replace(s, observables=[1]), SchemaError,
          "/observables: observables must be a dict, got list"),
         (lambda s: dataclasses.replace(s, hamiltonian=None), SchemaError,
@@ -683,6 +707,26 @@ class TestScenarioBuiltInCode:
             build(get_demo("hermitian-rabi", t1=0.01))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("t0, t1, step", [
+        (np.int64(0), np.int64(2), np.int64(1)),
+        (np.float32(0), np.float32(0.5), np.float32(0.125)),
+        (fractions.Fraction(0), fractions.Fraction(1, 2), fractions.Fraction(1, 8)),
+    ], ids=["int64", "float32", "fraction"])
+    def test_numbers_are_stored_as_plain_floats_and_ints(self, t0, t1, step):
+        integrator = IntegratorConfig(step=step, max_steps=np.int64(100))
+        assert (type(integrator.step), type(integrator.max_steps)) == (float, int)
+        assert (integrator.step, integrator.max_steps) == (float(step), 100)
+        for build in (_build, dataclasses.replace):
+            scenario = build(get_demo("hermitian-rabi"), t0=t0, t1=t1, integrator=integrator)
+            assert (type(scenario.t0), type(scenario.t1)) == (float, float)
+            assert (scenario.t0, scenario.t1) == (float(t0), float(t1))
+            bundle = integrate(scenario)
+            # Every writer of these values: the scenario file, the report, the trajectory.
+            assert json.loads(scenario_to_json_text(scenario))["t1"] == float(t1)
+            assert json.loads(run_suite(bundle, scenario).to_json())["scenario_digest"]
+            trajectory = json.loads("".join(to_json_parts(bundle_to_json_dict(bundle, scenario, {}))))
+            assert trajectory["scenario"]["integrator"]["step"] == float(step)
+
     def test_values_are_stored_as_a_file_gives_them(self):
         scenario = dataclasses.replace(get_demo("hermitian-rabi"), psi0=[1, 0],
                                        expected_failures=["norm_conservation"])
@@ -693,9 +737,10 @@ class TestScenarioBuiltInCode:
     def test_codec_leaves_these_rules_to_scenario(self, monkeypatch):
         monkeypatch.setattr(Scenario, "__post_init__", lambda self: None)
         doc = scenario_to_json_dict(get_demo("hermitian-rabi"))
-        doc["name"], doc["expected_failures"] = 5, [""]
+        doc["name"], doc["expected_failures"], doc["t0"], doc["t1"] = 5, [""], "x", True
         scenario = scenario_from_json_dict(doc)
         assert (scenario.name, scenario.expected_failures) == (5, [""])
+        assert (scenario.t0, scenario.t1) == ("x", True)
 
 
 def test_every_shipped_scenario_is_valid_by_construction(perfbench_chain_files,

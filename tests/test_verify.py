@@ -155,6 +155,18 @@ class TestReportShape:
         with pytest.raises(ValueError, match="node_stride must be at least 1"):
             run_suite(bundle, scenario, node_stride=stride)
 
+    def test_numpy_integer_stride_is_stored_as_an_int(self, pt_unbroken_bundle):
+        scenario, bundle = pt_unbroken_bundle
+        report = run_suite(bundle, scenario, node_stride=np.int64(3))
+        assert type(report.integrator["node_stride"]) is int
+        assert json.loads(report.to_json())["integrator"]["node_stride"] == 3
+
+    @pytest.mark.parametrize("stride", [2.5, 3.0, True, "3"])
+    def test_stride_that_is_not_an_integer_is_rejected(self, pt_unbroken_bundle, stride):
+        scenario, bundle = pt_unbroken_bundle
+        with pytest.raises(ValueError, match="node_stride must be an integer, got"):
+            run_suite(bundle, scenario, node_stride=stride)
+
     def test_run_suite_takes_no_tolerance_scale(self, pt_unbroken_bundle):
         scenario, bundle = pt_unbroken_bundle
         with pytest.raises(TypeError, match="tolerance_scale"):
